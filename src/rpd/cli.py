@@ -57,6 +57,15 @@ def _emit(text: str, output: str | None) -> None:
                                 encoding="utf-8")
 
 
+def _provenance(pair, standardized: bool) -> dict:
+    """What a pair report was computed on: vocabulary coverage and scaling."""
+    return {
+        "coverage_left": pair.coverage_left,
+        "coverage_right": pair.coverage_right,
+        "standardized": standardized,
+    }
+
+
 def _parse_named(specs: tuple[str, ...]) -> list[tuple[str, str]]:
     named = []
     for spec in specs:
@@ -90,7 +99,7 @@ def cmd_pair(left, right, fmt, no_standardize, decompose, top_k, output):
         report = decompose_per_word(pair, standardize_inputs)
     else:
         report = rpd(pair, standardize_inputs)
-    payload = report.to_dict()
+    payload = {**report.to_dict(), **_provenance(pair, standardize_inputs)}
     if top_k is not None and "per_word" in payload:
         payload["per_word"] = payload["per_word"][: max(top_k, 0)]
     _emit(json.dumps(payload, indent=2), output)
@@ -137,6 +146,7 @@ def cmd_nulltest(left, right, fmt, replicates, seed, one_sided, samples_out, out
     p_for_decision = result.p_one_sided if one_sided else result.p_two_sided
     payload = {
         "observed_rpd": observed,
+        **_provenance(pair, standardized=True),
         "null": null.to_dict(),
         **result.to_dict(),
         "alpha": 0.01,

@@ -8,6 +8,11 @@ All production paths work in d-by-d space through two trace identities:
 so the cost is O(n·d²) time and O(d²) extra space. The only code that
 materializes an n-by-n Gram matrix is :func:`naive_gram_oracle`, a guarded
 reference implementation kept for testing.
+
+Every distance-type result reads from :class:`GramSide`, one summary per
+aligned side: its rows, ``G = EᵀE`` and the scalar that standardization
+divides G by. Standardizing E to unit mean square entry only rescales G by
+``s² = tr(G)/(n·d)``, so no standardized n-by-d copy is ever built.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, PreconditionError
+from .errors import DegenerateInputError, DimensionError, PreconditionError
 from .store import EmbeddingMatrix
 
 NAIVE_GUARD_LIMIT = 2000
@@ -42,6 +47,49 @@ def cross_gram_inner(a: EmbeddingMatrix, b: EmbeddingMatrix) -> float:
     _check_same_rows(a, b)
     c = a.matrix.T @ b.matrix
     return float(np.sum(c * c))
+
+
+@dataclass(frozen=True, eq=False)
+class GramSide:
+    """One aligned side of a comparison, summarized for the d-space identities.
+
+    ``rows`` is the input times ``2**k``, the power of two nearest 1/max|E|.
+    That scaling is exact in floating point, so an input and its power-of-two
+    multiples give the same statistics bit for bit, while inputs of extreme
+    finite magnitude form their products without overflow or underflow. ``gram`` is ``rowsᵀ·rows``,
+    ``norm`` its Frobenius norm, and ``divisor`` maps ``gram`` to the Gram
+    matrix the metric compares: ``s² = tr(gram)/(n·d)`` when standardizing,
+    ``4**k`` (undoing the prescale) otherwise.
+    """
+
+    rows: np.ndarray
+    gram: np.ndarray
+    norm: float
+    divisor: float
+
+
+def gram_side(matrix: np.ndarray, standardize: bool, owned: bool = False) -> GramSide:
+    """Summarize an aligned side; ``owned=True`` lets the prescale reuse ``matrix``.
+
+    Raises:
+        DegenerateInputError: standardizing a constant matrix (zero standard
+            deviation), as :func:`rpd.store.standardize` does.
+    """
+    high, low = float(matrix.max()), float(matrix.min())
+    if standardize and high == low:
+        raise DegenerateInputError("matrix is constant: zero standard deviation")
+    peak = max(high, -low)
+    exponent = -int(np.rint(np.log2(peak))) if peak > 0.0 else 0
+    rows = matrix
+    if exponent:
+        rows = np.ldexp(matrix, exponent, out=matrix if owned else None)
+    gram = rows.T @ rows
+    n, d = rows.shape
+    if standardize:
+        divisor = float(np.trace(gram)) / (n * d)
+    else:
+        divisor = float(np.ldexp(1.0, 2 * exponent))
+    return GramSide(rows, gram, float(np.sqrt(np.sum(gram * gram))), divisor)
 
 
 @dataclass(frozen=True)
@@ -84,7 +132,11 @@ class PerWordGramStats:
     norm_right: np.ndarray
 
 
-def per_word_gram_stats(a: EmbeddingMatrix, b: EmbeddingMatrix) -> PerWordGramStats:
+def per_word_gram_stats(
+    a: EmbeddingMatrix | np.ndarray,
+    b: EmbeddingMatrix | np.ndarray,
+    blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> PerWordGramStats:
     """Row-wise Gram statistics in O(n·d²) without forming any n-length row.
 
     Row i of E·Eᵀ is vᵢ·Eᵀ, so with the d-by-d products G₁₁ = E₁ᵀE₁,
@@ -92,12 +144,15 @@ def per_word_gram_stats(a: EmbeddingMatrix, b: EmbeddingMatrix) -> PerWordGramSt
 
         dot[i]        = v⁽¹⁾ᵢ G₁₂ v⁽²⁾ᵢᵀ
         norm_left[i]² = v⁽¹⁾ᵢ G₁₁ v⁽¹⁾ᵢᵀ
+
+    ``a`` and ``b`` are embeddings or their row arrays; ``blocks`` passes
+    (G₁₁, G₂₂, G₁₂) when the caller has already computed them.
     """
-    _check_same_rows(a, b)
-    am, bm = a.matrix, b.matrix
-    g11 = am.T @ am
-    g22 = bm.T @ bm
-    g12 = am.T @ bm
+    am = a.matrix if isinstance(a, EmbeddingMatrix) else a
+    bm = b.matrix if isinstance(b, EmbeddingMatrix) else b
+    if am.shape[0] != bm.shape[0]:
+        raise DimensionError(f"row counts differ: {am.shape[0]} vs {bm.shape[0]}")
+    g11, g22, g12 = blocks if blocks is not None else (am.T @ am, bm.T @ bm, am.T @ bm)
     dot = np.sum((am @ g12) * bm, axis=1)
     # Quadratic forms are >= 0 exactly; clamp roundoff before the sqrt.
     sq_left = np.maximum(np.sum((am @ g11) * am, axis=1), 0.0)

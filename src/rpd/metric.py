@@ -13,16 +13,14 @@ large vocabularies independent random spaces concentrate near 1 - d/n.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from ._threads import worker_count
 from .errors import AlignmentError, DegenerateInputError, PreconditionError, RpdError
-from .gram import cross_gram_inner, gram_frobenius_norm, per_word_gram_stats
-from .store import AlignedPair, EmbeddingMatrix, align_vocabularies, standardize
+from .gram import GramSide, gram_side, per_word_gram_stats
+from .store import AlignedPair, EmbeddingMatrix, _aligned_rows, _restricted_rows
 
 
 @dataclass(frozen=True)
@@ -78,23 +76,33 @@ class BoundCheck:
     bound: float
 
 
-def _standardized_sides(
-    pair: AlignedPair, standardize_inputs: bool
-) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
-    if standardize_inputs:
-        return standardize(pair.left), standardize(pair.right)
-    return pair.left, pair.right
+def _sides(pair: AlignedPair, standardize_inputs: bool) -> tuple[GramSide, GramSide]:
+    return (gram_side(pair.left.matrix, standardize_inputs),
+            gram_side(pair.right.matrix, standardize_inputs))
 
 
-def _gram_terms(left: EmbeddingMatrix, right: EmbeddingMatrix):
-    a = gram_frobenius_norm(left)
-    b = gram_frobenius_norm(right)
+def rpd_from_sides(
+    left: GramSide, right: GramSide, cross: np.ndarray | None = None
+) -> RpdReport:
+    """RPD of two summarized sides; ``cross`` is ``left.rowsᵀ·right.rows`` if known."""
+    a = left.norm / left.divisor
+    b = right.norm / right.divisor
     if a == 0.0 or b == 0.0:
         raise DegenerateInputError("Gram matrix has zero Frobenius norm")
-    inner = cross_gram_inner(left, right)
+    if cross is None:
+        cross = left.rows.T @ right.rows
     ratio = 0.5 * (a / b + b / a)
-    cosine = inner / (a * b)
-    return a, b, ratio, cosine
+    # Scale-free, so it is taken on the prescaled blocks directly.
+    cosine = float(np.sum(cross * cross)) / (left.norm * right.norm)
+    # Cauchy-Schwarz guarantees ratio >= cosine; clamp roundoff.
+    return RpdReport(
+        rpd=max(ratio - cosine, 0.0),
+        ratio_term=ratio,
+        cosine_term=cosine,
+        n=left.rows.shape[0],
+        d_left=left.rows.shape[1],
+        d_right=right.rows.shape[1],
+    )
 
 
 def rpd(pair: AlignedPair, standardize_inputs: bool = True) -> RpdReport:
@@ -104,23 +112,13 @@ def rpd(pair: AlignedPair, standardize_inputs: bool = True) -> RpdReport:
         pair: Aligned embeddings (dimensions may differ).
         standardize_inputs: Rescale both sides to unit entry standard
             deviation first (the metric's definition; disable only for
-            inputs normalized elsewhere).
+            inputs normalized elsewhere). The rescaling is applied to the
+            d-by-d statistics; no standardized copy of either side is made.
 
     Raises:
         DegenerateInputError: a side has zero Gram norm or zero variance.
     """
-    left, right = _standardized_sides(pair, standardize_inputs)
-    _, _, ratio, cosine = _gram_terms(left, right)
-    # Cauchy-Schwarz guarantees ratio >= cosine; clamp roundoff.
-    value = max(ratio - cosine, 0.0)
-    return RpdReport(
-        rpd=value,
-        ratio_term=ratio,
-        cosine_term=cosine,
-        n=pair.n,
-        d_left=pair.left.dim,
-        d_right=pair.right.dim,
-    )
+    return rpd_from_sides(*_sides(pair, standardize_inputs))
 
 
 def decompose_per_word(pair: AlignedPair, standardize_inputs: bool = True) -> RpdReport:
@@ -132,12 +130,14 @@ def decompose_per_word(pair: AlignedPair, standardize_inputs: bool = True) -> Rp
     vanishes get ``cos_theta_i=None`` and weight 0. Entries are sorted by
     ascending cosine, most divergent words first.
     """
-    left, right = _standardized_sides(pair, standardize_inputs)
-    a, b, ratio, cosine = _gram_terms(left, right)
-    stats = per_word_gram_stats(left, right)
+    left, right = _sides(pair, standardize_inputs)
+    cross = left.rows.T @ right.rows
+    report = rpd_from_sides(left, right, cross)
+    # Weights and cosines are scale-free, so the prescaled blocks serve.
+    stats = per_word_gram_stats(left.rows, right.rows, (left.gram, right.gram, cross))
 
     norm_prod = stats.norm_left * stats.norm_right
-    weights = norm_prod / (a * b)
+    weights = norm_prod / (left.norm * right.norm)
     entries = []
     for word, dot, prod, weight in zip(
         pair.shared_vocab, stats.dot, norm_prod, weights
@@ -148,17 +148,7 @@ def decompose_per_word(pair: AlignedPair, standardize_inputs: bool = True) -> Rp
             cos_i = float(np.clip(dot / prod, -1.0, 1.0))
             entries.append(PerWordDivergence(word, cos_i, float(weight)))
     entries.sort(key=lambda e: (e.cos_theta_i if e.cos_theta_i is not None else -np.inf, e.word))
-
-    value = max(ratio - cosine, 0.0)
-    return RpdReport(
-        rpd=value,
-        ratio_term=ratio,
-        cosine_term=cosine,
-        n=pair.n,
-        d_left=pair.left.dim,
-        d_right=pair.right.dim,
-        per_word=tuple(entries),
-    )
+    return replace(report, per_word=tuple(entries))
 
 
 def rpd_upper_bound_check(pair: AlignedPair, standardize_inputs: bool = True) -> BoundCheck:
@@ -184,11 +174,6 @@ class PairwiseRpd:
         return "\n".join(lines) + "\n"
 
 
-def _restrict_to(emb: EmbeddingMatrix, shared: tuple[str, ...]) -> EmbeddingMatrix:
-    idx = emb.index
-    return EmbeddingMatrix(shared, emb.matrix[[idx[w] for w in shared]])
-
-
 def rpd_pairwise_matrix(
     embs: Sequence[tuple[str, EmbeddingMatrix]],
     standardize_inputs: bool = True,
@@ -198,10 +183,13 @@ def rpd_pairwise_matrix(
 
     By default each pair is compared on its own vocabulary intersection; with
     ``common_vocab=True`` every embedding is first restricted to the global
-    intersection so all cells share one vocabulary.
+    intersection so all cells share one vocabulary, and each embedding's
+    ``EᵀE`` is computed once for the whole matrix.
 
     Raises:
-        AlignmentError: an empty intersection, with the offending pair named.
+        AlignmentError: an empty intersection, with the offending pair named,
+            or an all-zero row in the common vocabulary, with its embedding
+            named.
     """
     if len(embs) < 2:
         raise PreconditionError("need at least 2 embeddings")
@@ -209,6 +197,9 @@ def rpd_pairwise_matrix(
     if len(set(names)) != len(names):
         raise PreconditionError("embedding names must be unique")
     matrices = [emb for _, emb in embs]
+    k = len(matrices)
+    cells = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    values = np.zeros((k, k), dtype=np.float64)
 
     if common_vocab:
         shared_set = set(matrices[0].vocab)
@@ -217,28 +208,23 @@ def rpd_pairwise_matrix(
         shared = tuple(sorted(shared_set))
         if not shared:
             raise AlignmentError("global vocabulary intersection is empty")
-        matrices = [_restrict_to(m, shared) for m in matrices]
-
-    k = len(matrices)
-    values = np.zeros((k, k), dtype=np.float64)
-    cells = [(i, j) for i in range(k) for j in range(i + 1, k)]
-
-    def compute(cell: tuple[int, int]) -> float:
-        i, j = cell
-        try:
-            pair = align_vocabularies(matrices[i], matrices[j])
-        except AlignmentError as exc:
-            raise AlignmentError(f"{names[i]} vs {names[j]}: {exc}") from None
-        return rpd(pair, standardize_inputs).rpd
-
-    workers = worker_count()
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(compute, cells))
+        sides = []
+        for name, m in zip(names, matrices):
+            try:
+                rows = _restricted_rows(m, shared)
+            except AlignmentError as exc:
+                raise AlignmentError(f"{name}: {exc}") from None
+            sides.append(gram_side(rows, standardize_inputs, owned=True))
+        for i, j in cells:
+            values[i, j] = values[j, i] = rpd_from_sides(sides[i], sides[j]).rpd
     else:
-        results = [compute(c) for c in cells]
-
-    for (i, j), v in zip(cells, results):
-        values[i, j] = v
-        values[j, i] = v
+        for i, j in cells:
+            try:
+                _, left, right = _aligned_rows(matrices[i], matrices[j])
+            except AlignmentError as exc:
+                raise AlignmentError(f"{names[i]} vs {names[j]}: {exc}") from None
+            values[i, j] = values[j, i] = rpd_from_sides(
+                gram_side(left, standardize_inputs, owned=True),
+                gram_side(right, standardize_inputs, owned=True),
+            ).rpd
     return PairwiseRpd(names=names, values=values)

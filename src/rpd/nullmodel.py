@@ -12,16 +12,15 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._threads import worker_count
 from .errors import DegenerateInputError, PreconditionError
-from .metric import rpd
-from .store import AlignedPair, random_gaussian_embedding
+from .gram import gram_side
+from .metric import rpd_from_sides
+from .store import _gaussian_rows
 
 _SKEW_THRESHOLD = 0.3
 _EXCESS_KURTOSIS_THRESHOLD = 0.6
@@ -141,8 +140,7 @@ def monte_carlo_null(
 
     Each replicate r draws two independent Gaussian embeddings with seeds
     derived from (seed, r, side) and records their RPD (standardization on).
-    The result is a pure function of the arguments, independent of evaluation
-    order and worker count.
+    The result is a pure function of the arguments.
 
     Args:
         n: Vocabulary size of the simulated spaces; must exceed both dims.
@@ -167,17 +165,13 @@ def monte_carlo_null(
         )
 
     def draw(r: int) -> float:
-        left = random_gaussian_embedding(n, d_left, _derived_seed(seed, r, 0))
-        right = random_gaussian_embedding(n, d_right, _derived_seed(seed, r, 1))
-        pair = AlignedPair(left, right, left.vocab)
-        return rpd(pair).rpd
+        # The draws of random_gaussian_embedding, without its vocabulary.
+        left = _gaussian_rows(n, d_left, _derived_seed(seed, r, 0))
+        right = _gaussian_rows(n, d_right, _derived_seed(seed, r, 1))
+        return rpd_from_sides(gram_side(left, True, owned=True),
+                              gram_side(right, True, owned=True)).rpd
 
-    workers = worker_count()
-    if workers > 1 and replicates > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(draw, range(replicates)))
-    else:
-        samples = [draw(r) for r in range(replicates)]
+    samples = [draw(r) for r in range(replicates)]
 
     return NullDistribution.from_samples(
         samples,

@@ -260,13 +260,32 @@ def standardize(emb: EmbeddingMatrix) -> EmbeddingMatrix:
 
 
 def _restricted_rows(emb: EmbeddingMatrix, words: Sequence[str]) -> np.ndarray:
+    """A new array of the rows of ``words``, in that order.
+
+    Raises:
+        AlignmentError: one of the rows is all zero.
+    """
     idx = emb.index
     sub = emb.matrix[[idx[w] for w in words]]
-    norms = np.linalg.norm(sub, axis=1)
-    if np.any(norms == 0.0):
-        bad = words[int(np.argmin(norms))]
+    zero = ~np.any(sub, axis=1)
+    if np.any(zero):
+        bad = words[int(np.argmax(zero))]
         raise AlignmentError(f"all-zero vector for word {bad!r} in aligned vocabulary")
     return sub
+
+
+def _aligned_rows(
+    a: EmbeddingMatrix, b: EmbeddingMatrix
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The shared vocabulary of two embeddings and each side's rows for it.
+
+    Raises:
+        AlignmentError: empty intersection, or an all-zero aligned row.
+    """
+    shared = tuple(sorted(set(a.vocab) & set(b.vocab)))
+    if not shared:
+        raise AlignmentError("vocabularies have empty intersection")
+    return shared, _restricted_rows(a, shared), _restricted_rows(b, shared)
 
 
 def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
@@ -280,14 +299,10 @@ def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
     Raises:
         AlignmentError: empty intersection, or an all-zero aligned row.
     """
-    shared = tuple(sorted(set(a.vocab) & set(b.vocab)))
-    if not shared:
-        raise AlignmentError("vocabularies have empty intersection")
-    left = EmbeddingMatrix(shared, _restricted_rows(a, shared))
-    right = EmbeddingMatrix(shared, _restricted_rows(b, shared))
+    shared, left, right = _aligned_rows(a, b)
     return AlignedPair(
-        left,
-        right,
+        EmbeddingMatrix(shared, left),
+        EmbeddingMatrix(shared, right),
         shared,
         coverage_left=len(shared) / a.n,
         coverage_right=len(shared) / b.n,
@@ -302,7 +317,10 @@ def random_gaussian_embedding(n: int, d: int, seed: int) -> EmbeddingMatrix:
     """
     if n < 1 or d < 1:
         raise PreconditionError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    rng = np.random.default_rng(seed)
-    matrix = rng.standard_normal((n, d))
     vocab = tuple(f"w{i}" for i in range(n))
-    return EmbeddingMatrix(vocab, matrix)
+    return EmbeddingMatrix(vocab, _gaussian_rows(n, d, seed))
+
+
+def _gaussian_rows(n: int, d: int, seed: int) -> np.ndarray:
+    """The n-by-d standard-normal draw of :func:`random_gaussian_embedding`."""
+    return np.random.default_rng(seed).standard_normal((n, d))

@@ -65,6 +65,21 @@ class TestPair:
         assert result.exit_code == 0
         assert json.loads(out.read_text())["rpd"] <= 1e-12
 
+    def test_provenance(self, runner, tmp_path, rng):
+        # 20 of a's 30 words and 20 of b's 40 words are shared.
+        a = save(tmp_path, "a.txt", random_embedding(rng, 30, 4))
+        b_emb = random_embedding(rng, 40, 6)
+        b = save(tmp_path, "b.txt", EmbeddingMatrix(
+            tuple(f"w{i + 10}" for i in range(40)), b_emb.matrix))
+        for flags, standardized in (([], True), (["--no-standardize"], False)):
+            result = runner.invoke(main, ["pair", "--left", a, "--right", b, *flags])
+            assert result.exit_code == 0
+            payload = json.loads(result.output)
+            assert payload["n"] == 20
+            assert payload["coverage_left"] == pytest.approx(20 / 30, rel=1e-15)
+            assert payload["coverage_right"] == pytest.approx(20 / 40, rel=1e-15)
+            assert payload["standardized"] is standardized
+
     def test_unknown_flag_exits_2(self, runner):
         result = runner.invoke(main, ["pair", "--bogus"])
         assert result.exit_code == 2
@@ -145,6 +160,21 @@ class TestNulltest:
         assert abs(payload["z"]) > 100
         assert payload["decision"] == "reject"
         assert payload["reject_at_0_01"] is True
+
+    def test_provenance(self, runner, tmp_path, rng):
+        a = save(tmp_path, "a.txt", random_embedding(rng, 60, 4))
+        b_emb = random_embedding(rng, 50, 4)
+        b = save(tmp_path, "b.txt", EmbeddingMatrix(
+            tuple(f"w{i + 20}" for i in range(50)), b_emb.matrix))
+        result = runner.invoke(main, [
+            "nulltest", "--left", a, "--right", b, "--replicates", "30",
+        ])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["coverage_left"] == pytest.approx(40 / 60, rel=1e-15)
+        assert payload["coverage_right"] == pytest.approx(40 / 50, rel=1e-15)
+        assert payload["standardized"] is True
+        assert payload["null"]["n"] == 40
 
     def test_zero_replicates_exits_2(self, runner, tmp_path, rng):
         path = save(tmp_path, "e.txt", random_embedding(rng, 20, 4))

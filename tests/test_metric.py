@@ -10,6 +10,7 @@ from rpd import (
     DegenerateInputError,
     EmbeddingMatrix,
     PreconditionError,
+    align_vocabularies,
     decompose_per_word,
     naive_gram_oracle,
     random_gaussian_embedding,
@@ -169,17 +170,48 @@ class TestPairwiseMatrix:
         result = rpd_pairwise_matrix([("a", a), ("b", b), ("c", c)], common_vocab=True)
         assert result.values.shape == (3, 3)
 
+    def test_common_vocab_cells_match_global_alignment(self, rng):
+        words = [f"w{i}" for i in range(60)]
+        embs = []
+        for k, (lo, hi, d) in enumerate(((0, 50, 4), (5, 60, 6), (10, 55, 5), (0, 45, 3))):
+            order = rng.permutation(hi - lo)
+            vocab = tuple(words[lo + i] for i in order)
+            embs.append((f"e{k}", EmbeddingMatrix(vocab, rng.standard_normal((hi - lo, d)))))
+        shared = tuple(sorted(set.intersection(*(set(e.vocab) for _, e in embs))))
+
+        def restricted(e):
+            return EmbeddingMatrix(shared, e.matrix[[e.index[w] for w in shared]])
+
+        for standardize_inputs in (True, False):
+            result = rpd_pairwise_matrix(embs, standardize_inputs, common_vocab=True)
+            for i, (_, a) in enumerate(embs):
+                for j, (_, b) in enumerate(embs):
+                    if i == j:
+                        continue
+                    pair = align_vocabularies(restricted(a), restricted(b))
+                    expected = rpd(pair, standardize_inputs).rpd
+                    assert abs(result.values[i, j] - expected) <= 1e-12
+
+    def test_common_vocab_zero_row_names_embedding(self, rng):
+        vocab = ("a", "b", "c", "d")
+        first = EmbeddingMatrix(vocab, rng.standard_normal((4, 3)))
+        third = EmbeddingMatrix(vocab[:3], rng.standard_normal((3, 3)))
+        m = rng.standard_normal((4, 3))
+        m[1] = 0.0
+        embs = [("first", first), ("zeroed", EmbeddingMatrix(vocab, m)), ("third", third)]
+        with pytest.raises(AlignmentError) as exc:
+            rpd_pairwise_matrix(embs, common_vocab=True)
+        message = str(exc.value)
+        assert "zeroed" in message and "'b'" in message
+        assert "first" not in message and "third" not in message
+        # A zero row outside the common vocabulary is never compared.
+        m[1], m[3] = 1.0, 0.0
+        embs[1] = ("zeroed", EmbeddingMatrix(vocab, m))
+        assert rpd_pairwise_matrix(embs, common_vocab=True).values.shape == (3, 3)
+
     def test_needs_two(self, rng):
         with pytest.raises(PreconditionError):
             rpd_pairwise_matrix([("only", random_embedding(rng, 5, 2))])
-
-    def test_schedule_independence(self, rng, monkeypatch):
-        embs = [(f"e{i}", random_embedding(rng, 40, 6)) for i in range(5)]
-        monkeypatch.delenv("RPD_THREADS", raising=False)
-        serial = rpd_pairwise_matrix(embs)
-        monkeypatch.setenv("RPD_THREADS", "4")
-        threaded = rpd_pairwise_matrix(embs)
-        np.testing.assert_array_equal(serial.values, threaded.values)
 
     def test_tsv_round_shape(self, rng):
         embs = [(f"e{i}", random_embedding(rng, 20, 3)) for i in range(3)]

@@ -59,14 +59,6 @@ class TestMonteCarloNull:
         null = monte_carlo_null(400, 8, 8, replicates=60, seed=6)
         assert 0.0 < null.mu < 1.0 + 1e-3
 
-    def test_schedule_independence(self, monkeypatch):
-        monkeypatch.delenv("RPD_THREADS", raising=False)
-        serial = monte_carlo_null(150, 12, 12, replicates=32, seed=11)
-        monkeypatch.setenv("RPD_THREADS", "4")
-        threaded = monte_carlo_null(150, 12, 12, replicates=32, seed=11)
-        assert serial.samples == threaded.samples
-        assert serial.mu == threaded.mu and serial.sigma == threaded.sigma
-
     def test_samples_match_moments(self):
         null = monte_carlo_null(100, 8, 8, replicates=64, seed=2)
         arr = np.array(null.samples)
