@@ -2,8 +2,9 @@
 
 Two desk-scale experiments:
 
-1. Same corpus, different random seeds: the trainer's randomness only touches
-   the SVD range finder, so the resulting spaces should be nearly identical.
+1. Same corpus, different random seeds: the seed only picks the start vector
+   of the exact SVD solver, so the resulting spaces should be identical up to
+   roundoff.
 2. Different corpora (here: different topic mixtures standing in for domains):
    the spaces share real structure but drift apart, and the distance computed
    on the vocabulary intersection quantifies by how much.
@@ -62,7 +63,7 @@ emb_a = train(wiki_like, seed=0, dim=dim)
 emb_b = train(wiki_like, seed=99, dim=dim)
 pair = align_vocabularies(emb_a, emb_b)
 d_init = rpd(pair).rpd
-print(f"distance across seeds    = {d_init:.2e}  (randomness only enters the range finder)")
+print(f"distance across seeds    = {d_init:.2e}  (the seed only picks the SVD start vector)")
 
 print("\n=== corpus influence (same method, different domains) ===")
 emb_news = train(news_like, seed=0, dim=dim)

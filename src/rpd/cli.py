@@ -23,15 +23,7 @@ from .evaluation import (
 from .layout import layout_from_distances
 from .metric import decompose_per_word, rpd, rpd_pairwise_matrix
 from .nullmodel import monte_carlo_null, z_test
-from .spectral import (
-    count_cooccurrences,
-    log_count_matrix,
-    pmi_matrix,
-    read_corpus,
-    save_counts,
-    svd_embedding,
-    truncated_svd,
-)
+from .spectral import count_cooccurrences, read_corpus, save_counts, train_spectral_embedding
 from .store import align_vocabularies, load_embeddings, save_embeddings
 
 _FORMAT_CHOICE = click.Choice(["word2vec", "glove"])
@@ -163,8 +155,6 @@ def cmd_nulltest(left, right, fmt, replicates, seed, one_sided, samples_out, out
 @click.option("--window", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--min-count", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--oversample", type=click.IntRange(min=0), default=10, show_default=True)
-@click.option("--power-iters", type=click.IntRange(min=0), default=20, show_default=True)
 @click.option("--weighting", type=click.Choice(["flat", "harmonic"]), default="flat",
               show_default=True)
 @click.option("--no-lowercase", is_flag=True)
@@ -173,20 +163,15 @@ def cmd_nulltest(left, right, fmt, replicates, seed, one_sided, samples_out, out
 @click.option("--output", required=True, type=click.Path(),
               help="Embedding file to write (word2vec text format).")
 @_input_errors_exit_2
-def cmd_train_svd(corpus, signal, dim, window, min_count, seed, oversample,
-                  power_iters, weighting, no_lowercase, counts_out, output):
+def cmd_train_svd(corpus, signal, dim, window, min_count, seed, weighting, no_lowercase,
+                  counts_out, output):
     """Train a spectral embedding from a plain-text corpus."""
     documents = read_corpus(corpus, lowercase=not no_lowercase)
     counts = count_cooccurrences(documents, window=window, min_count=min_count,
                                  weighting=weighting)
     if counts_out is not None:
         save_counts(counts, counts_out)
-    if dim > len(counts.vocab):
-        raise RpdError(f"--dim {dim} exceeds vocabulary size {len(counts.vocab)}")
-    sig = pmi_matrix(counts) if signal == "pmi" else log_count_matrix(counts)
-    factors = truncated_svd(sig, dim, seed, oversample=oversample,
-                            power_iters=power_iters)
-    emb = svd_embedding(factors.U, factors.S, vocab=factors.vocab)
+    emb = train_spectral_embedding(counts, signal, dim, seed)
     save_embeddings(emb, output, "word2vec_text")
     click.echo(f"wrote {emb.n} x {emb.dim} embedding to {output}", err=True)
 

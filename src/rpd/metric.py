@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, DegenerateInputError, PreconditionError, RpdError
+from .errors import AlignmentError, DegenerateInputError, PreconditionError
 from .gram import GramSide, gram_side, per_word_gram_stats
 from .store import AlignedPair, EmbeddingMatrix, _aligned_rows, _restricted_rows
 
@@ -43,7 +43,12 @@ class PerWordDivergence:
 
 @dataclass(frozen=True)
 class RpdReport:
-    """RPD value with its two-term expansion and optional per-word breakdown."""
+    """RPD value with its two-term expansion and optional per-word breakdown.
+
+    ``rpd = max(ratio_term - cosine_term, 0)`` with ``cosine_term >= 0``, so
+    ``ratio_term`` = ½(a/b + b/a) is also the Cauchy-Schwarz upper bound of
+    ``rpd``.
+    """
 
     rpd: float
     ratio_term: float
@@ -68,12 +73,6 @@ class RpdReport:
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    rpd: float
-    bound: float
 
 
 def _sides(pair: AlignedPair, standardize_inputs: bool) -> tuple[GramSide, GramSide]:
@@ -149,15 +148,6 @@ def decompose_per_word(pair: AlignedPair, standardize_inputs: bool = True) -> Rp
             entries.append(PerWordDivergence(word, cos_i, float(weight)))
     entries.sort(key=lambda e: (e.cos_theta_i if e.cos_theta_i is not None else -np.inf, e.word))
     return replace(report, per_word=tuple(entries))
-
-
-def rpd_upper_bound_check(pair: AlignedPair, standardize_inputs: bool = True) -> BoundCheck:
-    """RPD together with its Cauchy-Schwarz upper bound ½(a/b + b/a)."""
-    report = rpd(pair, standardize_inputs)
-    bound = report.ratio_term
-    if report.rpd > bound + 1e-12:
-        raise RpdError("internal error: RPD exceeds its Cauchy-Schwarz bound")
-    return BoundCheck(rpd=report.rpd, bound=bound)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,5 @@
 """Spectral embedding trainers: co-occurrence counting, PMI / log-count signals,
-randomized truncated SVD, and the U·sqrt(S) embedding extraction.
+an ARPACK truncated SVD, and the U·sqrt(S) embedding extraction.
 
 The pipeline is:
 
@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import svds
 
 from .errors import CorpusError, DimensionError, ParseError, PreconditionError
 from .store import EmbeddingMatrix
@@ -186,51 +187,30 @@ def log_count_matrix(counts: CooccurrenceCounts) -> SignalMatrix:
     return SignalMatrix(kind="log_count", matrix=matrix, source=counts)
 
 
-def truncated_svd(
-    signal: SignalMatrix,
-    d: int,
-    seed: int,
-    oversample: int = 10,
-    power_iters: int = 20,
-) -> SvdFactors:
-    """Randomized range-finder SVD of a sparse signal matrix.
+def truncated_svd(signal: SignalMatrix, d: int, seed: int) -> SvdFactors:
+    """The top ``d`` singular triplets of a sparse signal matrix, descending.
 
-    A Gaussian test matrix with ``oversample`` extra columns sketches the
-    range, ``power_iters`` rounds of subspace iteration (with QR
-    re-orthonormalization) sharpen it, and an exact SVD of the projected
-    small matrix yields the factors. Accuracy improves with power iterations
-    at a rate set by the spectral decay beyond index d + oversample; the
-    default iteration count holds the top singular values to ~1e-6 relative
-    error against a dense solve on decaying PMI / log-count spectra, while
-    near-flat spectra need more iterations.
-
-    Deterministic for a fixed seed.
+    ARPACK (``scipy.sparse.linalg.svds``) solves them to working precision.
+    ``seed`` only draws its standard-normal start vector, so factors for
+    different seeds agree up to roundoff and the sign of each component (the
+    basis, within a repeated singular value). ARPACK needs ``d < min(shape)``;
+    a full-rank request takes a dense SVD instead.
     """
     matrix = signal.matrix
-    n = matrix.shape[0]
+    n = min(matrix.shape)
     if not 1 <= d <= n:
         raise DimensionError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if oversample < 0 or power_iters < 0:
-        raise PreconditionError("oversample and power_iters must be >= 0")
     if not np.all(np.isfinite(matrix.data)):
         raise PreconditionError("signal matrix has non-finite entries")
 
-    k = min(n, d + oversample)
-    rng = np.random.default_rng(seed)
-    test = rng.standard_normal((matrix.shape[1], k))
-    q, _ = np.linalg.qr(matrix @ test)
-    for _ in range(power_iters):
-        q, _ = np.linalg.qr(matrix.T @ q)
-        q, _ = np.linalg.qr(matrix @ q)
-    small = (matrix.T @ q).T  # k x n projection of the signal
-    u_small, s, vt = np.linalg.svd(small, full_matrices=False)
-    u = q @ u_small
-    return SvdFactors(
-        U=np.ascontiguousarray(u[:, :d]),
-        S=s[:d].copy(),
-        Vt=np.ascontiguousarray(vt[:d]),
-        vocab=signal.source.vocab,
-    )
+    if d == n:
+        u, s, vt = np.linalg.svd(matrix.toarray(), full_matrices=False)
+    else:
+        v0 = np.random.default_rng(seed).standard_normal(n)
+        u, s, vt = svds(matrix, k=d, v0=v0)
+        order = np.argsort(s)[::-1]
+        u, s, vt = u[:, order], s[order], vt[order]
+    return SvdFactors(U=u, S=s, Vt=vt, vocab=signal.source.vocab)
 
 
 def svd_embedding(
@@ -264,30 +244,27 @@ def svd_embedding(
 
 
 def train_spectral_embedding(
-    documents: Iterable[Sequence[str]],
+    counts: CooccurrenceCounts,
     signal: str = "pmi",
     dim: int = 300,
-    window: int = 10,
-    min_count: int = 10,
     seed: int = 0,
-    oversample: int = 10,
-    power_iters: int = 20,
-    weighting: str = "flat",
 ) -> EmbeddingMatrix:
-    """Full pipeline from token documents to a spectral embedding."""
-    counts = count_cooccurrences(documents, window=window, min_count=min_count,
-                                 weighting=weighting)
-    if signal == "pmi":
-        sig = pmi_matrix(counts)
-    elif signal in ("log_count", "logcount"):
-        sig = log_count_matrix(counts)
-    else:
+    """Spectral embedding of co-occurrence counts: signal, truncated SVD, U·sqrt(S).
+
+    Args:
+        counts: Output of :func:`count_cooccurrences` or :func:`load_counts`.
+        signal: "pmi" (positive PMI) or "logcount" (log(1 + count)).
+        dim: Embedding dimension, at most the vocabulary size.
+        seed: Start vector of the SVD solver; see :func:`truncated_svd`.
+    """
+    if signal not in ("pmi", "logcount"):
         raise PreconditionError(f"signal must be 'pmi' or 'logcount', got {signal!r}")
     if dim > len(counts.vocab):
         raise DimensionError(
             f"dim={dim} exceeds vocabulary size {len(counts.vocab)}"
         )
-    factors = truncated_svd(sig, dim, seed, oversample=oversample, power_iters=power_iters)
+    sig = pmi_matrix(counts) if signal == "pmi" else log_count_matrix(counts)
+    factors = truncated_svd(sig, dim, seed)
     return svd_embedding(factors.U, factors.S, vocab=factors.vocab)
 
 

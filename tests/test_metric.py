@@ -16,7 +16,6 @@ from rpd import (
     random_gaussian_embedding,
     rpd,
     rpd_pairwise_matrix,
-    rpd_upper_bound_check,
     standardize,
 )
 
@@ -282,20 +281,20 @@ class TestUpperBound:
     def test_equal_norm_pair(self, rng):
         m = rng.standard_normal((30, 5))
         perm = rng.permutation(30)
-        check = rpd_upper_bound_check(pair_of(m, m[perm]))
-        assert check.bound == pytest.approx(1.0, rel=1e-12)
-        assert check.rpd <= check.bound + 1e-12
+        report = rpd(pair_of(m, m[perm]))
+        assert report.ratio_term == pytest.approx(1.0, rel=1e-12)
+        assert report.rpd <= report.ratio_term + 1e-12
 
     def test_random_pairs_bounded(self, rng):
         for _ in range(20):
             pair = pair_of(rng.standard_normal((40, 6)), rng.standard_normal((40, 3)))
-            check = rpd_upper_bound_check(pair)
-            assert check.rpd <= check.bound + 1e-12
+            report = rpd(pair)
+            assert report.rpd <= report.ratio_term + 1e-12
 
     def test_scaled_pair_without_standardization(self, rng):
         m = rng.standard_normal((25, 4))
         # ||(sqrt(2) m)(sqrt(2) m)^T|| = 2 ||m m^T||, so the bound is
         # (2 + 1/2) / 2 = 1.25.
         pair = pair_of(np.sqrt(2.0) * m, m)
-        check = rpd_upper_bound_check(pair, standardize_inputs=False)
-        assert check.bound == pytest.approx(1.25, rel=1e-12)
+        report = rpd(pair, standardize_inputs=False)
+        assert report.ratio_term == pytest.approx(1.25, rel=1e-12)

@@ -184,9 +184,7 @@ class TestTruncatedSvd:
         a = rng.standard_normal((200, 200))
         m = (a + a.T) / 2.0
         sig = signal_of(m)
-        # A near-flat spectrum needs many subspace iterations to reach the
-        # dense oracle; the default suits decaying signal spectra.
-        factors = truncated_svd(sig, 20, seed=1, power_iters=60)
+        factors = truncated_svd(sig, 20, seed=1)
         dense_s = np.linalg.svd(m, compute_uv=False)[:20]
         np.testing.assert_allclose(factors.S, dense_s, rtol=1e-6)
 
@@ -220,6 +218,20 @@ class TestTruncatedSvd:
             truncated_svd(sig, 11, seed=0)
         with pytest.raises(DimensionError):
             truncated_svd(sig, 0, seed=0)
+
+    def test_corpus_signal_components_are_exact(self):
+        # Every returned triplet, the tail included, must be exact to
+        # roundoff, not only the well-separated leading values.
+        text = synthetic_corpus_text(30000, vocab_size=400, seed=13)
+        counts = count_cooccurrences(tokenize_corpus_text(text), window=5, min_count=3)
+        signal = pmi_matrix(counts)
+        d = 40
+        factors = truncated_svd(signal, d, seed=0)
+        av = signal.matrix @ factors.Vt.T
+        residuals = np.linalg.norm(av - factors.U * factors.S, axis=0) / factors.S
+        assert np.max(residuals) <= 1e-10
+        dense_s = np.linalg.svd(signal.matrix.toarray(), compute_uv=False)
+        np.testing.assert_allclose(factors.S[-10:], dense_s[d - 10:d], rtol=1e-10)
 
     def test_truncation_error_is_optimal(self, rng):
         # The truncation residual must match the dense oracle's optimal
@@ -282,27 +294,24 @@ class TestSvdEmbedding:
 class TestTrainPipeline:
     def test_deterministic_end_to_end(self):
         text = synthetic_corpus_text(8000, vocab_size=120, seed=9)
-        docs = tokenize_corpus_text(text)
-        kwargs = dict(signal="pmi", dim=16, window=5, min_count=3, seed=10)
-        e1 = train_spectral_embedding(docs, **kwargs)
-        e2 = train_spectral_embedding(docs, **kwargs)
+        counts = count_cooccurrences(tokenize_corpus_text(text), window=5, min_count=3)
+        e1 = train_spectral_embedding(counts, signal="pmi", dim=16, seed=10)
+        e2 = train_spectral_embedding(counts, signal="pmi", dim=16, seed=10)
         assert e1.vocab == e2.vocab
         np.testing.assert_array_equal(e1.matrix, e2.matrix)
 
     def test_signals_differ(self):
         text = synthetic_corpus_text(8000, vocab_size=120, seed=9)
-        docs = tokenize_corpus_text(text)
-        pmi = train_spectral_embedding(docs, signal="pmi", dim=16, window=5,
-                                       min_count=3, seed=10)
-        lc = train_spectral_embedding(docs, signal="logcount", dim=16, window=5,
-                                      min_count=3, seed=10)
+        counts = count_cooccurrences(tokenize_corpus_text(text), window=5, min_count=3)
+        pmi = train_spectral_embedding(counts, signal="pmi", dim=16, seed=10)
+        lc = train_spectral_embedding(counts, signal="logcount", dim=16, seed=10)
         assert pmi.vocab == lc.vocab
         assert not np.allclose(pmi.matrix, lc.matrix)
 
     def test_dim_exceeds_vocab(self):
+        counts = count_cooccurrences([["a", "b", "a", "b"]], window=2, min_count=1)
         with pytest.raises(DimensionError):
-            train_spectral_embedding([["a", "b", "a", "b"]], signal="pmi", dim=10,
-                                     window=2, min_count=1)
+            train_spectral_embedding(counts, signal="pmi", dim=10)
 
     def test_seed_only_affects_range_finder(self):
         text = synthetic_corpus_text(6000, vocab_size=100, seed=11)
