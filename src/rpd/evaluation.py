@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateInputError, ParseError, PreconditionError, RpdError
 from .metric import rpd as _rpd
@@ -151,9 +150,22 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
         raise PreconditionError("need at least 2 points")
     if np.ptp(xa) == 0.0 or np.ptp(ya) == 0.0:
         raise DegenerateInputError("constant input: correlation undefined")
-    rx = rankdata(xa)
-    ry = rankdata(ya)
-    return float(np.corrcoef(rx, ry)[0, 1])
+    return float(np.corrcoef(_average_ranks(xa), _average_ranks(ya))[0, 1])
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing their mean rank; all NaN if any value is NaN."""
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], values.size)
+    # Sorted positions starts..ends-1 hold ranks starts+1..ends.
+    ranks = np.empty(values.size)
+    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(first) - 1]
+    return ranks
 
 
 def _cosine(u: np.ndarray, v: np.ndarray, word_u: str, word_v: str) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, PreconditionError
-from .store import EmbeddingMatrix
+from .store import EmbeddingMatrix, _unit_exponent
 
 NAIVE_GUARD_LIMIT = 2000
 
@@ -78,8 +78,7 @@ def gram_side(matrix: np.ndarray, standardize: bool, owned: bool = False) -> Gra
     high, low = float(matrix.max()), float(matrix.min())
     if standardize and high == low:
         raise DegenerateInputError("matrix is constant: zero standard deviation")
-    peak = max(high, -low)
-    exponent = -int(np.rint(np.log2(peak))) if peak > 0.0 else 0
+    exponent = _unit_exponent(high, low)
     rows = matrix
     if exponent:
         rows = np.ldexp(matrix, exponent, out=matrix if owned else None)

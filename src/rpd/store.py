@@ -3,9 +3,18 @@
 Two text formats are supported:
 
 * ``word2vec_text``: a header line ``"n d"`` followed by n lines
-  ``"word v1 ... vd"``, space separated, UTF-8 words.
+  ``"word v1 ... vd"``, UTF-8 words.
 * ``glove_text``: the same data lines with no header; d is inferred from the
   first line and n from the line count.
+
+Any whitespace separates fields and blank lines are skipped. The loader
+splits each line into its word and the rest, and parses all the rest in one
+``np.loadtxt`` call (numpy's C parser). It keeps that result only when every
+line gave d finite values and no word repeats; otherwise, or when
+``loadtxt`` rejects a token that Python's ``float`` accepts (``1_000``,
+non-ASCII digits), the per-line parser parses the lines again. It gives the
+same values and raises every ``ParseError`` and ``DuplicateWordError`` with
+its ``path:line``.
 
 Floats are written with ten significant digits so that a save/load round
 trip reproduces values within 1e-8.
@@ -177,33 +186,76 @@ def load_embeddings(path: str | Path, format: str) -> EmbeddingMatrix:
         FormatError: header/content mismatch or empty file.
         DuplicateWordError: a word occurs twice.
     """
-    fmt = _resolve_format(format)
     path = Path(path)
+    lines, start, dim = _read_lines(path, _resolve_format(format))
+    emb = _parse_bulk(lines[start:], dim)
+    if emb is None:
+        emb = _parse_per_line(lines, start, dim, path)
+    return emb
+
+
+def _read_lines(path: Path, fmt: str) -> tuple[list[str], int, int | None]:
+    """The non-blank lines, the index of the first data line, and d if declared.
+
+    Raises:
+        FormatError: empty file, bad header, or a row count unlike the header's.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = [ln for ln in (raw.rstrip("\n") for raw in fh) if ln.strip()]
 
     if not lines:
         raise FormatError(f"{path}: empty embedding file")
 
-    start = 0
-    declared_n = None
-    dim = None
-    if fmt == "word2vec_text":
-        header = lines[0].split()
-        if len(header) != 2:
-            raise FormatError(f"{path}:1: header must be 'n d', got {lines[0]!r}")
-        try:
-            declared_n, dim = int(header[0]), int(header[1])
-        except ValueError:
-            raise FormatError(f"{path}:1: header must be 'n d', got {lines[0]!r}") from None
-        if declared_n < 1 or dim < 1:
-            raise FormatError(f"{path}:1: header sizes must be positive")
-        start = 1
-        if len(lines) - 1 != declared_n:
-            raise FormatError(
-                f"{path}: header declares {declared_n} rows but file has {len(lines) - 1}"
-            )
+    if fmt != "word2vec_text":
+        return lines, 0, None
+    header = lines[0].split()
+    if len(header) != 2:
+        raise FormatError(f"{path}:1: header must be 'n d', got {lines[0]!r}")
+    try:
+        declared_n, dim = int(header[0]), int(header[1])
+    except ValueError:
+        raise FormatError(f"{path}:1: header must be 'n d', got {lines[0]!r}") from None
+    if declared_n < 1 or dim < 1:
+        raise FormatError(f"{path}:1: header sizes must be positive")
+    if len(lines) - 1 != declared_n:
+        raise FormatError(
+            f"{path}: header declares {declared_n} rows but file has {len(lines) - 1}"
+        )
+    return lines, 1, dim
 
+
+def _parse_bulk(data: list[str], dim: int | None) -> EmbeddingMatrix | None:
+    """Parse data lines with one ``np.loadtxt`` call, or return None.
+
+    None means the per-line parser must decide: a line it would reject (it
+    raises the error with the line number), or a token that Python's
+    ``float`` reads but ``loadtxt`` does not (``1_000``, non-ASCII digits).
+    """
+    # One tuple of words and one of the value strings; a word-only line
+    # makes zip stop after the words.
+    columns = list(zip(*(line.split(None, 1) for line in data)))
+    if len(columns) != 2:
+        return None
+    words, rests = columns
+    try:
+        matrix = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    n, d = matrix.shape
+    if (
+        n != len(words)
+        or (dim is not None and d != dim)
+        or not np.isfinite(matrix).all()
+        or len(set(words)) != n
+    ):
+        return None
+    return EmbeddingMatrix(words, matrix)
+
+
+def _parse_per_line(
+    lines: list[str], start: int, dim: int | None, path: Path
+) -> EmbeddingMatrix:
+    """Parse data lines one at a time; the source of every line-numbered error."""
     vocab: list[str] = []
     rows: list[list[float]] = []
     seen: set[str] = set()
@@ -231,8 +283,9 @@ def save_embeddings(emb: EmbeddingMatrix, path: str | Path, format: str) -> None
     with open(path, "w", encoding="utf-8") as fh:
         if fmt == "word2vec_text":
             fh.write(f"{emb.n} {emb.dim}\n")
-        for word, row in zip(emb.vocab, emb.matrix):
-            fh.write(word + " " + " ".join(_FLOAT_FMT % v for v in row) + "\n")
+        row_fmt = " ".join([_FLOAT_FMT] * emb.dim) + "\n"
+        for word, row in zip(emb.vocab, emb.matrix.tolist()):
+            fh.write(word + " " + row_fmt % tuple(row))
 
 
 def standardize(emb: EmbeddingMatrix) -> EmbeddingMatrix:
@@ -244,6 +297,8 @@ def standardize(emb: EmbeddingMatrix) -> EmbeddingMatrix:
     nonzero scaling, and, because the scalar depends only on the Frobenius
     norm, exactly invariant under rotation of the matrix. The latter is what
     keeps the distance metric's unitary invariance at machine precision.
+    The entries are scaled by a power of two (exact) before they are squared,
+    so finite inputs of any magnitude neither overflow nor underflow.
 
     Raises:
         DegenerateInputError: fewer than two entries, or a constant matrix
@@ -251,12 +306,18 @@ def standardize(emb: EmbeddingMatrix) -> EmbeddingMatrix:
     """
     if emb.matrix.size < 2:
         raise DegenerateInputError("standardize needs at least 2 entries")
-    if float(emb.matrix.std()) == 0.0:
+    high, low = float(emb.matrix.max()), float(emb.matrix.min())
+    if high == low:
         raise DegenerateInputError("matrix is constant: zero standard deviation")
-    scale = float(np.sqrt(np.mean(emb.matrix * emb.matrix)))
-    if scale == 0.0 or not np.isfinite(scale):
-        raise DegenerateInputError("matrix has zero scale")
-    return EmbeddingMatrix(emb.vocab, emb.matrix / scale, standardized=True)
+    rows = np.ldexp(emb.matrix, _unit_exponent(high, low))
+    rows /= np.sqrt(np.mean(rows * rows))
+    return EmbeddingMatrix(emb.vocab, rows, standardized=True)
+
+
+def _unit_exponent(high: float, low: float) -> int:
+    """The k for which ``2**k`` times the peak magnitude is nearest 1 (0 for zeros)."""
+    peak = max(high, -low)
+    return -int(np.rint(np.log2(peak))) if peak > 0.0 else 0
 
 
 def _restricted_rows(emb: EmbeddingMatrix, words: Sequence[str]) -> np.ndarray:

@@ -1,10 +1,14 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from conftest import random_embedding, random_orthogonal
+import rpd
 from rpd import EmbeddingMatrix, random_gaussian_embedding, save_embeddings
 from rpd.cli import main
 
@@ -347,3 +351,13 @@ class TestEvalStudyMap:
             "map", "--emb", f"a={path}", "--emb", f"b={path}", "--anchors", "a",
         ])
         assert result.exit_code == 2
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats takes most of a second to import; no command needs it.
+    code = "import sys, rpd.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(rpd.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

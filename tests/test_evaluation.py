@@ -18,6 +18,7 @@ from rpd import (
     perf_vs_rpd_study,
     spearman,
 )
+from rpd.evaluation import _average_ranks
 
 
 def brute_force_spearman(x, y):
@@ -347,3 +348,25 @@ class TestEvaluate:
     def test_requires_a_dataset(self, rng):
         with pytest.raises(PreconditionError):
             evaluate(random_embedding(rng, 4, 2))
+
+
+class TestAverageRanks:
+    def test_matches_scipy_rankdata_with_ties(self, rng):
+        from scipy.stats import rankdata, spearmanr
+
+        for size in (2, 3, 10, 57, 400):
+            for levels in (1, 2, 5, size):
+                x = rng.integers(0, levels, size).astype(float)
+                y = rng.integers(0, 3, size) - 0.5
+                np.testing.assert_array_equal(_average_ranks(x), rankdata(x))
+                np.testing.assert_array_equal(_average_ranks(y), rankdata(y))
+                if np.ptp(x) > 0 and np.ptp(y) > 0:
+                    assert spearman(x, y) == pytest.approx(
+                        spearmanr(x, y).statistic, abs=1e-12
+                    )
+
+    def test_signed_zeros_tie(self):
+        np.testing.assert_array_equal(_average_ranks(np.array([0.0, -0.0, 1.0])), [1.5, 1.5, 3.0])
+
+    def test_nan_propagates(self):
+        assert np.isnan(_average_ranks(np.array([1.0, np.nan, 2.0]))).all()

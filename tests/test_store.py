@@ -231,3 +231,14 @@ class TestRandomGaussian:
             random_gaussian_embedding(0, 3, seed=1)
         with pytest.raises(PreconditionError):
             random_gaussian_embedding(3, 0, seed=1)
+
+
+class TestStandardizeExtremeMagnitudes:
+    @pytest.mark.parametrize("scale", [1e155, 1e-160])
+    def test_matches_unscaled(self, rng, scale):
+        matrix = rng.standard_normal((50, 10))
+        vocab = tuple(f"w{i}" for i in range(50))
+        ref = standardize(EmbeddingMatrix(vocab, matrix))
+        out = standardize(EmbeddingMatrix(vocab, matrix * scale))
+        assert out.standardized
+        np.testing.assert_allclose(out.matrix, ref.matrix, rtol=0, atol=1e-12)
