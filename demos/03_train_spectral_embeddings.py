@@ -54,7 +54,7 @@ dim = 10
 embeddings = {}
 for name, signal in (("pmi", pmi_matrix(counts)), ("logcount", log_count_matrix(counts))):
     factors = truncated_svd(signal, dim, seed=0)
-    embeddings[name] = svd_embedding(factors.U, factors.S, vocab=factors.vocab)
+    embeddings[name] = svd_embedding(factors)
     print(f"{name:>8}: top singular values {np.round(factors.S[:4], 2)}")
 
 # --- round-trip through the text format ---

@@ -51,7 +51,7 @@ def make_corpus(topic_weights, seed, n_lines=2500):
 def train(text, seed=0, dim=10):
     counts = count_cooccurrences(tokenize_corpus_text(text), window=5, min_count=5)
     factors = truncated_svd(pmi_matrix(counts), dim, seed=seed)
-    return svd_embedding(factors.U, factors.S, vocab=factors.vocab)
+    return svd_embedding(factors)
 
 
 dim = 10

@@ -138,7 +138,7 @@ def cmd_nulltest(left, right, fmt, replicates, seed, one_sided, samples_out, out
     p_for_decision = result.p_one_sided if one_sided else result.p_two_sided
     payload = {
         "observed_rpd": observed,
-        **_provenance(pair, standardized=True),
+        **_provenance(pair, True),
         "null": null.to_dict(),
         **result.to_dict(),
         "alpha": 0.01,

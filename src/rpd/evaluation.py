@@ -107,6 +107,8 @@ def load_similarity_dataset(path: str | Path) -> SimilarityDataset:
                 if lineno == 1:
                     continue  # header line
                 raise ParseError(f"{path}:{lineno}: non-numeric score {fields[2]!r}") from None
+            if not np.isfinite(score):
+                raise ParseError(f"{path}:{lineno}: non-finite score {fields[2]!r}")
             pairs.append((fields[0], fields[1], score))
     if not pairs:
         raise ParseError(f"{path}: no data lines")
@@ -129,7 +131,11 @@ def load_analogy_dataset(path: str | Path) -> AnalogyDataset:
             fields = line.split()
             if len(fields) != 4:
                 raise ParseError(f"{path}:{lineno}: expected 4 words")
-            questions.append(AnalogyQuestion(*fields, section=section))
+            try:
+                question = AnalogyQuestion(*fields, section=section)
+            except PreconditionError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            questions.append(question)
     if not questions:
         raise ParseError(f"{path}: no questions")
     return AnalogyDataset(tuple(questions))

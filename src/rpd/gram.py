@@ -1,18 +1,18 @@
 """Frobenius statistics of Gram matrices E·Eᵀ without forming them.
 
-All production paths work in d-by-d space through two trace identities:
+Every distance-type result reads from :class:`GramSide`, one summary per
+aligned side: its rows, ``G = EᵀE`` and the scalar that standardization
+divides G by. The n-by-n Gram matrices enter only through two trace
+identities,
 
     ||E Eᵀ||_F²          = ||Eᵀ E||_F²
     <E₁E₁ᵀ, E₂E₂ᵀ>_F     = ||E₁ᵀ E₂||_F²
 
-so the cost is O(n·d²) time and O(d²) extra space. The only code that
-materializes an n-by-n Gram matrix is :func:`naive_gram_oracle`, a guarded
-reference implementation kept for testing.
-
-Every distance-type result reads from :class:`GramSide`, one summary per
-aligned side: its rows, ``G = EᵀE`` and the scalar that standardization
-divides G by. Standardizing E to unit mean square entry only rescales G by
-``s² = tr(G)/(n·d)``, so no standardized n-by-d copy is ever built.
+so the cost is O(n·d²) time and O(d²) extra space. Standardizing E to unit
+mean square entry only rescales G by ``s² = tr(G)/(n·d)``, so no
+standardized n-by-d copy is ever built. The only code that materializes an
+n-by-n Gram matrix is :func:`naive_gram_oracle`, a guarded reference
+implementation kept for testing.
 """
 
 from __future__ import annotations
@@ -25,28 +25,6 @@ from .errors import DegenerateInputError, DimensionError, PreconditionError
 from .store import EmbeddingMatrix, _unit_exponent
 
 NAIVE_GUARD_LIMIT = 2000
-
-
-def _check_same_rows(a: EmbeddingMatrix, b: EmbeddingMatrix) -> None:
-    if a.n != b.n:
-        raise DimensionError(f"row counts differ: {a.n} vs {b.n}")
-
-
-def gram_frobenius_norm(emb: EmbeddingMatrix) -> float:
-    """||E Eᵀ||_F, computed from the d-by-d matrix Eᵀ E."""
-    g = emb.matrix.T @ emb.matrix
-    return float(np.sqrt(np.sum(g * g)))
-
-
-def cross_gram_inner(a: EmbeddingMatrix, b: EmbeddingMatrix) -> float:
-    """trace((E₁E₁ᵀ)ᵀ E₂E₂ᵀ) = ||E₁ᵀE₂||_F², for pre-aligned row counts.
-
-    Nonnegative by construction (it is a squared Frobenius norm); the two
-    sides may have different dimensions.
-    """
-    _check_same_rows(a, b)
-    c = a.matrix.T @ b.matrix
-    return float(np.sum(c * c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +82,8 @@ def naive_gram_oracle(a: EmbeddingMatrix, b: EmbeddingMatrix) -> GramOracleResul
     Test oracle only: refuses n > NAIVE_GUARD_LIMIT to prevent accidental
     multi-gigabyte allocations.
     """
-    _check_same_rows(a, b)
+    if a.n != b.n:
+        raise DimensionError(f"row counts differ: {a.n} vs {b.n}")
     if a.n > NAIVE_GUARD_LIMIT:
         raise PreconditionError(
             f"naive oracle refuses n={a.n} > {NAIVE_GUARD_LIMIT}"

@@ -130,14 +130,14 @@ def layout_from_distances(
     names: list[str] | tuple[str, ...],
     anchor_a: str,
     anchor_b: str,
-    refine_iterations: int = REFINE_ITERATIONS,
 ) -> LayoutMap:
     """Place points in 2D so pairwise distances approximate ``dist``.
 
     ``anchor_a`` sits at the origin and ``anchor_b`` on the positive x-axis;
     the remaining points are placed in input order (circle intersection for
-    the first, least-squares trilateration afterwards) and then refined. The
-    mirror ambiguity is resolved by giving the first free point nonnegative y.
+    the first, least-squares trilateration afterwards) and then refined by
+    ``REFINE_ITERATIONS`` descent steps. The mirror ambiguity is resolved by
+    giving the first free point nonnegative y.
 
     Inconsistent distances never raise: an empty circle intersection falls
     back to the closest point on the anchor axis (``fallback_used`` is set)
@@ -196,7 +196,7 @@ def layout_from_distances(
 
     free = np.ones(n, dtype=bool)
     free[[ia, ib]] = False
-    coords, _ = _refine(coords, dist, free, refine_iterations)
+    coords, _ = _refine(coords, dist, free, REFINE_ITERATIONS)
 
     delta = coords[:, None, :] - coords[None, :, :]
     realized = np.sqrt(np.sum(delta * delta, axis=2))

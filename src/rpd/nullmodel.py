@@ -74,7 +74,6 @@ class NullDistribution:
         d_left: int,
         d_right: int,
         seed: int,
-        keep_samples: bool = True,
     ) -> "NullDistribution":
         arr = np.asarray(samples, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 2:
@@ -90,11 +89,11 @@ class NullDistribution:
             skewness=skew,
             excess_kurtosis=exkurt,
             seed=seed,
-            samples=tuple(float(v) for v in arr) if keep_samples else None,
+            samples=tuple(float(v) for v in arr),
         )
 
-    def to_dict(self, include_samples: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "n": self.n,
             "d_left": self.d_left,
             "d_right": self.d_right,
@@ -105,12 +104,9 @@ class NullDistribution:
             "excess_kurtosis": self.excess_kurtosis,
             "seed": self.seed,
         }
-        if include_samples and self.samples is not None:
-            out["samples"] = list(self.samples)
-        return out
 
-    def to_json(self, indent: int | None = 2, include_samples: bool = False) -> str:
-        return json.dumps(self.to_dict(include_samples=include_samples), indent=indent)
+    def to_json(self, indent: int | None = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent)
 
     def save_samples(self, path: str | Path) -> None:
         """Write the raw draws, one value per line, for external plotting."""
@@ -134,21 +130,18 @@ def monte_carlo_null(
     d_right: int,
     replicates: int,
     seed: int,
-    keep_samples: bool = True,
 ) -> NullDistribution:
     """Estimate the null RPD distribution by repeated independent draws.
 
     Each replicate r draws two independent Gaussian embeddings with seeds
     derived from (seed, r, side) and records their RPD (standardization on).
-    The result is a pure function of the arguments.
+    The result, draws included, is a pure function of the arguments.
 
     Args:
         n: Vocabulary size of the simulated spaces; must exceed both dims.
         d_left, d_right: Per-side dimensions.
         replicates: Number of draws (>= 2; below 30 triggers a warning).
         seed: Base seed of the splittable stream.
-        keep_samples: Store the raw draws on the result (needed for
-            normality diagnostics).
     """
     if n < 1 or d_left < 1 or d_right < 1:
         raise PreconditionError("n, d_left, d_right must be positive")
@@ -179,7 +172,6 @@ def monte_carlo_null(
         d_left=d_left,
         d_right=d_right,
         seed=seed,
-        keep_samples=keep_samples,
     )
 
 

@@ -62,7 +62,7 @@ class SvdFactors:
     U: np.ndarray
     S: np.ndarray
     Vt: np.ndarray
-    vocab: tuple[str, ...] | None = None
+    vocab: tuple[str, ...]
 
 
 def tokenize_corpus_text(text: str, lowercase: bool = True) -> list[list[str]]:
@@ -213,34 +213,17 @@ def truncated_svd(signal: SignalMatrix, d: int, seed: int) -> SvdFactors:
     return SvdFactors(U=u, S=s, Vt=vt, vocab=signal.source.vocab)
 
 
-def svd_embedding(
-    U: np.ndarray,
-    S: np.ndarray,
-    vocab: Sequence[str] | None = None,
-    d: int | None = None,
-) -> EmbeddingMatrix:
-    """Embedding rows U[:, :d] scaled columnwise by sqrt(S[:d]).
+def svd_embedding(factors: SvdFactors) -> EmbeddingMatrix:
+    """Embedding rows U scaled columnwise by sqrt(S), one per word of ``vocab``.
 
     Tiny negative singular values (numerical artifacts) are clamped to zero
-    with a warning. Without an explicit vocabulary, synthetic tokens
-    ``"w0"...`` are used.
+    with a warning.
     """
-    U = np.asarray(U, dtype=np.float64)
-    S = np.asarray(S, dtype=np.float64)
-    if U.ndim != 2 or S.ndim != 1:
-        raise DimensionError("U must be 2-D and S 1-D")
-    if d is None:
-        d = int(S.size)
-    if d < 1 or d > U.shape[1] or d > S.size:
-        raise DimensionError(f"invalid d={d} for U with {U.shape[1]} columns")
-    s_top = S[:d]
-    if np.any(s_top < 0):
+    s = factors.S
+    if np.any(s < 0):
         warnings.warn("negative singular values clamped to zero", stacklevel=2)
-        s_top = np.maximum(s_top, 0.0)
-    matrix = U[:, :d] * np.sqrt(s_top)
-    if vocab is None:
-        vocab = tuple(f"w{i}" for i in range(U.shape[0]))
-    return EmbeddingMatrix(tuple(vocab), matrix)
+        s = np.maximum(s, 0.0)
+    return EmbeddingMatrix(factors.vocab, factors.U * np.sqrt(s))
 
 
 def train_spectral_embedding(
@@ -265,7 +248,7 @@ def train_spectral_embedding(
         )
     sig = pmi_matrix(counts) if signal == "pmi" else log_count_matrix(counts)
     factors = truncated_svd(sig, dim, seed)
-    return svd_embedding(factors.U, factors.S, vocab=factors.vocab)
+    return svd_embedding(factors)
 
 
 def save_counts(counts: CooccurrenceCounts, path: str | Path) -> None:
@@ -298,8 +281,7 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
         raise ParseError(f"{vocab_path}: empty vocabulary sidecar")
     n = len(vocab)
 
-    window = 0
-    min_count = 0
+    header = {"window": 0, "min_count": 0}
     rows: list[int] = []
     cols: list[int] = []
     data: list[float] = []
@@ -310,10 +292,12 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
                 continue
             if line.startswith("#"):
                 fields = line[1:].split()
-                if len(fields) == 2 and fields[0] == "window":
-                    window = int(fields[1])
-                elif len(fields) == 2 and fields[0] == "min_count":
-                    min_count = int(fields[1])
+                if len(fields) == 2 and fields[0] in header:
+                    try:
+                        header[fields[0]] = int(fields[1])
+                    except ValueError:
+                        raise ParseError(f"{path}:{lineno}: {fields[0]} must be an "
+                                         f"integer, got {fields[1]!r}") from None
                 continue
             fields = line.split()
             if len(fields) != 3:
@@ -324,6 +308,8 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
             if not (0 <= i < n and 0 <= j < n) or i > j:
                 raise ParseError(f"{path}:{lineno}: invalid indices {i}, {j}")
+            if not 0.0 <= v < np.inf:
+                raise ParseError(f"{path}:{lineno}: count must be finite and >= 0")
             rows.append(i)
             cols.append(j)
             data.append(v)
@@ -341,6 +327,6 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
         vocab=vocab,
         counts=counts.tocsr(),
         total=total,
-        window=window,
-        min_count=min_count,
+        window=header["window"],
+        min_count=header["min_count"],
     )

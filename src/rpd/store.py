@@ -7,14 +7,14 @@ Two text formats are supported:
 * ``glove_text``: the same data lines with no header; d is inferred from the
   first line and n from the line count.
 
-Any whitespace separates fields and blank lines are skipped. The loader
-splits each line into its word and the rest, and parses all the rest in one
-``np.loadtxt`` call (numpy's C parser). It keeps that result only when every
-line gave d finite values and no word repeats; otherwise, or when
-``loadtxt`` rejects a token that Python's ``float`` accepts (``1_000``,
-non-ASCII digits), the per-line parser parses the lines again. It gives the
-same values and raises every ``ParseError`` and ``DuplicateWordError`` with
-its ``path:line``.
+Any whitespace separates fields and blank lines are skipped, though error
+line numbers count them. The loader splits each line into its word and the
+rest, and parses all the rest in one ``np.loadtxt`` call (numpy's C parser).
+It keeps that result only when every line gave d finite values and no word
+repeats; otherwise, or when ``loadtxt`` rejects a token that Python's
+``float`` accepts (``1_000``, non-ASCII digits), the per-line parser parses
+the lines again. It gives the same values and raises every ``ParseError``
+and ``DuplicateWordError`` with its ``path:line``.
 
 Floats are written with ten significant digits so that a save/load round
 trip reproduces values within 1e-8.
@@ -55,9 +55,7 @@ _FLOAT_FMT = "%.9e"  # ten significant digits
 class EmbeddingMatrix:
     """A vocabulary-indexed dense embedding matrix.
 
-    Row ``i`` of ``matrix`` is the vector of ``vocab[i]``. ``standardized``
-    records whether the matrix has been rescaled to unit root-mean-square
-    entry magnitude (see :func:`standardize`).
+    Row ``i`` of ``matrix`` is the vector of ``vocab[i]``.
 
     Instances are immutable; the matrix is stored read-only and may be shared
     across threads.
@@ -65,7 +63,6 @@ class EmbeddingMatrix:
 
     vocab: tuple[str, ...]
     matrix: np.ndarray
-    standardized: bool = False
 
     def __post_init__(self) -> None:
         vocab = tuple(self.vocab)
@@ -90,12 +87,6 @@ class EmbeddingMatrix:
             seen.add(word)
         if not np.all(np.isfinite(matrix)):
             raise PreconditionError("matrix contains non-finite entries")
-        if self.standardized:
-            scale = float(np.sqrt(np.mean(matrix * matrix)))
-            if abs(scale - 1.0) > 1e-9:
-                raise PreconditionError(
-                    f"standardized flag set but entry scale is {scale!r}"
-                )
         matrix.setflags(write=False)
         object.__setattr__(self, "vocab", vocab)
         object.__setattr__(self, "matrix", matrix)
@@ -178,8 +169,7 @@ def load_embeddings(path: str | Path, format: str) -> EmbeddingMatrix:
             ``"word2vec"`` / ``"glove"`` accepted).
 
     Returns:
-        An :class:`EmbeddingMatrix` with ``standardized=False`` and rows in
-        file order.
+        An :class:`EmbeddingMatrix` with rows in file order.
 
     Raises:
         ParseError: malformed line (wrong field count, non-numeric value).
@@ -194,29 +184,33 @@ def load_embeddings(path: str | Path, format: str) -> EmbeddingMatrix:
     return emb
 
 
-def _read_lines(path: Path, fmt: str) -> tuple[list[str], int, int | None]:
-    """The non-blank lines, the index of the first data line, and d if declared.
+def _read_lines(path: Path, fmt: str) -> tuple[list[tuple[int, str]], int, int | None]:
+    """The non-blank lines as (line number, text), the first data line's index, and d.
+
+    Line numbers count every line of the file, blank ones included; d is None
+    unless a header declares it.
 
     Raises:
         FormatError: empty file, bad header, or a row count unlike the header's.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in (raw.rstrip("\n") for raw in fh) if ln.strip()]
+        lines = [(i, raw.rstrip("\n")) for i, raw in enumerate(fh, 1) if raw.strip()]
 
     if not lines:
         raise FormatError(f"{path}: empty embedding file")
 
     if fmt != "word2vec_text":
         return lines, 0, None
-    header = lines[0].split()
+    lineno, text = lines[0]
+    header = text.split()
     if len(header) != 2:
-        raise FormatError(f"{path}:1: header must be 'n d', got {lines[0]!r}")
+        raise FormatError(f"{path}:{lineno}: header must be 'n d', got {text!r}")
     try:
         declared_n, dim = int(header[0]), int(header[1])
     except ValueError:
-        raise FormatError(f"{path}:1: header must be 'n d', got {lines[0]!r}") from None
+        raise FormatError(f"{path}:{lineno}: header must be 'n d', got {text!r}") from None
     if declared_n < 1 or dim < 1:
-        raise FormatError(f"{path}:1: header sizes must be positive")
+        raise FormatError(f"{path}:{lineno}: header sizes must be positive")
     if len(lines) - 1 != declared_n:
         raise FormatError(
             f"{path}: header declares {declared_n} rows but file has {len(lines) - 1}"
@@ -224,7 +218,7 @@ def _read_lines(path: Path, fmt: str) -> tuple[list[str], int, int | None]:
     return lines, 1, dim
 
 
-def _parse_bulk(data: list[str], dim: int | None) -> EmbeddingMatrix | None:
+def _parse_bulk(data: list[tuple[int, str]], dim: int | None) -> EmbeddingMatrix | None:
     """Parse data lines with one ``np.loadtxt`` call, or return None.
 
     None means the per-line parser must decide: a line it would reject (it
@@ -233,7 +227,7 @@ def _parse_bulk(data: list[str], dim: int | None) -> EmbeddingMatrix | None:
     """
     # One tuple of words and one of the value strings; a word-only line
     # makes zip stop after the words.
-    columns = list(zip(*(line.split(None, 1) for line in data)))
+    columns = list(zip(*(line.split(None, 1) for _, line in data)))
     if len(columns) != 2:
         return None
     words, rests = columns
@@ -253,14 +247,13 @@ def _parse_bulk(data: list[str], dim: int | None) -> EmbeddingMatrix | None:
 
 
 def _parse_per_line(
-    lines: list[str], start: int, dim: int | None, path: Path
+    lines: list[tuple[int, str]], start: int, dim: int | None, path: Path
 ) -> EmbeddingMatrix:
     """Parse data lines one at a time; the source of every line-numbered error."""
     vocab: list[str] = []
     rows: list[list[float]] = []
     seen: set[str] = set()
-    for offset, line in enumerate(lines[start:]):
-        lineno = start + offset + 1
+    for lineno, line in lines[start:]:
         word, values = _parse_data_line(line, lineno, dim, path)
         if dim is None:
             dim = len(values)
@@ -311,7 +304,7 @@ def standardize(emb: EmbeddingMatrix) -> EmbeddingMatrix:
         raise DegenerateInputError("matrix is constant: zero standard deviation")
     rows = np.ldexp(emb.matrix, _unit_exponent(high, low))
     rows /= np.sqrt(np.mean(rows * rows))
-    return EmbeddingMatrix(emb.vocab, rows, standardized=True)
+    return EmbeddingMatrix(emb.vocab, rows)
 
 
 def _unit_exponent(high: float, low: float) -> int:

@@ -22,7 +22,6 @@ from rpd import (
     align_vocabularies,
     count_cooccurrences,
     decompose_per_word,
-    gram_frobenius_norm,
     layout_from_distances,
     log_count_matrix,
     monte_carlo_null,
@@ -38,6 +37,7 @@ from rpd import (
     truncated_svd,
     z_test,
 )
+from rpd.gram import gram_side
 
 
 def _ok(number: int, label: str) -> None:
@@ -108,7 +108,8 @@ def test_criterion_3_norm_asymptotics():
     start = time.perf_counter()
     n, d = 5000, 100
     emb = standardize(random_gaussian_embedding(n, d, seed=303))
-    ratio = gram_frobenius_norm(emb) / (n * np.sqrt(d))
+    side = gram_side(emb.matrix, standardize=False)
+    ratio = side.norm / side.divisor / (n * np.sqrt(d))
     assert 0.99 <= ratio <= 1.03
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -170,12 +171,12 @@ def test_criterion_7_spectral_trainer_correctness(tmp_path):
     dense_s = np.linalg.svd(signal.matrix.toarray(), compute_uv=False)[:d]
     np.testing.assert_allclose(factors.S, dense_s, rtol=1e-6)
 
-    emb = svd_embedding(factors.U, factors.S, vocab=factors.vocab)
+    emb = svd_embedding(factors)
     gram_d = emb.matrix.T @ emb.matrix
     np.testing.assert_allclose(gram_d, np.diag(factors.S), atol=1e-8)
 
     rerun = truncated_svd(signal, d, seed=0)
-    emb2 = svd_embedding(rerun.U, rerun.S, vocab=rerun.vocab)
+    emb2 = svd_embedding(rerun)
     assert emb.vocab == emb2.vocab
     assert np.array_equal(emb.matrix, emb2.matrix)
     _ok(7, "singular values at oracle accuracy, diagonal Gram, bit-identical reruns")
@@ -191,8 +192,8 @@ def test_criterion_8_trained_spaces_are_dependent():
     d = 100
     factors_pmi = truncated_svd(pmi_matrix(counts), d, seed=0)
     factors_lc = truncated_svd(log_count_matrix(counts), d, seed=0)
-    emb_pmi = svd_embedding(factors_pmi.U, factors_pmi.S, vocab=factors_pmi.vocab)
-    emb_lc = svd_embedding(factors_lc.U, factors_lc.S, vocab=factors_lc.vocab)
+    emb_pmi = svd_embedding(factors_pmi)
+    emb_lc = svd_embedding(factors_lc)
 
     pair = align_vocabularies(emb_pmi, emb_lc)
     observed = rpd(pair).rpd

@@ -242,6 +242,13 @@ class TestDatasetFiles:
         with pytest.raises(ParseError):
             load_similarity_dataset(path)
 
+    @pytest.mark.parametrize("score", ["nan", "inf"])
+    def test_similarity_non_finite_score(self, tmp_path, score):
+        path = tmp_path / "sim.tsv"
+        path.write_text(f"cat\tdog\t7.5\nsun\tmoon\t{score}\n")
+        with pytest.raises(ParseError, match=r"sim\.tsv:2: non-finite score"):
+            load_similarity_dataset(path)
+
     def test_analogy_file_with_sections(self, tmp_path):
         path = tmp_path / "ana.txt"
         path.write_text(
@@ -257,6 +264,12 @@ class TestDatasetFiles:
         path = tmp_path / "ana.txt"
         path.write_text("paris france rome\n")
         with pytest.raises(ParseError):
+            load_analogy_dataset(path)
+
+    def test_analogy_expected_word_repeats_query(self, tmp_path):
+        path = tmp_path / "ana.txt"
+        path.write_text(": family\nboy girl man woman\na b c a\n")
+        with pytest.raises(ParseError, match=r"ana\.txt:3: expected word 'a' duplicates"):
             load_analogy_dataset(path)
 
 

@@ -6,17 +6,31 @@ from rpd import (
     DimensionError,
     EmbeddingMatrix,
     PreconditionError,
-    cross_gram_inner,
-    gram_frobenius_norm,
     naive_gram_oracle,
     per_word_gram_stats,
 )
+from rpd.gram import gram_side
+from rpd.metric import rpd_from_sides
+
+
+def gram_norm(emb):
+    """||E Eᵀ||_F from the core: an unstandardized side's norm over its divisor."""
+    side = gram_side(emb.matrix, standardize=False)
+    return side.norm / side.divisor
+
+
+def cross_inner(a, b):
+    """||E₁ᵀE₂||_F² from the core: the cosine term times both Gram norms."""
+    left = gram_side(a.matrix, standardize=False)
+    right = gram_side(b.matrix, standardize=False)
+    cosine = rpd_from_sides(left, right).cosine_term
+    return cosine * (left.norm / left.divisor) * (right.norm / right.divisor)
 
 
 class TestGramFrobeniusNorm:
     def test_identity_matrix(self):
         emb = EmbeddingMatrix(("a", "b"), np.eye(2))
-        assert gram_frobenius_norm(emb) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert gram_norm(emb) == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
     def test_matches_naive_on_random_pairs(self, rng):
         for _ in range(50):
@@ -24,21 +38,21 @@ class TestGramFrobeniusNorm:
             d = int(rng.integers(1, 31))
             emb = random_embedding(rng, n, d)
             oracle = naive_gram_oracle(emb, emb)
-            fast = gram_frobenius_norm(emb)
+            fast = gram_norm(emb)
             assert fast == pytest.approx(oracle.norm_a, rel=1e-10)
 
     def test_gaussian_asymptotics(self):
         n, d = 5000, 100
         emb = random_embedding(np.random.default_rng(42), n, d)
         predicted = n * np.sqrt(d) * np.sqrt(1.0 + (d + 1) / n)
-        assert gram_frobenius_norm(emb) == pytest.approx(predicted, rel=0.02)
+        assert gram_norm(emb) == pytest.approx(predicted, rel=0.02)
 
 
 class TestCrossGramInner:
     def test_self_inner_is_norm_squared(self, rng):
         emb = random_embedding(rng, 50, 8)
-        norm = gram_frobenius_norm(emb)
-        assert cross_gram_inner(emb, emb) == pytest.approx(norm**2, rel=1e-12)
+        norm = gram_norm(emb)
+        assert cross_inner(emb, emb) == pytest.approx(norm**2, rel=1e-12)
 
     def test_matches_naive_on_random_pairs(self, rng):
         for _ in range(50):
@@ -46,7 +60,7 @@ class TestCrossGramInner:
             a = random_embedding(rng, n, int(rng.integers(1, 31)))
             b = random_embedding(rng, n, int(rng.integers(1, 31)))
             oracle = naive_gram_oracle(a, b)
-            assert cross_gram_inner(a, b) == pytest.approx(oracle.inner, rel=1e-10)
+            assert cross_inner(a, b) == pytest.approx(oracle.inner, rel=1e-10)
 
     def test_disjoint_row_support(self, rng):
         # a is nonzero only on even rows, b only on odd rows, so every
@@ -59,19 +73,13 @@ class TestCrossGramInner:
         b[1::2] = rng.standard_normal((3, 4))
         ea = EmbeddingMatrix(tuple(f"w{i}" for i in range(n)), a)
         eb = EmbeddingMatrix(tuple(f"w{i}" for i in range(n)), b)
-        assert cross_gram_inner(ea, eb) == 0.0
-
-    def test_row_count_mismatch(self, rng):
-        a = random_embedding(rng, 5, 3)
-        b = random_embedding(rng, 6, 3)
-        with pytest.raises(DimensionError):
-            cross_gram_inner(a, b)
+        assert cross_inner(ea, eb) == 0.0
 
     def test_nonnegative(self, rng):
         for _ in range(20):
             a = random_embedding(rng, 30, 4)
             b = random_embedding(rng, 30, 6)
-            assert cross_gram_inner(a, b) >= 0.0
+            assert cross_inner(a, b) >= 0.0
 
 
 class TestNaiveOracle:
@@ -87,6 +95,12 @@ class TestNaiveOracle:
         a = random_embedding(rng, 40, 5)
         oracle = naive_gram_oracle(a, a)
         assert oracle.inner == pytest.approx(oracle.norm_a**2, rel=1e-12)
+
+    def test_row_count_mismatch(self, rng):
+        a = random_embedding(rng, 5, 3)
+        b = random_embedding(rng, 6, 3)
+        with pytest.raises(DimensionError):
+            naive_gram_oracle(a, b)
 
     def test_guard_limit(self):
         big = EmbeddingMatrix(tuple(f"w{i}" for i in range(2001)),
@@ -132,17 +146,17 @@ class TestInvariants:
         a = random_embedding(rng, 80, 9)
         q = random_orthogonal(rng, 9)
         rotated = EmbeddingMatrix(a.vocab, a.matrix @ q)
-        assert gram_frobenius_norm(rotated) == pytest.approx(
-            gram_frobenius_norm(a), rel=1e-10
+        assert gram_norm(rotated) == pytest.approx(
+            gram_norm(a), rel=1e-10
         )
         b = random_embedding(rng, 80, 5)
-        assert cross_gram_inner(rotated, b) == pytest.approx(
-            cross_gram_inner(a, b), rel=1e-10
+        assert cross_inner(rotated, b) == pytest.approx(
+            cross_inner(a, b), rel=1e-10
         )
         qb = random_orthogonal(rng, 5)
         rotated_b = EmbeddingMatrix(b.vocab, b.matrix @ qb)
-        assert cross_gram_inner(a, rotated_b) == pytest.approx(
-            cross_gram_inner(a, b), rel=1e-10
+        assert cross_inner(a, rotated_b) == pytest.approx(
+            cross_inner(a, b), rel=1e-10
         )
 
     def test_row_permutation_equivariance(self, rng):
@@ -152,11 +166,11 @@ class TestInvariants:
         perm = rng.permutation(n)
         pa = EmbeddingMatrix(a.vocab, a.matrix[perm])
         pb = EmbeddingMatrix(b.vocab, b.matrix[perm])
-        assert gram_frobenius_norm(pa) == pytest.approx(
-            gram_frobenius_norm(a), rel=1e-12
+        assert gram_norm(pa) == pytest.approx(
+            gram_norm(a), rel=1e-12
         )
-        assert cross_gram_inner(pa, pb) == pytest.approx(
-            cross_gram_inner(a, b), rel=1e-12
+        assert cross_inner(pa, pb) == pytest.approx(
+            cross_inner(a, b), rel=1e-12
         )
 
     def test_cauchy_schwarz(self, rng):
@@ -164,6 +178,6 @@ class TestInvariants:
             n = int(rng.integers(2, 120))
             a = random_embedding(rng, n, int(rng.integers(1, 12)))
             b = random_embedding(rng, n, int(rng.integers(1, 12)))
-            inner = cross_gram_inner(a, b)
-            bound = gram_frobenius_norm(a) * gram_frobenius_norm(b)
+            inner = cross_inner(a, b)
+            bound = gram_norm(a) * gram_norm(b)
             assert inner <= bound + 1e-9

@@ -211,5 +211,4 @@ class TestNullDistributionType:
             "n", "d_left", "d_right", "replicates", "mu", "sigma",
             "skewness", "excess_kurtosis", "seed",
         }
-        with_samples = null.to_dict(include_samples=True)
-        assert len(with_samples["samples"]) == 40
+        assert len(null.samples) == 40

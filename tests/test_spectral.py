@@ -7,8 +7,10 @@ from rpd import (
     CooccurrenceCounts,
     CorpusError,
     DimensionError,
+    ParseError,
     PreconditionError,
     SignalMatrix,
+    SvdFactors,
     count_cooccurrences,
     load_counts,
     log_count_matrix,
@@ -249,23 +251,25 @@ class TestTruncatedSvd:
 
 class TestSvdEmbedding:
     def test_hand_example(self):
-        emb = svd_embedding(np.eye(3), np.array([4.0, 1.0, 0.0]), d=2)
+        factors = SvdFactors(U=np.eye(3)[:, :2], S=np.array([4.0, 1.0]),
+                             Vt=np.eye(3)[:2], vocab=("a", "b", "c"))
+        emb = svd_embedding(factors)
         np.testing.assert_allclose(emb.matrix, [[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
                                    atol=0)
-        assert emb.vocab == ("w0", "w1", "w2")
-        assert not emb.standardized
+        assert emb.vocab == ("a", "b", "c")
 
     def test_gram_is_diagonal_of_singular_values(self, rng):
         m = rng.standard_normal((30, 30))
         sig = signal_of((m + m.T) / 2.0)
         factors = truncated_svd(sig, 6, seed=5)
-        emb = svd_embedding(factors.U, factors.S, vocab=factors.vocab)
+        emb = svd_embedding(factors)
         np.testing.assert_allclose(emb.matrix.T @ emb.matrix, np.diag(factors.S),
                                    atol=1e-8)
 
     def test_negative_singular_value_clamped(self):
         with pytest.warns(UserWarning):
-            emb = svd_embedding(np.eye(2), np.array([1.0, -1e-12]))
+            emb = svd_embedding(SvdFactors(U=np.eye(2), S=np.array([1.0, -1e-12]),
+                                           Vt=np.eye(2), vocab=("a", "b")))
         assert emb.matrix[1, 1] == 0.0
 
     def test_end_to_end_best_rank_d(self):
@@ -281,7 +285,7 @@ class TestSvdEmbedding:
         assert np.all(by_magnitude[:d] > 0)
 
         factors = truncated_svd(signal, d, seed=8)
-        emb = svd_embedding(factors.U, factors.S, vocab=factors.vocab)
+        emb = svd_embedding(factors)
         gram = emb.matrix @ emb.matrix.T
 
         u, s, vt = np.linalg.svd(dense)
@@ -346,3 +350,22 @@ class TestCountsPersistence:
         back = load_counts(path)
         np.testing.assert_allclose(back.counts.toarray(), counts.counts.toarray(),
                                    rtol=0, atol=0)
+
+
+class TestLoadCountsErrors:
+    def write_counts(self, tmp_path, body):
+        path = tmp_path / "counts.txt"
+        path.write_text(body, encoding="utf-8")
+        (tmp_path / "counts.txt.vocab").write_text("a\nb\n", encoding="utf-8")
+        return path
+
+    def test_non_integer_header(self, tmp_path):
+        path = self.write_counts(tmp_path, "# window x\n# min_count 1\n0 1 2\n")
+        with pytest.raises(ParseError, match=r"counts\.txt:1: window must be an integer"):
+            load_counts(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-2"])
+    def test_non_finite_or_negative_count(self, tmp_path, value):
+        path = self.write_counts(tmp_path, f"# window 2\n0 1 2\n1 1 {value}\n")
+        with pytest.raises(ParseError, match=r"counts\.txt:3: count must be finite and >= 0"):
+            load_counts(path)

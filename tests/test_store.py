@@ -29,7 +29,6 @@ class TestEmbeddingMatrix:
         emb = EmbeddingMatrix(("a", "b"), [[1.0, 2.0], [3.0, 4.0]])
         assert emb.n == 2 and emb.dim == 2
         assert emb.index == {"a": 0, "b": 1}
-        assert not emb.standardized
 
     def test_matrix_is_read_only(self):
         emb = EmbeddingMatrix(("a",), [[1.0, 2.0]])
@@ -51,10 +50,6 @@ class TestEmbeddingMatrix:
     def test_non_finite_rejected(self):
         with pytest.raises(PreconditionError):
             EmbeddingMatrix(("a",), [[np.nan]])
-
-    def test_standardized_flag_checked(self):
-        with pytest.raises(PreconditionError):
-            EmbeddingMatrix(("a", "b"), [[5.0, 1.0], [2.0, 3.0]], standardized=True)
 
 
 class TestLoadSave:
@@ -126,7 +121,6 @@ class TestStandardize:
         emb = EmbeddingMatrix(("a", "b"), [[1.0, -1.0], [1.0, -1.0]])
         out = standardize(emb)
         np.testing.assert_array_equal(out.matrix, emb.matrix)
-        assert out.standardized
 
     def test_scalar_rescale(self):
         emb = EmbeddingMatrix(("a", "b"), [[2.0, -2.0], [2.0, -2.0]])
@@ -240,5 +234,4 @@ class TestStandardizeExtremeMagnitudes:
         vocab = tuple(f"w{i}" for i in range(50))
         ref = standardize(EmbeddingMatrix(vocab, matrix))
         out = standardize(EmbeddingMatrix(vocab, matrix * scale))
-        assert out.standardized
         np.testing.assert_allclose(out.matrix, ref.matrix, rtol=0, atol=1e-12)

@@ -130,7 +130,17 @@ class TestBulkErrors:
 
     def test_word_only_row_after_blank_line(self, tmp_path):
         path = write_bytes(tmp_path / "w.txt", b"2 2\n\nab 1 2\ncd \n")
-        assert_same_error(path, "word2vec_text", ParseError)
+        assert ":4:" in assert_same_error(path, "word2vec_text", ParseError)
+
+    def test_bad_value_after_leading_blank_lines(self, tmp_path):
+        path = write_bytes(tmp_path / "w.txt", b"\n\n2 2\nab 1 x\ncd 3 4\n")
+        assert ":4:" in assert_same_error(path, "word2vec_text", ParseError)
+
+    def test_header_after_leading_blank_lines(self, tmp_path):
+        path = write_bytes(tmp_path / "h.txt", b"\n\n2 x\nab 1 2\ncd 3 4\n")
+        with pytest.raises(FormatError) as exc:
+            load_embeddings(path, "word2vec_text")
+        assert ":3:" in str(exc.value)
 
     def test_duplicate_word(self, tmp_path):
         path = write_bytes(tmp_path / "d.txt", b"3 2\nab 1 2\ncd 3 4\nab 5 6\n")
