@@ -15,6 +15,8 @@ import click
 
 from .errors import RpdError
 from .evaluation import (
+    AnalogyDataset,
+    SimilarityDataset,
     evaluate,
     load_analogy_dataset,
     load_similarity_dataset,
@@ -56,6 +58,16 @@ def _provenance(pair, standardized: bool) -> dict:
         "coverage_right": pair.coverage_right,
         "standardized": standardized,
     }
+
+
+def _load_datasets(
+    similarity: str | None, analogy: str | None
+) -> tuple[SimilarityDataset | None, AnalogyDataset | None]:
+    """The similarity and analogy datasets named on the command line, at least one."""
+    if similarity is None and analogy is None:
+        raise click.UsageError("provide --similarity and/or --analogy")
+    return (load_similarity_dataset(similarity) if similarity else None,
+            load_analogy_dataset(analogy) if analogy else None)
 
 
 def _parse_named(specs: tuple[str, ...]) -> list[tuple[str, str]]:
@@ -185,11 +197,8 @@ def cmd_train_svd(corpus, signal, dim, window, min_count, seed, weighting, no_lo
 @_input_errors_exit_2
 def cmd_eval(emb_path, fmt, similarity, analogy, output):
     """Score an embedding on similarity and/or analogy datasets (JSON)."""
-    if similarity is None and analogy is None:
-        raise click.UsageError("provide --similarity and/or --analogy")
+    sim_ds, ana_ds = _load_datasets(similarity, analogy)
     emb = load_embeddings(emb_path, fmt)
-    sim_ds = load_similarity_dataset(similarity) if similarity else None
-    ana_ds = load_analogy_dataset(analogy) if analogy else None
     _emit(evaluate(emb, sim_ds, ana_ds).to_json(), output)
 
 
@@ -203,12 +212,9 @@ def cmd_eval(emb_path, fmt, similarity, analogy, output):
 @_input_errors_exit_2
 def cmd_study(baseline, embs, fmt, similarity, analogy, output):
     """Distance-vs-performance study against a baseline embedding (TSV)."""
-    if similarity is None and analogy is None:
-        raise click.UsageError("provide --similarity and/or --analogy")
+    sim_ds, ana_ds = _load_datasets(similarity, analogy)
     base = load_embeddings(baseline, fmt)
     named = [(name, load_embeddings(path, fmt)) for name, path in _parse_named(embs)]
-    sim_ds = load_similarity_dataset(similarity) if similarity else None
-    ana_ds = load_analogy_dataset(analogy) if analogy else None
     result = perf_vs_rpd_study(base, named, sim_ds, ana_ds)
     _emit(result.to_tsv(), output)
 

@@ -94,22 +94,21 @@ def load_similarity_dataset(path: str | Path) -> SimilarityDataset:
     path = Path(path)
     pairs: list[tuple[str, str, float]] = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            try:
-                score = float(fields[2])
-            except ValueError:
-                if lineno == 1:
-                    continue  # header line
-                raise ParseError(f"{path}:{lineno}: non-numeric score {fields[2]!r}") from None
-            if not np.isfinite(score):
-                raise ParseError(f"{path}:{lineno}: non-finite score {fields[2]!r}")
-            pairs.append((fields[0], fields[1], score))
+        lines = [(lineno, raw.rstrip("\n")) for lineno, raw in enumerate(fh, start=1)
+                 if raw.strip()]
+    for k, (lineno, line) in enumerate(lines):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        try:
+            score = float(fields[2])
+        except ValueError:
+            if k == 0:
+                continue  # header line
+            raise ParseError(f"{path}:{lineno}: non-numeric score {fields[2]!r}") from None
+        if not np.isfinite(score):
+            raise ParseError(f"{path}:{lineno}: non-finite score {fields[2]!r}")
+        pairs.append((fields[0], fields[1], score))
     if not pairs:
         raise ParseError(f"{path}: no data lines")
     return SimilarityDataset(tuple(pairs))

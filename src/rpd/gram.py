@@ -95,48 +95,3 @@ def naive_gram_oracle(a: EmbeddingMatrix, b: EmbeddingMatrix) -> GramOracleResul
         norm_b=float(np.linalg.norm(gb)),
         inner=float(np.sum(ga * gb)),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class PerWordGramStats:
-    """Per-word statistics of the Gram rows.
-
-    For word i, ``dot[i]`` is the inner product of row i of E₁E₁ᵀ with row i
-    of E₂E₂ᵀ, and ``norm_left[i]`` / ``norm_right[i]`` are those rows' norms.
-    """
-
-    dot: np.ndarray
-    norm_left: np.ndarray
-    norm_right: np.ndarray
-
-
-def per_word_gram_stats(
-    a: EmbeddingMatrix | np.ndarray,
-    b: EmbeddingMatrix | np.ndarray,
-    blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> PerWordGramStats:
-    """Row-wise Gram statistics in O(n·d²) without forming any n-length row.
-
-    Row i of E·Eᵀ is vᵢ·Eᵀ, so with the d-by-d products G₁₁ = E₁ᵀE₁,
-    G₂₂ = E₂ᵀE₂ and G₁₂ = E₁ᵀE₂:
-
-        dot[i]        = v⁽¹⁾ᵢ G₁₂ v⁽²⁾ᵢᵀ
-        norm_left[i]² = v⁽¹⁾ᵢ G₁₁ v⁽¹⁾ᵢᵀ
-
-    ``a`` and ``b`` are embeddings or their row arrays; ``blocks`` passes
-    (G₁₁, G₂₂, G₁₂) when the caller has already computed them.
-    """
-    am = a.matrix if isinstance(a, EmbeddingMatrix) else a
-    bm = b.matrix if isinstance(b, EmbeddingMatrix) else b
-    if am.shape[0] != bm.shape[0]:
-        raise DimensionError(f"row counts differ: {am.shape[0]} vs {bm.shape[0]}")
-    g11, g22, g12 = blocks if blocks is not None else (am.T @ am, bm.T @ bm, am.T @ bm)
-    dot = np.sum((am @ g12) * bm, axis=1)
-    # Quadratic forms are >= 0 exactly; clamp roundoff before the sqrt.
-    sq_left = np.maximum(np.sum((am @ g11) * am, axis=1), 0.0)
-    sq_right = np.maximum(np.sum((bm @ g22) * bm, axis=1), 0.0)
-    return PerWordGramStats(
-        dot=dot,
-        norm_left=np.sqrt(sq_left),
-        norm_right=np.sqrt(sq_right),
-    )

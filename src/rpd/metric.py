@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlignmentError, DegenerateInputError, PreconditionError
-from .gram import GramSide, gram_side, per_word_gram_stats
+from .gram import GramSide, gram_side
 from .store import AlignedPair, EmbeddingMatrix, _aligned_rows, _restricted_rows
 
 
@@ -127,27 +127,44 @@ def decompose_per_word(pair: AlignedPair, standardize_inputs: bool = True) -> Rp
     cosine ``cos θᵢ`` between its two Gram rows; the identity
     ``Σ w_i cos θᵢ = cosine_term`` holds exactly. Words whose Gram row norm
     vanishes get ``cos_theta_i=None`` and weight 0. Entries are sorted by
-    ascending cosine, most divergent words first.
+    ascending cosine, most divergent words first, ties by word.
+
+    Row i of E·Eᵀ is vᵢ·Eᵀ, so with the d-by-d blocks G₁₁ = E₁ᵀE₁,
+    G₂₂ = E₂ᵀE₂ and G₁₂ = E₁ᵀE₂ no n-length row is ever formed:
+
+        <g⁽¹⁾ᵢ, g⁽²⁾ᵢ> = v⁽¹⁾ᵢ G₁₂ v⁽²⁾ᵢᵀ
+        ||g⁽¹⁾ᵢ||²     = v⁽¹⁾ᵢ G₁₁ v⁽¹⁾ᵢᵀ
     """
     left, right = _sides(pair, standardize_inputs)
     cross = left.rows.T @ right.rows
     report = rpd_from_sides(left, right, cross)
     # Weights and cosines are scale-free, so the prescaled blocks serve.
-    stats = per_word_gram_stats(left.rows, right.rows, (left.gram, right.gram, cross))
-
-    norm_prod = stats.norm_left * stats.norm_right
+    a, b = left.rows, right.rows
+    dot = np.sum((a @ cross) * b, axis=1)
+    norm_prod = _row_norms(a, left.gram) * _row_norms(b, right.gram)
     weights = norm_prod / (left.norm * right.norm)
-    entries = []
-    for word, dot, prod, weight in zip(
-        pair.shared_vocab, stats.dot, norm_prod, weights
-    ):
-        if prod == 0.0:
-            entries.append(PerWordDivergence(word, None, 0.0))
-        else:
-            cos_i = float(np.clip(dot / prod, -1.0, 1.0))
-            entries.append(PerWordDivergence(word, cos_i, float(weight)))
-    entries.sort(key=lambda e: (e.cos_theta_i if e.cos_theta_i is not None else -np.inf, e.word))
-    return replace(report, per_word=tuple(entries))
+    defined = norm_prod != 0.0
+    cosines = np.full(len(dot), -np.inf)
+    cosines[defined] = np.clip(dot[defined] / norm_prod[defined], -1.0, 1.0)
+
+    # Python order, not numpy's: `<U` comparison ignores trailing NULs.
+    vocab = pair.shared_vocab
+    word_rank = np.empty(len(vocab), dtype=np.intp)
+    word_rank[sorted(range(len(vocab)), key=vocab.__getitem__)] = np.arange(len(vocab))
+    order = np.lexsort((word_rank, cosines))
+    per_word = tuple(
+        PerWordDivergence(vocab[i], cos if cos > -np.inf else None, weight)
+        for i, cos, weight in zip(
+            order.tolist(), cosines[order].tolist(), weights[order].tolist()
+        )
+    )
+    return replace(report, per_word=per_word)
+
+
+def _row_norms(rows: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Norms of the rows of rows·rowsᵀ, given ``gram = rowsᵀ·rows``."""
+    # Quadratic forms are >= 0 exactly; clamp roundoff before the sqrt.
+    return np.sqrt(np.maximum(np.sum((rows @ gram) * rows, axis=1), 0.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -275,8 +275,16 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
     """Load counts written by :func:`save_counts`."""
     path = Path(path)
     vocab_path = path.with_name(path.name + ".vocab")
+    words: dict[str, None] = {}
     with open(vocab_path, encoding="utf-8") as fh:
-        vocab = tuple(line.rstrip("\n") for line in fh if line.strip())
+        for lineno, line in enumerate(fh, start=1):
+            word = line.rstrip("\n")
+            if not word.strip():
+                continue
+            if word in words:
+                raise ParseError(f"{vocab_path}:{lineno}: duplicate word {word!r}")
+            words[word] = None
+    vocab = tuple(words)
     if not vocab:
         raise ParseError(f"{vocab_path}: empty vocabulary sidecar")
     n = len(vocab)

@@ -229,6 +229,17 @@ class TestDatasetFiles:
         ds = load_similarity_dataset(path)
         assert ds.pairs == (("cat", "dog", 7.5), ("sun", "moon", 4.0))
 
+    def test_similarity_header_after_blank_line(self, tmp_path):
+        path = tmp_path / "sim.tsv"
+        path.write_text("\nword1\tword2\tscore\ncat\tdog\t1\n")
+        assert load_similarity_dataset(path).pairs == (("cat", "dog", 1.0),)
+
+    def test_similarity_non_numeric_score_after_header(self, tmp_path):
+        path = tmp_path / "sim.tsv"
+        path.write_text("\nword1\tword2\tscore\ncat\tdog\t1\n\nsun\tmoon\tNA\n")
+        with pytest.raises(ParseError, match=r"sim\.tsv:5: non-numeric score 'NA'"):
+            load_similarity_dataset(path)
+
     def test_similarity_bad_line(self, tmp_path):
         path = tmp_path / "sim.tsv"
         path.write_text("cat\tdog\t7.5\ncat\tdog\n")

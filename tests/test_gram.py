@@ -3,11 +3,12 @@ import pytest
 
 from conftest import random_embedding, random_orthogonal
 from rpd import (
+    AlignedPair,
     DimensionError,
     EmbeddingMatrix,
     PreconditionError,
+    decompose_per_word,
     naive_gram_oracle,
-    per_word_gram_stats,
 )
 from rpd.gram import gram_side
 from rpd.metric import rpd_from_sides
@@ -111,34 +112,43 @@ class TestNaiveOracle:
 
 class TestPerWordStats:
     def naive_rows(self, a, b):
+        """Cosines and weights from the materialized n-by-n Gram rows."""
         ga = a.matrix @ a.matrix.T
         gb = b.matrix @ b.matrix.T
-        dot = np.sum(ga * gb, axis=1)
-        return dot, np.linalg.norm(ga, axis=1), np.linalg.norm(gb, axis=1)
+        na, nb = np.linalg.norm(ga, axis=1), np.linalg.norm(gb, axis=1)
+        cos = np.sum(ga * gb, axis=1) / (na * nb)
+        return cos, na * nb / (np.linalg.norm(ga) * np.linalg.norm(gb))
+
+    def decomposed(self, a, b):
+        """(cos_theta_i, w_i) arrays in vocabulary order."""
+        pair = AlignedPair(a, b, a.vocab)
+        entries = {e.word: e for e in decompose_per_word(pair, False).per_word}
+        return (np.array([entries[w].cos_theta_i for w in a.vocab]),
+                np.array([entries[w].w_i for w in a.vocab]))
 
     def test_self_pair(self, rng):
         emb = random_embedding(rng, 30, 6)
-        stats = per_word_gram_stats(emb, emb)
-        np.testing.assert_allclose(stats.dot, stats.norm_left**2, rtol=1e-12)
+        cos, weights = self.decomposed(emb, emb)
+        naive_cos, naive_weights = self.naive_rows(emb, emb)
+        np.testing.assert_allclose(cos, naive_cos, rtol=1e-12)
+        np.testing.assert_allclose(weights, naive_weights, rtol=1e-12)
 
     def test_matches_row_oracle(self, rng):
         a = random_embedding(rng, 100, 10)
         b = random_embedding(rng, 100, 10)
-        stats = per_word_gram_stats(a, b)
-        dot, na, nb = self.naive_rows(a, b)
-        np.testing.assert_allclose(stats.dot, dot, rtol=1e-10)
-        np.testing.assert_allclose(stats.norm_left, na, rtol=1e-10)
-        np.testing.assert_allclose(stats.norm_right, nb, rtol=1e-10)
+        cos, weights = self.decomposed(a, b)
+        naive_cos, naive_weights = self.naive_rows(a, b)
+        np.testing.assert_allclose(cos, naive_cos, rtol=1e-10)
+        np.testing.assert_allclose(weights, naive_weights, rtol=1e-10)
 
     def test_single_word(self, rng):
         a = EmbeddingMatrix(("w",), rng.standard_normal((1, 4)))
         b = EmbeddingMatrix(("w",), rng.standard_normal((1, 7)))
-        stats = per_word_gram_stats(a, b)
-        dot, na, nb = self.naive_rows(a, b)
-        assert np.isfinite(stats.dot[0])
-        assert stats.dot[0] == pytest.approx(dot[0], rel=1e-12)
-        assert stats.norm_left[0] == pytest.approx(na[0], rel=1e-12)
-        assert stats.norm_right[0] == pytest.approx(nb[0], rel=1e-12)
+        cos, weights = self.decomposed(a, b)
+        naive_cos, naive_weights = self.naive_rows(a, b)
+        assert np.isfinite(cos[0]) and np.isfinite(weights[0])
+        assert cos[0] == pytest.approx(naive_cos[0], rel=1e-12)
+        assert weights[0] == pytest.approx(naive_weights[0], rel=1e-12)
 
 
 class TestInvariants:

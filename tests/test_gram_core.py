@@ -82,14 +82,19 @@ def test_scale_free_over_the_float_range(seed, n, d1, d2, left_decade, right_dec
 
 
 @PROPERTY
-@given(seeds, rows, dims, dims, st.integers(-400, 400))
-def test_power_of_two_scaling_is_exact(seed, n, d1, d2, exponent):
+@given(seeds, rows, dims, dims, st.integers(-400, 400), st.integers(-400, 400))
+def test_power_of_two_scaling_is_exact(seed, n, d1, d2, exponent, right_exponent):
     _, a, b = draw(seed, n, d1, d2)
     base = gram_side(a, standardize=True)
     scaled = gram_side(np.ldexp(a, exponent), standardize=True)
     np.testing.assert_array_equal(scaled.gram, base.gram)
     assert scaled.divisor == base.divisor
     assert rpd(pair_of(np.ldexp(a, exponent), b)) == rpd(pair_of(a, b))
+    scaled_pair = pair_of(np.ldexp(a, exponent), np.ldexp(b, right_exponent))
+    for standardize_inputs in (True, False):
+        # Word, cosine, weight and order of every entry, bit for bit.
+        assert (decompose_per_word(scaled_pair, standardize_inputs).per_word
+                == decompose_per_word(pair_of(a, b), standardize_inputs).per_word)
 
 
 @PROPERTY
@@ -101,17 +106,28 @@ def test_divisor_standardizes_the_block(seed, n, d):
     np.testing.assert_allclose(side.gram / side.divisor, s.T @ s, rtol=1e-12, atol=1e-12 * n)
 
 
+def assert_same_entries(per_word, expected):
+    """Same words in the same order; cosines and weights equal up to roundoff."""
+    assert [e.word for e in per_word] == [e.word for e in expected]
+    assert [e.cos_theta_i for e in per_word] == pytest.approx(
+        [e.cos_theta_i for e in expected], rel=1e-12, abs=1e-12)
+    assert [e.w_i for e in per_word] == pytest.approx(
+        [e.w_i for e in expected], rel=1e-12)
+
+
 @pytest.mark.parametrize("factor", [1e155, 1e-160])
 def test_extreme_magnitudes_return_unscaled_rpd(factor):
     _, a, b = draw(7, 300, 20, 30)
     base = pair_of(a, b)
     expected = rpd(base)
+    expected_entries = decompose_per_word(base).per_word
     for pair in (pair_of(factor * a, b), pair_of(a, factor * b), pair_of(factor * a, factor * b)):
         report = rpd(pair)
         assert report.rpd == pytest.approx(expected.rpd, rel=1e-12)
         assert report.ratio_term == pytest.approx(expected.ratio_term, rel=1e-12)
         decomposed = decompose_per_word(pair)
         assert decomposed.rpd == pytest.approx(expected.rpd, rel=1e-12)
+        assert_same_entries(decomposed.per_word, expected_entries)
     embs = [("a", base.left), ("b", EmbeddingMatrix(base.shared_vocab, factor * b))]
     cell = rpd_pairwise_matrix(embs, common_vocab=True).values[0, 1]
     assert cell == pytest.approx(expected.rpd, rel=1e-12)

@@ -257,6 +257,21 @@ class TestDecomposePerWord:
         cosines = [p.cos_theta_i for p in report.per_word]
         assert cosines == sorted(cosines)
 
+    @pytest.mark.parametrize("standardize_inputs", [True, False])
+    def test_order_breaks_ties_by_word(self, rng, standardize_inputs):
+        # Undefined entries tie at the front and repeated rows tie on their
+        # cosine; each tie is broken by Python string order, in which "a"
+        # sorts before "a\x00" (numpy's fixed-width strings drop the NUL).
+        a, b = rng.standard_normal((12, 3)), rng.standard_normal((12, 5))
+        a[[0, 2, 3]] = 0.0
+        a[[5, 6, 7]], b[[5, 6, 7]] = a[4], b[4]
+        vocab = ("a\x00", "q", "a", "\x00", "m", "b\x00", "b", "B", "z", "y", "x", "c")
+        pair = AlignedPair(EmbeddingMatrix(vocab, a), EmbeddingMatrix(vocab, b), vocab)
+        entries = decompose_per_word(pair, standardize_inputs).per_word
+        assert [e.word for e in entries[:3]] == ["\x00", "a", "a\x00"]
+        assert entries == tuple(sorted(entries, key=lambda e: (
+            -np.inf if e.cos_theta_i is None else e.cos_theta_i, e.word)))
+
     def test_zero_gram_row_marked_undefined(self):
         # Build the pair directly (alignment would reject the zero row).
         a = EmbeddingMatrix(("u", "v"), [[0.0, 0.0], [1.0, 2.0]])

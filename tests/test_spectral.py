@@ -369,3 +369,11 @@ class TestLoadCountsErrors:
         path = self.write_counts(tmp_path, f"# window 2\n0 1 2\n1 1 {value}\n")
         with pytest.raises(ParseError, match=r"counts\.txt:3: count must be finite and >= 0"):
             load_counts(path)
+
+    @pytest.mark.parametrize("sidecar, lineno", [("a\nb\na\n", 3), ("a\n\nb\na\n", 4)])
+    def test_duplicate_vocab_word(self, tmp_path, sidecar, lineno):
+        path = self.write_counts(tmp_path, "0 1 2\n")
+        (tmp_path / "counts.txt.vocab").write_text(sidecar, encoding="utf-8")
+        with pytest.raises(ParseError,
+                           match=rf"counts\.txt\.vocab:{lineno}: duplicate word 'a'"):
+            load_counts(path)
