@@ -24,7 +24,7 @@ from .evaluation import (
 )
 from .layout import layout_from_distances
 from .metric import decompose_per_word, rpd, rpd_pairwise_matrix
-from .nullmodel import monte_carlo_null, z_test
+from .nullmodel import ALPHA, monte_carlo_null, z_test
 from .spectral import count_cooccurrences, read_corpus, save_counts, train_spectral_embedding
 from .store import align_vocabularies, load_embeddings, save_embeddings
 
@@ -132,7 +132,8 @@ def cmd_matrix(embs, fmt, common_vocab, no_standardize, output):
 @click.option("--replicates", type=click.IntRange(min=2), default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--one-sided", is_flag=True,
-              help="Base the printed decision on the lower-tail p-value.")
+              help="Base the printed decision on the lower-tail p-value; "
+                   "reject_at_0_01 is always two-sided.")
 @click.option("--samples-out", type=click.Path(), default=None,
               help="Write the raw null draws, one per line.")
 @click.option("--output", type=click.Path(), default=None)
@@ -153,8 +154,8 @@ def cmd_nulltest(left, right, fmt, replicates, seed, one_sided, samples_out, out
         **_provenance(pair, True),
         "null": null.to_dict(),
         **result.to_dict(),
-        "alpha": 0.01,
-        "decision": "reject" if p_for_decision < 0.01 else "fail_to_reject",
+        "alpha": ALPHA,
+        "decision": "reject" if p_for_decision < ALPHA else "fail_to_reject",
     }
     _emit(json.dumps(payload, indent=2), output)
 

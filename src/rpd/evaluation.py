@@ -302,6 +302,9 @@ def perf_vs_rpd_study(
     """
     if not others:
         raise PreconditionError("need at least one embedding to compare")
+    names = [name for name, _ in others]
+    if len(set(names)) != len(names):
+        raise PreconditionError("embedding names must be unique")
     base_eval = evaluate(baseline, sim_ds, ana_ds)
 
     entries: list[StudyEntry] = []

@@ -1,8 +1,9 @@
 """Null distribution of RPD between independent random embeddings, and the z-test.
 
 The null model draws pairs of independent Gaussian embeddings matched to the
-observed comparison's shape (n, d_left, d_right), records the RPD of each
-pair, and summarizes the draws by their mean and standard deviation. Observed
+observed comparison's shape (n, d_left, d_right) and records the RPD of each
+pair. A ``NullDistribution`` holds the draws and the moments computed from
+them; the z-test reads their mean and standard deviation. Observed
 distances many standard deviations below the null mean reject the hypothesis
 that two embedding spaces are independent.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from .gram import gram_side
 from .metric import rpd_from_sides
 from .store import _gaussian_rows
 
+ALPHA = 0.01  # significance level of ``reject_at_0_01`` and ``nulltest``'s decision
 _SKEW_THRESHOLD = 0.3
 _EXCESS_KURTOSIS_THRESHOLD = 0.6
 
@@ -41,56 +43,34 @@ def _sample_moments(samples: np.ndarray) -> tuple[float, float, float, float]:
 
 @dataclass(frozen=True)
 class NullDistribution:
-    """Moment summary of RPD draws between independent Gaussian embeddings."""
+    """RPD draws between independent Gaussian embeddings and their moments.
+
+    ``samples`` (any 1-D sequence of at least 2 values, stored as a tuple of
+    floats) are the draws. ``replicates``, ``mu``, ``sigma`` (N-1 divisor),
+    ``skewness`` and ``excess_kurtosis`` are computed from them once.
+    """
 
     n: int
     d_left: int
     d_right: int
-    replicates: int
-    mu: float
-    sigma: float
-    skewness: float
-    excess_kurtosis: float
     seed: int
-    samples: tuple[float, ...] | None = None
+    samples: tuple[float, ...]
+    replicates: int = field(init=False)
+    mu: float = field(init=False)
+    sigma: float = field(init=False)
+    skewness: float = field(init=False)
+    excess_kurtosis: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.replicates < 2:
-            raise PreconditionError(f"replicates must be >= 2, got {self.replicates}")
-        if self.sigma < 0:
-            raise PreconditionError(f"sigma must be >= 0, got {self.sigma}")
-        if self.samples is not None:
-            arr = np.asarray(self.samples, dtype=np.float64)
-            mu, sigma, _, _ = _sample_moments(arr)
-            if abs(mu - self.mu) > 1e-12 or abs(sigma - self.sigma) > 1e-12:
-                raise PreconditionError("stored samples disagree with mu/sigma")
-
-    @classmethod
-    def from_samples(
-        cls,
-        samples,
-        *,
-        n: int,
-        d_left: int,
-        d_right: int,
-        seed: int,
-    ) -> "NullDistribution":
-        arr = np.asarray(samples, dtype=np.float64)
+        arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 2:
-            raise PreconditionError("need at least 2 samples")
-        mu, sigma, skew, exkurt = _sample_moments(arr)
-        return cls(
-            n=n,
-            d_left=d_left,
-            d_right=d_right,
-            replicates=int(arr.size),
-            mu=mu,
-            sigma=sigma,
-            skewness=skew,
-            excess_kurtosis=exkurt,
-            seed=seed,
-            samples=tuple(float(v) for v in arr),
-        )
+            raise PreconditionError(
+                f"need a 1-D sequence of at least 2 samples, got shape {arr.shape}"
+            )
+        derived = (tuple(arr.tolist()), arr.size, *_sample_moments(arr))
+        names = ("samples", "replicates", "mu", "sigma", "skewness", "excess_kurtosis")
+        for name, value in zip(names, derived):
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         return {
@@ -110,8 +90,6 @@ class NullDistribution:
 
     def save_samples(self, path: str | Path) -> None:
         """Write the raw draws, one value per line, for external plotting."""
-        if self.samples is None:
-            raise PreconditionError("no samples stored")
         with open(Path(path), "w", encoding="utf-8") as fh:
             for v in self.samples:
                 fh.write("%.17g\n" % v)
@@ -164,15 +142,7 @@ def monte_carlo_null(
         return rpd_from_sides(gram_side(left, True, owned=True),
                               gram_side(right, True, owned=True)).rpd
 
-    samples = [draw(r) for r in range(replicates)]
-
-    return NullDistribution.from_samples(
-        samples,
-        n=n,
-        d_left=d_left,
-        d_right=d_right,
-        seed=seed,
-    )
+    return NullDistribution(n, d_left, d_right, seed, [draw(r) for r in range(replicates)])
 
 
 def analytic_null_mean(n: int, d: int) -> float:
@@ -220,7 +190,7 @@ def z_test(observed_rpd: float, null: NullDistribution) -> ZTestResult:
         z=float(z),
         p_two_sided=float(p_two),
         p_one_sided=float(p_one),
-        reject_at_0_01=bool(p_two < 0.01),
+        reject_at_0_01=bool(p_two < ALPHA),
     )
 
 
@@ -246,17 +216,14 @@ def normality_diagnostics(null: NullDistribution) -> NormalityDiagnostics:
     draws.
 
     Raises:
-        PreconditionError: samples missing or fewer than 100 replicates.
+        PreconditionError: fewer than 100 replicates.
         DegenerateInputError: all samples identical (moments undefined).
     """
-    if null.samples is None:
-        raise PreconditionError("normality diagnostics need stored samples")
     if null.replicates < 100:
         raise PreconditionError(
             f"need >= 100 replicates for diagnostics, got {null.replicates}"
         )
-    arr = np.asarray(null.samples, dtype=np.float64)
-    _, _, skew, exkurt = _sample_moments(arr)
+    skew, exkurt = null.skewness, null.excess_kurtosis
     if math.isnan(skew):
         raise DegenerateInputError("all samples identical; skewness undefined")
     plausible = abs(skew) < _SKEW_THRESHOLD and abs(exkurt) < _EXCESS_KURTOSIS_THRESHOLD

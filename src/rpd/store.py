@@ -235,15 +235,12 @@ def _parse_bulk(data: list[tuple[int, str]], dim: int | None) -> EmbeddingMatrix
         matrix = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         return None
-    n, d = matrix.shape
-    if (
-        n != len(words)
-        or (dim is not None and d != dim)
-        or not np.isfinite(matrix).all()
-        or len(set(words)) != n
-    ):
+    if dim is not None and matrix.shape[1] != dim:
         return None
-    return EmbeddingMatrix(words, matrix)
+    try:
+        return EmbeddingMatrix(words, matrix)
+    except (DimensionError, DuplicateWordError, PreconditionError):
+        return None
 
 
 def _parse_per_line(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rpd import EmbeddingMatrix
+from rpd import EmbeddingMatrix, NullDistribution
 
 
 @pytest.fixture
@@ -18,3 +18,11 @@ def random_embedding(rng, n, d, prefix="w"):
 def random_orthogonal(rng, d):
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diag(r))
+
+
+def reference_null(mu=0.953, sigma=0.001):
+    """The paper's reported null (n=25097, d=300): 5000 Gaussian draws rescaled
+    to mean ``mu`` (exactly) and standard deviation ``sigma``."""
+    z = np.random.default_rng(0).standard_normal(5000)
+    z = (z - z.mean()) / z.std(ddof=1)
+    return NullDistribution(25097, 300, 300, 0, mu + sigma * z)

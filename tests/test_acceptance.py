@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from _corpus import synthetic_corpus_text
-from conftest import random_embedding, random_orthogonal
+from conftest import random_embedding, random_orthogonal, reference_null
 from rpd import (
     AlignedPair,
     AnalogyDataset,
     AnalogyQuestion,
     EmbeddingMatrix,
-    NullDistribution,
     SimilarityDataset,
     align_vocabularies,
     count_cooccurrences,
@@ -130,11 +129,7 @@ def test_criterion_4_null_model_calibration():
 
 
 def test_criterion_5_z_test_arithmetic():
-    null = NullDistribution(
-        n=25097, d_left=300, d_right=300, replicates=5000,
-        mu=0.953, sigma=0.001, skewness=0.0, excess_kurtosis=0.0, seed=0,
-    )
-    result = z_test(0.511, null)
+    result = z_test(0.511, reference_null())
     assert abs(result.z) == pytest.approx(442.0, abs=0.5)
     assert result.p_two_sided < 1e-100
     assert result.reject_at_0_01

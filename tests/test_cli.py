@@ -187,6 +187,34 @@ class TestNulltest:
         ])
         assert result.exit_code == 2
 
+    def test_one_sided_decision(self, runner, tmp_path, rng, monkeypatch):
+        a = save(tmp_path, "a.txt", random_embedding(rng, 50, 6))
+        b = save(tmp_path, "b.txt", random_embedding(rng, 50, 6))
+        pair = rpd.align_vocabularies(rpd.load_embeddings(a, "word2vec"),
+                                      rpd.load_embeddings(b, "word2vec"))
+        observed = rpd.rpd(pair).rpd
+        # Draws with mean observed + 2.4 sigma put z at -2.4, where
+        # p_one_sided (0.008) < 0.01 < p_two_sided (0.016).
+        sigma = 0.01
+        draws = observed + sigma * np.array([1.4, 2.4, 3.4])
+
+        def fixed_null(n, d_left, d_right, replicates, seed):
+            return rpd.NullDistribution(n, d_left, d_right, seed, draws)
+
+        monkeypatch.setattr("rpd.cli.monte_carlo_null", fixed_null)
+        payloads = {}
+        for flags in ([], ["--one-sided"]):
+            result = runner.invoke(main, ["nulltest", "--left", a, "--right", b, *flags])
+            assert result.exit_code == 0
+            payloads[tuple(flags)] = json.loads(result.output)
+        one_sided = payloads[("--one-sided",)]
+        assert one_sided["z"] == pytest.approx(-2.4, abs=1e-9)
+        assert one_sided["p_one_sided"] < 0.01 < one_sided["p_two_sided"]
+        assert one_sided["decision"] == "reject"
+        assert one_sided["reject_at_0_01"] is False
+        assert payloads[()]["decision"] == "fail_to_reject"
+        assert payloads[()]["reject_at_0_01"] is False
+
     def test_samples_out(self, runner, tmp_path, rng):
         path = save(tmp_path, "e.txt", random_embedding(rng, 50, 6))
         samples_path = tmp_path / "draws.txt"
@@ -322,6 +350,18 @@ class TestEvalStudyMap:
         lines = result.output.strip().split("\n")
         assert lines[0] == "name\trpd\tdelta_perf"
         assert lines[-1].startswith("# rank_correlation")
+
+    def test_study_repeated_names_exits_2(self, runner, tmp_path, rng):
+        base, sim_path, _ = self.setup_files(tmp_path, rng)
+        base_path = save(tmp_path, "base.txt", base)
+        other_path = save(tmp_path, "other.txt", random_embedding(rng, 60, 8))
+        result = runner.invoke(main, [
+            "study", "--baseline", base_path,
+            "--emb", f"b={base_path}", "--emb", f"b={other_path}",
+            "--similarity", sim_path,
+        ])
+        assert result.exit_code == 2
+        assert "embedding names must be unique" in result.output
 
     def test_map(self, runner, tmp_path, rng):
         e1 = random_embedding(rng, 50, 6)

@@ -352,6 +352,13 @@ class TestStudy:
         assert by_name["bad"].error is not None
         assert by_name["ok"].error is None
 
+    def test_repeated_names_rejected(self, rng):
+        a = random_embedding(rng, 20, 4)
+        b = random_embedding(rng, 20, 4)
+        sim, ana = self.make_datasets(a, rng, n_pairs=10, n_questions=5)
+        with pytest.raises(PreconditionError, match="embedding names must be unique"):
+            perf_vs_rpd_study(a, [("b", b), ("b", a)], sim, ana)
+
     def test_tsv_output(self, rng):
         base = random_embedding(rng, 20, 4)
         sim, ana = self.make_datasets(base, rng, n_pairs=10, n_questions=5)

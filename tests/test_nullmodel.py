@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_null
 from rpd import (
     AlignedPair,
     DegenerateInputError,
@@ -15,13 +16,7 @@ from rpd import (
     rpd,
     z_test,
 )
-
-
-def reference_null(mu=0.953, sigma=0.001):
-    return NullDistribution(
-        n=25097, d_left=300, d_right=300, replicates=5000,
-        mu=mu, sigma=sigma, skewness=0.0, excess_kurtosis=0.0, seed=0,
-    )
+from rpd.nullmodel import _sample_moments
 
 
 class TestMonteCarloNull:
@@ -164,38 +159,45 @@ class TestNormalityDiagnostics:
         assert abs(diag.excess_kurtosis) < 0.6
 
     def test_identical_samples_degenerate(self):
-        null = NullDistribution.from_samples(
-            [0.5] * 200, n=100, d_left=10, d_right=10, seed=0
-        )
+        null = NullDistribution(100, 10, 10, 0, [0.5] * 200)
         with pytest.raises(DegenerateInputError):
             normality_diagnostics(null)
 
     def test_exponential_shape_rejected(self):
         rng = np.random.default_rng(0)
         samples = rng.exponential(scale=1.0, size=400)
-        null = NullDistribution.from_samples(
-            samples, n=100, d_left=10, d_right=10, seed=0
-        )
+        null = NullDistribution(100, 10, 10, 0, samples)
         diag = normality_diagnostics(null)
         assert not diag.normal_plausible
         assert diag.skewness > 1.0
 
     def test_requires_samples_and_replicates(self):
-        with pytest.raises(PreconditionError):
-            normality_diagnostics(reference_null())
         small = monte_carlo_null(60, 4, 4, replicates=50, seed=1)
         with pytest.raises(PreconditionError):
             normality_diagnostics(small)
 
 
 class TestNullDistributionType:
-    def test_stored_samples_must_match_moments(self):
+    def test_moments_derived_from_samples(self):
+        samples = np.random.default_rng(3).exponential(size=50)
+        null = NullDistribution(100, 10, 10, 0, samples)
+        moments = (null.mu, null.sigma, null.skewness, null.excess_kurtosis)
+        assert moments == _sample_moments(samples)
+        assert null.replicates == 50
+        assert null.samples == tuple(samples.tolist())
+        assert all(type(v) is float for v in null.samples)
+
+    @pytest.mark.parametrize("samples", [[[0.1, 0.2], [0.3, 0.4]], [0.5], []])
+    def test_rejects_non_vector_or_single_sample(self, samples):
         with pytest.raises(PreconditionError):
-            NullDistribution(
-                n=10, d_left=2, d_right=2, replicates=3,
-                mu=0.5, sigma=0.1, skewness=0.0, excess_kurtosis=0.0,
-                seed=0, samples=(0.1, 0.2, 0.3),
-            )
+            NullDistribution(100, 10, 10, 0, samples)
+
+    def test_samples_copied_at_construction(self):
+        draws = [0.1, 0.2, 0.3]
+        null = NullDistribution(100, 10, 10, 0, draws)
+        draws[0] = 9.0
+        assert null.samples == (0.1, 0.2, 0.3)
+        assert null.mu == _sample_moments(np.array([0.1, 0.2, 0.3]))[0]
 
     def test_save_samples_round_trip(self, tmp_path):
         null = monte_carlo_null(80, 6, 6, replicates=40, seed=9)
