@@ -26,7 +26,7 @@ from .layout import layout_from_distances
 from .metric import decompose_per_word, rpd, rpd_pairwise_matrix
 from .nullmodel import ALPHA, monte_carlo_null, z_test
 from .spectral import count_cooccurrences, read_corpus, save_counts, train_spectral_embedding
-from .store import align_vocabularies, load_embeddings, save_embeddings
+from .store import EmbeddingMatrix, align_vocabularies, load_embeddings, save_embeddings
 
 _FORMAT_CHOICE = click.Choice(["word2vec", "glove"])
 
@@ -70,14 +70,13 @@ def _load_datasets(
             load_analogy_dataset(analogy) if analogy else None)
 
 
-def _parse_named(specs: tuple[str, ...]) -> list[tuple[str, str]]:
-    named = []
-    for spec in specs:
-        name, sep, path = spec.partition("=")
+def _parse_named(specs: tuple[str, ...], fmt: str) -> list[tuple[str, EmbeddingMatrix]]:
+    """The ``--emb NAME=PATH`` embeddings, loaded once every spec is checked."""
+    named = [spec.partition("=") for spec in specs]
+    for spec, (name, sep, path) in zip(specs, named):
         if not sep or not name or not path:
             raise click.UsageError(f"--emb expects NAME=PATH, got {spec!r}")
-        named.append((name, path))
-    return named
+    return [(name, load_embeddings(path, fmt)) for name, _, path in named]
 
 
 @click.group()
@@ -91,7 +90,7 @@ def main() -> None:
 @click.option("--format", "fmt", type=_FORMAT_CHOICE, default="word2vec", show_default=True)
 @click.option("--no-standardize", is_flag=True, help="Skip the entry-std normalization.")
 @click.option("--decompose", is_flag=True, help="Include the per-word breakdown.")
-@click.option("--top-k", type=int, default=None,
+@click.option("--top-k", type=click.IntRange(min=0), default=None,
               help="Keep only the K most divergent words (implies --decompose).")
 @click.option("--output", type=click.Path(), default=None)
 @_input_errors_exit_2
@@ -105,7 +104,7 @@ def cmd_pair(left, right, fmt, no_standardize, decompose, top_k, output):
         report = rpd(pair, standardize_inputs)
     payload = {**report.to_dict(), **_provenance(pair, standardize_inputs)}
     if top_k is not None and "per_word" in payload:
-        payload["per_word"] = payload["per_word"][: max(top_k, 0)]
+        payload["per_word"] = payload["per_word"][:top_k]
     _emit(json.dumps(payload, indent=2), output)
 
 
@@ -119,8 +118,7 @@ def cmd_pair(left, right, fmt, no_standardize, decompose, top_k, output):
 @_input_errors_exit_2
 def cmd_matrix(embs, fmt, common_vocab, no_standardize, output):
     """Pairwise distance matrix over named embeddings, as TSV."""
-    named = [(name, load_embeddings(path, fmt)) for name, path in _parse_named(embs)]
-    result = rpd_pairwise_matrix(named, standardize_inputs=not no_standardize,
+    result = rpd_pairwise_matrix(_parse_named(embs, fmt), standardize_inputs=not no_standardize,
                                  common_vocab=common_vocab)
     _emit(result.to_tsv(), output)
 
@@ -140,9 +138,7 @@ def cmd_matrix(embs, fmt, common_vocab, no_standardize, output):
 @_input_errors_exit_2
 def cmd_nulltest(left, right, fmt, replicates, seed, one_sided, samples_out, output):
     """Dependence z-test of two embedding files against the Monte Carlo null."""
-    a = load_embeddings(left, fmt)
-    b = load_embeddings(right, fmt)
-    pair = align_vocabularies(a, b)
+    pair = align_vocabularies(load_embeddings(left, fmt), load_embeddings(right, fmt))
     observed = rpd(pair).rpd
     null = monte_carlo_null(pair.n, pair.left.dim, pair.right.dim, replicates, seed)
     result = z_test(observed, null)
@@ -215,8 +211,7 @@ def cmd_study(baseline, embs, fmt, similarity, analogy, output):
     """Distance-vs-performance study against a baseline embedding (TSV)."""
     sim_ds, ana_ds = _load_datasets(similarity, analogy)
     base = load_embeddings(baseline, fmt)
-    named = [(name, load_embeddings(path, fmt)) for name, path in _parse_named(embs)]
-    result = perf_vs_rpd_study(base, named, sim_ds, ana_ds)
+    result = perf_vs_rpd_study(base, _parse_named(embs, fmt), sim_ds, ana_ds)
     _emit(result.to_tsv(), output)
 
 
@@ -233,8 +228,7 @@ def cmd_map(embs, fmt, anchors, common_vocab, output):
     parts = [p.strip() for p in anchors.split(",")]
     if len(parts) != 2 or not all(parts):
         raise click.UsageError(f"--anchors expects NAME,NAME, got {anchors!r}")
-    named = [(name, load_embeddings(path, fmt)) for name, path in _parse_named(embs)]
-    matrix = rpd_pairwise_matrix(named, common_vocab=common_vocab)
+    matrix = rpd_pairwise_matrix(_parse_named(embs, fmt), common_vocab=common_vocab)
     result = layout_from_distances(matrix.values, matrix.names, parts[0], parts[1])
     _emit(result.to_tsv(), output)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParseError, PreconditionError, RpdError
 from .metric import rpd as _rpd
-from .store import EmbeddingMatrix, align_vocabularies
+from .store import EmbeddingMatrix, _text_lines, align_vocabularies
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,14 @@ class EvalResult:
 
 
 def load_similarity_dataset(path: str | Path) -> SimilarityDataset:
-    """Read tab-separated ``word1 word2 score`` lines."""
+    """Read tab-separated ``word1 word2 score`` lines.
+
+    Raises:
+        ParseError: a malformed or non-UTF-8 line (at ``path:line``), or no data.
+    """
     path = Path(path)
     pairs: list[tuple[str, str, float]] = []
-    with open(path, encoding="utf-8") as fh:
-        lines = [(lineno, raw.rstrip("\n")) for lineno, raw in enumerate(fh, start=1)
-                 if raw.strip()]
-    for k, (lineno, line) in enumerate(lines):
+    for k, (lineno, line) in enumerate(_text_lines(path)):
         fields = line.split("\t")
         if len(fields) != 3:
             raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields")
@@ -115,26 +116,27 @@ def load_similarity_dataset(path: str | Path) -> SimilarityDataset:
 
 
 def load_analogy_dataset(path: str | Path) -> AnalogyDataset:
-    """Read four-word analogy lines with optional ``: section`` headers."""
+    """Read four-word analogy lines with optional ``: section`` headers.
+
+    Raises:
+        ParseError: a malformed or non-UTF-8 line (at ``path:line``), or no questions.
+    """
     path = Path(path)
     questions: list[AnalogyQuestion] = []
     section: str | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith(":"):
-                section = line[1:].strip() or None
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 words")
-            try:
-                question = AnalogyQuestion(*fields, section=section)
-            except PreconditionError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            questions.append(question)
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if line.startswith(":"):
+            section = line[1:].strip() or None
+            continue
+        fields = line.split()
+        if len(fields) != 4:
+            raise ParseError(f"{path}:{lineno}: expected 4 words")
+        try:
+            question = AnalogyQuestion(*fields, section=section)
+        except PreconditionError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        questions.append(question)
     if not questions:
         raise ParseError(f"{path}: no questions")
     return AnalogyDataset(tuple(questions))

@@ -24,7 +24,7 @@ from scipy import sparse
 from scipy.sparse.linalg import svds
 
 from .errors import CorpusError, DimensionError, ParseError, PreconditionError
-from .store import EmbeddingMatrix
+from .store import EmbeddingMatrix, _text_lines
 
 WEIGHTINGS = ("flat", "harmonic")
 
@@ -77,9 +77,12 @@ def tokenize_corpus_text(text: str, lowercase: bool = True) -> list[list[str]]:
 
 
 def read_corpus(path: str | Path, lowercase: bool = True) -> list[list[str]]:
-    """Read a UTF-8 plain-text corpus as per-line documents."""
-    with open(Path(path), encoding="utf-8") as fh:
-        return tokenize_corpus_text(fh.read(), lowercase=lowercase)
+    """Read a UTF-8 plain-text corpus as per-line documents.
+
+    Raises:
+        ParseError: a line holding bytes that are not valid UTF-8.
+    """
+    return tokenize_corpus_text("\n".join(t for _, t in _text_lines(Path(path))), lowercase)
 
 
 def count_cooccurrences(
@@ -272,18 +275,20 @@ def save_counts(counts: CooccurrenceCounts, path: str | Path) -> None:
 
 
 def load_counts(path: str | Path) -> CooccurrenceCounts:
-    """Load counts written by :func:`save_counts`."""
+    """Load counts written by :func:`save_counts`.
+
+    Raises:
+        ParseError: a bad line in either file (at ``path:line``) or no counts.
+    """
     path = Path(path)
     vocab_path = path.with_name(path.name + ".vocab")
     words: dict[str, None] = {}
-    with open(vocab_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            word = line.rstrip("\n")
-            if not word.strip():
-                continue
-            if word in words:
-                raise ParseError(f"{vocab_path}:{lineno}: duplicate word {word!r}")
-            words[word] = None
+    for lineno, word in _text_lines(vocab_path):
+        if word.split() != [word]:
+            raise ParseError(f"{vocab_path}:{lineno}: word contains whitespace: {word!r}")
+        if word in words:
+            raise ParseError(f"{vocab_path}:{lineno}: duplicate word {word!r}")
+        words[word] = None
     vocab = tuple(words)
     if not vocab:
         raise ParseError(f"{vocab_path}: empty vocabulary sidecar")
@@ -293,34 +298,31 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
     rows: list[int] = []
     cols: list[int] = []
     data: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                fields = line[1:].split()
-                if len(fields) == 2 and fields[0] in header:
-                    try:
-                        header[fields[0]] = int(fields[1])
-                    except ValueError:
-                        raise ParseError(f"{path}:{lineno}: {fields[0]} must be an "
-                                         f"integer, got {fields[1]!r}") from None
-                continue
-            fields = line.split()
-            if len(fields) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 'i j count'")
-            try:
-                i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if not (0 <= i < n and 0 <= j < n) or i > j:
-                raise ParseError(f"{path}:{lineno}: invalid indices {i}, {j}")
-            if not 0.0 <= v < np.inf:
-                raise ParseError(f"{path}:{lineno}: count must be finite and >= 0")
-            rows.append(i)
-            cols.append(j)
-            data.append(v)
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if line.startswith("#"):
+            fields = line[1:].split()
+            if len(fields) == 2 and fields[0] in header:
+                try:
+                    header[fields[0]] = int(fields[1])
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: {fields[0]} must be an "
+                                     f"integer, got {fields[1]!r}") from None
+            continue
+        fields = line.split()
+        if len(fields) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 'i j count'")
+        try:
+            i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        if not (0 <= i < n and 0 <= j < n) or i > j:
+            raise ParseError(f"{path}:{lineno}: invalid indices {i}, {j}")
+        if not 0.0 <= v < np.inf:
+            raise ParseError(f"{path}:{lineno}: count must be finite and >= 0")
+        rows.append(i)
+        cols.append(j)
+        data.append(v)
 
     upper = sparse.coo_array(
         (np.array(data), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),

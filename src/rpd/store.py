@@ -7,14 +7,17 @@ Two text formats are supported:
 * ``glove_text``: the same data lines with no header; d is inferred from the
   first line and n from the line count.
 
-Any whitespace separates fields and blank lines are skipped, though error
-line numbers count them. The loader splits each line into its word and the
-rest, and parses all the rest in one ``np.loadtxt`` call (numpy's C parser).
-It keeps that result only when every line gave d finite values and no word
-repeats; otherwise, or when ``loadtxt`` rejects a token that Python's
-``float`` accepts (``1_000``, non-ASCII digits), the per-line parser parses
-the lines again. It gives the same values and raises every ``ParseError``
-and ``DuplicateWordError`` with its ``path:line``.
+Every text input of the package goes through one reader, ``_text_lines``:
+UTF-8, a leading byte-order mark ignored, and a byte that is not valid UTF-8
+raised as a ``ParseError`` at its ``path:line``. Any whitespace separates
+fields and blank lines are skipped, though error line numbers count them.
+The loader splits each line into its word and the rest, and parses all the
+rest in one ``np.loadtxt`` call (numpy's C parser). It keeps that result
+only when every line gave d finite values and no word repeats; otherwise, or
+when ``loadtxt`` rejects a token that Python's ``float`` accepts
+(``1_000``, non-ASCII digits), the per-line parser parses the lines again.
+It gives the same values and raises every ``ParseError`` and
+``DuplicateWordError`` with its ``path:line``.
 
 Floats are written with ten significant digits so that a save/load round
 trip reproduces values within 1e-8.
@@ -142,24 +145,6 @@ def _resolve_format(format: str) -> str:
         ) from None
 
 
-def _parse_data_line(line: str, lineno: int, expected_dim: int | None, path: Path):
-    fields = line.split()
-    if expected_dim is not None and len(fields) != expected_dim + 1:
-        raise ParseError(
-            f"{path}:{lineno}: expected {expected_dim + 1} fields, got {len(fields)}"
-        )
-    if len(fields) < 2:
-        raise ParseError(f"{path}:{lineno}: expected a word and at least one value")
-    word = fields[0]
-    try:
-        values = [float(v) for v in fields[1:]]
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: non-numeric value ({exc})") from None
-    if not all(np.isfinite(values)):
-        raise ParseError(f"{path}:{lineno}: non-finite value")
-    return word, values
-
-
 def load_embeddings(path: str | Path, format: str) -> EmbeddingMatrix:
     """Load an embedding matrix from a text file.
 
@@ -172,7 +157,8 @@ def load_embeddings(path: str | Path, format: str) -> EmbeddingMatrix:
         An :class:`EmbeddingMatrix` with rows in file order.
 
     Raises:
-        ParseError: malformed line (wrong field count, non-numeric value).
+        ParseError: malformed line (wrong field count, non-numeric value) or
+            bytes that are not valid UTF-8.
         FormatError: header/content mismatch or empty file.
         DuplicateWordError: a word occurs twice.
     """
@@ -184,29 +170,46 @@ def load_embeddings(path: str | Path, format: str) -> EmbeddingMatrix:
     return emb
 
 
+def _text_lines(path: Path) -> list[tuple[int, str]]:
+    """The non-blank lines of a UTF-8 text file as (line number, text) pairs.
+
+    A leading byte-order mark is dropped; line numbers count blank lines too.
+
+    Raises:
+        ParseError: at the first line holding bytes that are not valid UTF-8.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return [(i, raw.rstrip("\n")) for i, raw in enumerate(fh, 1) if raw.strip()]
+    except UnicodeDecodeError:
+        pass
+    # Read again with each bad byte kept as a lone surrogate (U+DC80 to U+DCFF),
+    # so the lines split and number exactly as above.
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for i, raw in enumerate(fh, 1):
+            bad = [ord(c) - 0xDC00 for c in raw if "\udc80" <= c <= "\udcff"]
+            if bad:
+                raise ParseError(f"{path}:{i}: not valid UTF-8 (byte {bad[0]:#04x})")
+    raise ParseError(f"{path}: not valid UTF-8")  # the file changed between the reads
+
+
 def _read_lines(path: Path, fmt: str) -> tuple[list[tuple[int, str]], int, int | None]:
     """The non-blank lines as (line number, text), the first data line's index, and d.
 
-    Line numbers count every line of the file, blank ones included; d is None
-    unless a header declares it.
+    d is None unless a header declares it.
 
     Raises:
         FormatError: empty file, bad header, or a row count unlike the header's.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [(i, raw.rstrip("\n")) for i, raw in enumerate(fh, 1) if raw.strip()]
-
+    lines = _text_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty embedding file")
 
     if fmt != "word2vec_text":
         return lines, 0, None
     lineno, text = lines[0]
-    header = text.split()
-    if len(header) != 2:
-        raise FormatError(f"{path}:{lineno}: header must be 'n d', got {text!r}")
     try:
-        declared_n, dim = int(header[0]), int(header[1])
+        declared_n, dim = map(int, text.split())
     except ValueError:
         raise FormatError(f"{path}:{lineno}: header must be 'n d', got {text!r}") from None
     if declared_n < 1 or dim < 1:
@@ -247,20 +250,27 @@ def _parse_per_line(
     lines: list[tuple[int, str]], start: int, dim: int | None, path: Path
 ) -> EmbeddingMatrix:
     """Parse data lines one at a time; the source of every line-numbered error."""
-    vocab: list[str] = []
-    rows: list[list[float]] = []
-    seen: set[str] = set()
+    rows: dict[str, list[float]] = {}
     for lineno, line in lines[start:]:
-        word, values = _parse_data_line(line, lineno, dim, path)
+        word, *fields = line.split()
+        if dim is not None and len(fields) != dim:
+            raise ParseError(
+                f"{path}:{lineno}: expected {dim + 1} fields, got {len(fields) + 1}")
+        if not fields:
+            raise ParseError(f"{path}:{lineno}: expected a word and at least one value")
+        try:
+            values = [float(v) for v in fields]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+        if not all(np.isfinite(values)):
+            raise ParseError(f"{path}:{lineno}: non-finite value")
         if dim is None:
             dim = len(values)
-        if word in seen:
+        if word in rows:
             raise DuplicateWordError(f"{path}:{lineno}: duplicate word {word!r}")
-        seen.add(word)
-        vocab.append(word)
-        rows.append(values)
+        rows[word] = values
 
-    return EmbeddingMatrix(tuple(vocab), np.array(rows, dtype=np.float64))
+    return EmbeddingMatrix(tuple(rows), np.array(list(rows.values()), dtype=np.float64))
 
 
 def save_embeddings(emb: EmbeddingMatrix, path: str | Path, format: str) -> None:

@@ -84,6 +84,13 @@ class TestPair:
             assert payload["coverage_right"] == pytest.approx(20 / 40, rel=1e-15)
             assert payload["standardized"] is standardized
 
+    @pytest.mark.parametrize("k", ["-1", "-2"])
+    def test_negative_top_k_exits_2(self, runner, tmp_path, rng, k):
+        path = save(tmp_path, "e.txt", random_embedding(rng, 10, 3))
+        result = runner.invoke(main, ["pair", "--left", path, "--right", path, "--top-k", k])
+        assert result.exit_code == 2
+        assert "--top-k" in result.output
+
     def test_unknown_flag_exits_2(self, runner):
         result = runner.invoke(main, ["pair", "--bogus"])
         assert result.exit_code == 2
@@ -121,6 +128,12 @@ class TestMatrix:
     def test_bad_spec_exits_2(self, runner):
         result = runner.invoke(main, ["matrix", "--emb", "justapath.txt"])
         assert result.exit_code == 2
+
+    def test_specs_checked_before_any_file_is_read(self, runner, tmp_path):
+        missing = str(tmp_path / "missing.txt")
+        result = runner.invoke(main, ["matrix", "--emb", f"a={missing}", "--emb", "b="])
+        assert result.exit_code == 2
+        assert "--emb expects NAME=PATH, got 'b='" in result.output
 
     def test_disjoint_pair_named(self, runner, tmp_path, rng):
         a = EmbeddingMatrix(("aa", "bb"), rng.standard_normal((2, 3)))
@@ -391,6 +404,43 @@ class TestEvalStudyMap:
             "map", "--emb", f"a={path}", "--emb", f"b={path}", "--anchors", "a",
         ])
         assert result.exit_code == 2
+
+
+class TestTextInput:
+    """Every command reads its text inputs as UTF-8 with an optional BOM."""
+
+    @pytest.mark.parametrize("command", ["pair", "eval", "train-svd"])
+    def test_invalid_byte_exits_2_with_line(self, runner, tmp_path, rng, command):
+        bad = tmp_path / "bad.txt"
+        if command == "pair":
+            bad.write_bytes(b"3 2\nw0 1 2\nw\xe9 3 4\nw2 5 6\n")
+            args = ["pair", "--left", str(bad), "--right", str(bad)]
+        elif command == "eval":
+            bad.write_bytes(b"w0\tw1\t1\n\nw\xe9\tw2\t2\n")
+            emb = save(tmp_path, "e.txt", random_embedding(rng, 10, 3))
+            args = ["eval", "--emb", emb, "--similarity", str(bad)]
+        else:
+            bad.write_bytes(b"a b c\r\na b\r\ncaf\xe9 a\r\n")
+            args = ["train-svd", "--corpus", str(bad), "--output", str(tmp_path / "o.txt")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert f"{bad}:3: not valid UTF-8" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("fmt", ["word2vec_text", "glove_text"])
+    def test_bom_file_gives_same_report(self, runner, tmp_path, rng, fmt):
+        left = save(tmp_path, "left.txt", random_embedding(rng, 20, 4), fmt)
+        right = save(tmp_path, "right.txt", random_embedding(rng, 20, 3), fmt)
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(left).read_bytes())
+        flag = "word2vec" if fmt == "word2vec_text" else "glove"
+        reports = []
+        for path in (left, str(bom)):
+            result = runner.invoke(main, ["pair", "--left", path, "--right", right,
+                                          "--format", flag, "--decompose"])
+            assert result.exit_code == 0, result.output
+            reports.append(result.output)
+        assert reports[0] == reports[1]
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -377,3 +377,11 @@ class TestLoadCountsErrors:
         with pytest.raises(ParseError,
                            match=rf"counts\.txt\.vocab:{lineno}: duplicate word 'a'"):
             load_counts(path)
+
+    @pytest.mark.parametrize("word", ["a b", "a\t", "a\x0cb"])
+    def test_vocab_word_with_whitespace(self, tmp_path, word):
+        path = self.write_counts(tmp_path, "0 1 2\n")
+        (tmp_path / "counts.txt.vocab").write_text(f"a\n\n{word}\n", encoding="utf-8")
+        with pytest.raises(ParseError,
+                           match=r"counts\.txt\.vocab:3: word contains whitespace"):
+            load_counts(path)
