@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 internal error, 2 usage or input error.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from pathlib import Path
@@ -29,18 +28,6 @@ from .spectral import count_cooccurrences, read_corpus, save_counts, train_spect
 from .store import EmbeddingMatrix, align_vocabularies, load_embeddings, save_embeddings
 
 _FORMAT_CHOICE = click.Choice(["word2vec", "glove"])
-
-
-def _input_errors_exit_2(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (RpdError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapper
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -79,7 +66,18 @@ def _parse_named(specs: tuple[str, ...], fmt: str) -> list[tuple[str, EmbeddingM
     return [(name, load_embeddings(path, fmt)) for name, _, path in named]
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group: an input error in any command prints ``error: …``, exit 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (RpdError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Distances, dependence tests, and spectral trainers for embedding spaces."""
 
@@ -93,7 +91,6 @@ def main() -> None:
 @click.option("--top-k", type=click.IntRange(min=0), default=None,
               help="Keep only the K most divergent words (implies --decompose).")
 @click.option("--output", type=click.Path(), default=None)
-@_input_errors_exit_2
 def cmd_pair(left, right, fmt, no_standardize, decompose, top_k, output):
     """Distance between two embedding files, as a JSON report."""
     pair = align_vocabularies(load_embeddings(left, fmt), load_embeddings(right, fmt))
@@ -115,7 +112,6 @@ def cmd_pair(left, right, fmt, no_standardize, decompose, top_k, output):
               help="Restrict every embedding to the global vocabulary intersection.")
 @click.option("--no-standardize", is_flag=True)
 @click.option("--output", type=click.Path(), default=None)
-@_input_errors_exit_2
 def cmd_matrix(embs, fmt, common_vocab, no_standardize, output):
     """Pairwise distance matrix over named embeddings, as TSV."""
     result = rpd_pairwise_matrix(_parse_named(embs, fmt), standardize_inputs=not no_standardize,
@@ -135,7 +131,6 @@ def cmd_matrix(embs, fmt, common_vocab, no_standardize, output):
 @click.option("--samples-out", type=click.Path(), default=None,
               help="Write the raw null draws, one per line.")
 @click.option("--output", type=click.Path(), default=None)
-@_input_errors_exit_2
 def cmd_nulltest(left, right, fmt, replicates, seed, one_sided, samples_out, output):
     """Dependence z-test of two embedding files against the Monte Carlo null."""
     pair = align_vocabularies(load_embeddings(left, fmt), load_embeddings(right, fmt))
@@ -171,7 +166,6 @@ def cmd_nulltest(left, right, fmt, replicates, seed, one_sided, samples_out, out
               help="Also persist the co-occurrence counts as a triple file.")
 @click.option("--output", required=True, type=click.Path(),
               help="Embedding file to write (word2vec text format).")
-@_input_errors_exit_2
 def cmd_train_svd(corpus, signal, dim, window, min_count, seed, weighting, no_lowercase,
                   counts_out, output):
     """Train a spectral embedding from a plain-text corpus."""
@@ -191,7 +185,6 @@ def cmd_train_svd(corpus, signal, dim, window, min_count, seed, weighting, no_lo
 @click.option("--similarity", type=click.Path(), default=None)
 @click.option("--analogy", type=click.Path(), default=None)
 @click.option("--output", type=click.Path(), default=None)
-@_input_errors_exit_2
 def cmd_eval(emb_path, fmt, similarity, analogy, output):
     """Score an embedding on similarity and/or analogy datasets (JSON)."""
     sim_ds, ana_ds = _load_datasets(similarity, analogy)
@@ -206,7 +199,6 @@ def cmd_eval(emb_path, fmt, similarity, analogy, output):
 @click.option("--similarity", type=click.Path(), default=None)
 @click.option("--analogy", type=click.Path(), default=None)
 @click.option("--output", type=click.Path(), default=None)
-@_input_errors_exit_2
 def cmd_study(baseline, embs, fmt, similarity, analogy, output):
     """Distance-vs-performance study against a baseline embedding (TSV)."""
     sim_ds, ana_ds = _load_datasets(similarity, analogy)
@@ -222,7 +214,6 @@ def cmd_study(baseline, embs, fmt, similarity, analogy, output):
               help="Two embedding names fixed to the origin and positive x-axis.")
 @click.option("--common-vocab", is_flag=True)
 @click.option("--output", type=click.Path(), default=None)
-@_input_errors_exit_2
 def cmd_map(embs, fmt, anchors, common_vocab, output):
     """2D layout of embedding spaces from their pairwise distances (TSV)."""
     parts = [p.strip() for p in anchors.split(",")]

@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParseError, PreconditionError, RpdError
 from .metric import rpd as _rpd
-from .store import EmbeddingMatrix, _text_lines, align_vocabularies
+from .store import EmbeddingMatrix, _is_word, _text_lines, _word_order, align_vocabularies
+
+_BLOCK_SCORES = 1 << 20  # analogy scores per matrix product: 8 MB of float64
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,8 @@ class EvalResult:
 def load_similarity_dataset(path: str | Path) -> SimilarityDataset:
     """Read tab-separated ``word1 word2 score`` lines.
 
+    Each word is non-empty and holds no whitespace, as in an embedding vocabulary.
+
     Raises:
         ParseError: a malformed or non-UTF-8 line (at ``path:line``), or no data.
     """
@@ -109,6 +113,10 @@ def load_similarity_dataset(path: str | Path) -> SimilarityDataset:
             raise ParseError(f"{path}:{lineno}: non-numeric score {fields[2]!r}") from None
         if not np.isfinite(score):
             raise ParseError(f"{path}:{lineno}: non-finite score {fields[2]!r}")
+        for word in fields[:2]:
+            if not _is_word(word):
+                raise ParseError(f"{path}:{lineno}: word is empty or contains whitespace: "
+                                 f"{word!r}")
         pairs.append((fields[0], fields[1], score))
     if not pairs:
         raise ParseError(f"{path}: no data lines")
@@ -207,39 +215,34 @@ def eval_similarity(emb: EmbeddingMatrix, ds: SimilarityDataset) -> EvalResult:
 def eval_analogy_3cosadd(emb: EmbeddingMatrix, ds: AnalogyDataset) -> EvalResult:
     """Analogy accuracy with the additive cosine objective.
 
-    Rows are L2-normalized; for a question (a, b, c -> expected) the
-    prediction is the vocabulary word maximizing cosine(v, v_b - v_a + v_c)
-    with a, b, c excluded as candidates. Score ties are broken by the
-    lexicographically smallest word, so accuracy does not depend on row
-    order. A question counts as answerable only when all four words are in
-    vocabulary.
+    Rows are L2-normalized and put in word order once; for a question
+    (a, b, c -> expected) the prediction is the vocabulary word maximizing
+    cosine(v, v_b - v_a + v_c) with a, b, c excluded as candidates. Each block
+    of about ``_BLOCK_SCORES`` scores is one matrix product. The first maximum
+    in word order wins, so an exact score tie goes to the smallest word
+    whatever the row order. A question counts as answerable only when all four
+    words are in vocabulary.
     """
-    idx = emb.index
-    norms = np.linalg.norm(emb.matrix, axis=1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    unit = emb.matrix / safe
-
-    answerable = 0
-    correct = 0
-    words = emb.vocab
-    for q in ds.questions:
-        if not all(w in idx for w in (q.a, q.b, q.c, q.expected)):
-            continue
-        answerable += 1
-        ia, ib, ic = idx[q.a], idx[q.b], idx[q.c]
-        target = unit[ib] - unit[ia] + unit[ic]
-        scores = unit @ target
-        scores[[ia, ib, ic]] = -np.inf
-        best = np.max(scores)
-        tied = np.flatnonzero(scores == best)
-        prediction = min(words[i] for i in tied)
-        if prediction == q.expected:
-            correct += 1
-
-    coverage = answerable / len(ds.questions)
-    if answerable == 0:
+    by_word = _word_order(emb.vocab)
+    position = {emb.vocab[i]: p for p, i in enumerate(by_word.tolist())}
+    answerable = [[position[w] for w in (q.a, q.b, q.c, q.expected)] for q in ds.questions
+                  if all(w in position for w in (q.a, q.b, q.c, q.expected))]
+    coverage = len(answerable) / len(ds.questions)
+    if not answerable:
         return EvalResult(analogy_accuracy=None, analogy_coverage=0.0)
-    return EvalResult(analogy_accuracy=correct / answerable, analogy_coverage=coverage)
+
+    unit = emb.matrix[by_word]
+    norms = np.linalg.norm(unit, axis=1, keepdims=True)
+    unit /= np.where(norms == 0.0, 1.0, norms)
+
+    correct = 0
+    step = max(1, _BLOCK_SCORES // len(by_word))
+    for block in np.split(np.array(answerable), range(step, len(answerable), step)):
+        a, b, c, expected = block.T
+        scores = (unit[b] - unit[a] + unit[c]) @ unit.T
+        scores[np.arange(len(block))[:, None], block[:, :3]] = -np.inf
+        correct += int(np.count_nonzero(np.argmax(scores, axis=1) == expected))
+    return EvalResult(analogy_accuracy=correct / len(answerable), analogy_coverage=coverage)
 
 
 def evaluate(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import AlignmentError, DegenerateInputError, PreconditionError
 from .gram import GramSide, gram_side
-from .store import AlignedPair, EmbeddingMatrix, _aligned_rows, _restricted_rows
+from .store import AlignedPair, EmbeddingMatrix, _aligned_rows, _restricted_rows, _word_order
 
 
 @dataclass(frozen=True)
@@ -147,11 +147,9 @@ def decompose_per_word(pair: AlignedPair, standardize_inputs: bool = True) -> Rp
     cosines = np.full(len(dot), -np.inf)
     cosines[defined] = np.clip(dot[defined] / norm_prod[defined], -1.0, 1.0)
 
-    # Python order, not numpy's: `<U` comparison ignores trailing NULs.
     vocab = pair.shared_vocab
-    word_rank = np.empty(len(vocab), dtype=np.intp)
-    word_rank[sorted(range(len(vocab)), key=vocab.__getitem__)] = np.arange(len(vocab))
-    order = np.lexsort((word_rank, cosines))
+    by_word = _word_order(vocab)
+    order = by_word[np.argsort(cosines[by_word], kind="stable")]
     per_word = tuple(
         PerWordDivergence(vocab[i], cos if cos > -np.inf else None, weight)
         for i, cos, weight in zip(

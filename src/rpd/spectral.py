@@ -14,8 +14,11 @@ fixed corpus, parameters, and seed.
 
 from __future__ import annotations
 
+import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,7 +27,7 @@ from scipy import sparse
 from scipy.sparse.linalg import svds
 
 from .errors import CorpusError, DimensionError, ParseError, PreconditionError
-from .store import EmbeddingMatrix, _text_lines
+from .store import EmbeddingMatrix, _is_word, _text_lines
 
 WEIGHTINGS = ("flat", "harmonic")
 
@@ -69,11 +72,12 @@ def tokenize_corpus_text(text: str, lowercase: bool = True) -> list[list[str]]:
     """Whitespace-tokenize plain text into per-line documents.
 
     Each non-empty line becomes one document, so context windows never cross
-    line boundaries.
+    line boundaries. As in every input file, lines end only at ``\\r``, ``\\n``
+    or ``\\r\\n``; ``\\x0c``, ``\\x85``, U+2028 and the like are whitespace.
     """
     if lowercase:
         text = text.lower()
-    return [line.split() for line in text.splitlines() if line.strip()]
+    return [tokens for line in re.split(r"\r\n?|\n", text) if (tokens := line.split())]
 
 
 def read_corpus(path: str | Path, lowercase: bool = True) -> list[list[str]]:
@@ -95,8 +99,9 @@ def count_cooccurrences(
 
     Every token position contributes one count (or 1/distance with harmonic
     weighting) for each neighbor within ``window`` positions on either side.
-    Words with corpus frequency below ``min_count`` are removed from the
-    token stream before windowing.
+    Words with corpus frequency below ``min_count`` are removed first. The
+    kept tokens form one id array beside the document of each; the pairs at
+    offset k are positions i and i + k in one document, one sparse sum per k.
 
     Args:
         documents: Iterable of token sequences; windows do not cross
@@ -118,10 +123,7 @@ def count_cooccurrences(
         raise PreconditionError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
 
     docs = [list(doc) for doc in documents]
-    freq: dict[str, int] = {}
-    for doc in docs:
-        for token in doc:
-            freq[token] = freq.get(token, 0) + 1
+    freq = Counter(chain.from_iterable(docs))
     vocab = tuple(sorted((w for w, c in freq.items() if c >= min_count),
                          key=lambda w: (-freq[w], w)))
     if not vocab:
@@ -129,24 +131,16 @@ def count_cooccurrences(
     index = {w: i for i, w in enumerate(vocab)}
     n = len(vocab)
 
-    id_streams = []
-    for doc in docs:
-        ids = np.array([index[t] for t in doc if t in index], dtype=np.int64)
-        if ids.size >= 2:
-            id_streams.append(ids)
+    ids = np.array([index.get(t, -1) for doc in docs for t in doc], dtype=np.int64)
+    doc_of = np.repeat(np.arange(len(docs)), [len(doc) for doc in docs])
+    kept = ids >= 0
+    ids, doc_of = ids[kept], doc_of[kept]
 
     counts = sparse.csr_array((n, n), dtype=np.float64)
     for k in range(1, window + 1):
-        rows_parts = []
-        cols_parts = []
-        for ids in id_streams:
-            if ids.size > k:
-                rows_parts.append(ids[:-k])
-                cols_parts.append(ids[k:])
-        if not rows_parts:
-            continue
-        rows = np.concatenate(rows_parts)
-        cols = np.concatenate(cols_parts)
+        same_doc = doc_of[:-k] == doc_of[k:]
+        rows = ids[:-k][same_doc]
+        cols = ids[k:][same_doc]
         weight = 1.0 if weighting == "flat" else 1.0 / k
         data = np.full(rows.shape, weight, dtype=np.float64)
         forward = sparse.coo_array((data, (rows, cols)), shape=(n, n)).tocsr()
@@ -284,7 +278,7 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
     vocab_path = path.with_name(path.name + ".vocab")
     words: dict[str, None] = {}
     for lineno, word in _text_lines(vocab_path):
-        if word.split() != [word]:
+        if not _is_word(word):
             raise ParseError(f"{vocab_path}:{lineno}: word contains whitespace: {word!r}")
         if word in words:
             raise ParseError(f"{vocab_path}:{lineno}: duplicate word {word!r}")

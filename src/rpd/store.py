@@ -54,6 +54,19 @@ _FORMAT_ALIASES = {
 _FLOAT_FMT = "%.9e"  # ten significant digits
 
 
+def _is_word(word: object) -> bool:
+    """Whether ``word`` is a word: a non-empty ``str`` without whitespace."""
+    return isinstance(word, str) and word.split() == [word]
+
+
+def _word_order(words: Sequence[str]) -> np.ndarray:
+    """The indices of ``words`` in Python code-point order, the order word ties break in.
+
+    numpy's ``<U`` order would not do: it drops trailing NULs, so "a" ties "a\\x00".
+    """
+    return np.array(sorted(range(len(words)), key=words.__getitem__), dtype=np.intp)
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddingMatrix:
     """A vocabulary-indexed dense embedding matrix.
@@ -81,10 +94,10 @@ class EmbeddingMatrix:
             )
         seen = set()
         for word in vocab:
-            if not isinstance(word, str) or not word:
+            if not _is_word(word):
+                if isinstance(word, str) and word:
+                    raise PreconditionError(f"vocabulary entry contains whitespace: {word!r}")
                 raise PreconditionError(f"invalid vocabulary entry {word!r}")
-            if any(ch.isspace() for ch in word):
-                raise PreconditionError(f"vocabulary entry contains whitespace: {word!r}")
             if word in seen:
                 raise DuplicateWordError(f"duplicate word in vocabulary: {word!r}")
             seen.add(word)

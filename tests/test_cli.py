@@ -406,6 +406,27 @@ class TestEvalStudyMap:
         assert result.exit_code == 2
 
 
+# Arguments naming a missing input file (``{}``) for each command.
+MISSING_INPUT_ARGS = {
+    "pair": ["--left", "{}", "--right", "{}"],
+    "matrix": ["--emb", "a={}", "--emb", "b={}"],
+    "nulltest": ["--left", "{}", "--right", "{}"],
+    "train-svd": ["--corpus", "{}", "--output", "{}.out"],
+    "eval": ["--emb", "{}", "--similarity", "{}"],
+    "study": ["--baseline", "{}", "--emb", "a={}", "--similarity", "{}"],
+    "map": ["--emb", "a={}", "--emb", "b={}", "--anchors", "a,b"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_missing_input_file_exits_2(runner, tmp_path, command):
+    missing = str(tmp_path / "missing.txt")
+    args = [arg.replace("{}", missing) for arg in MISSING_INPUT_ARGS[command]]
+    result = runner.invoke(main, [command, *args])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ") and "missing.txt" in result.stderr
+
+
 class TestTextInput:
     """Every command reads its text inputs as UTF-8 with an optional BOM."""
 

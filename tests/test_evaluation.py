@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+import rpd.evaluation
 from conftest import random_embedding
 from rpd import (
     AnalogyDataset,
@@ -161,17 +164,25 @@ class TestAnalogy:
         assert result.analogy_coverage == pytest.approx(0.5)
 
     def test_matches_exhaustive_scan(self, rng):
+        self.check_exhaustive_scan(rng)
+
+    def test_partial_blocks_match_exhaustive_scan(self, rng, monkeypatch):
+        # 50 questions over 30 words, 3 per block: 16 full blocks, then one of 2.
+        monkeypatch.setattr(rpd.evaluation, "_BLOCK_SCORES", 3 * 30)
+        self.check_exhaustive_scan(rng)
+
+    @staticmethod
+    def check_exhaustive_scan(rng):
+        # Every other question expects the scan's answer, so a question scored
+        # wrongly or skipped changes the accuracy.
         n, d = 30, 8
         emb = random_embedding(rng, n, d)
         unit = emb.matrix / np.linalg.norm(emb.matrix, axis=1, keepdims=True)
         words = emb.vocab
         correct_ref = 0
         questions = []
-        for _ in range(50):
+        for k in range(50):
             ia, ib, ic, expected = rng.choice(n, size=4, replace=False)
-            questions.append(
-                AnalogyQuestion(words[ia], words[ib], words[ic], words[expected])
-            )
             target = unit[ib] - unit[ia] + unit[ic]
             best_score = -np.inf
             best_word = None
@@ -184,10 +195,38 @@ class TestAnalogy:
                 ):
                     best_score = score
                     best_word = words[j]
+            if k % 2 == 0:
+                expected = words.index(best_word)
+            questions.append(
+                AnalogyQuestion(words[ia], words[ib], words[ic], words[expected])
+            )
             if best_word == words[expected]:
                 correct_ref += 1
         result = eval_analogy_3cosadd(emb, AnalogyDataset(tuple(questions)))
         assert result.analogy_accuracy == pytest.approx(correct_ref / 50, abs=0)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_ties_go_to_the_python_smallest_word(self, reverse):
+        # Every row but p and q lies on the first axis, so each target below
+        # is that axis and its scores tie exactly. Python orders the tied
+        # words "\x00" < "A" < "a" < "a\x00"; numpy's fixed-width strings
+        # drop trailing NULs and would tie "a" with "a\x00" (and "\x00" with "").
+        rows = {"a\x00": 1.0, "a": 2.0, "\x00": 0.5, "A": 4.0, "v": 8.0, "p": 0.0, "q": 0.0}
+        vocab = list(rows)[::-1] if reverse else list(rows)
+        matrix = np.zeros((len(vocab), 3))
+        for i, word in enumerate(vocab):
+            matrix[i, 0] = rows[word]
+        matrix[vocab.index("p"), 1] = matrix[vocab.index("q"), 2] = 1.0
+        emb = EmbeddingMatrix(tuple(vocab), matrix)
+        questions = (
+            AnalogyQuestion("\x00", "A", "v", "a"),     # ties: a, a\x00
+            AnalogyQuestion("p", "p", "v", "\x00"),      # ties: all four
+            AnalogyQuestion("\x00", "a", "v", "A"),     # ties: A, a\x00
+            AnalogyQuestion("a", "A", "v", "\x00"),      # ties: \x00, a\x00
+            AnalogyQuestion("\x00", "A", "a", "a\x00"),  # ties: a\x00, v
+        )
+        result = eval_analogy_3cosadd(emb, AnalogyDataset(questions))
+        assert result.analogy_accuracy == 1.0
 
     def test_distractor_at_smaller_cosine(self):
         matrix = np.array([
@@ -251,6 +290,18 @@ class TestDatasetFiles:
         path = tmp_path / "sim.tsv"
         path.write_text("cat\tdog\t7.5\nsun\tmoon\tNA\n")
         with pytest.raises(ParseError):
+            load_similarity_dataset(path)
+
+    @pytest.mark.parametrize("line, word", [
+        ("cat \tdog\t1", "'cat '"), ("cat\t\t1", "''"), ("\tdog\t1", "''"),
+        ("cat\tdog cat\t1", "'dog cat'"), ("cat\t\u00a0dog\t1", "'\\xa0dog'"),
+    ])
+    def test_similarity_word_must_be_a_word(self, tmp_path, line, word):
+        path = tmp_path / "sim.tsv"
+        path.write_text(f"Word 1\tWord 2\tHuman (mean)\nsun\tmoon\t2\n{line}\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"sim.tsv:3: word is empty or "
+                                                       f"contains whitespace: {word}")):
             load_similarity_dataset(path)
 
     @pytest.mark.parametrize("score", ["nan", "inf"])

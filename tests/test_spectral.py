@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 from _corpus import synthetic_corpus_text
@@ -120,6 +121,51 @@ class TestCountCooccurrences:
             count_cooccurrences([["a", "b"]], window=0, min_count=1)
         with pytest.raises(PreconditionError):
             count_cooccurrences([["a", "b"]], window=1, min_count=1, weighting="gauss")
+
+
+def brute_force_counts(docs, window, min_count, weighting):
+    """Vocabulary and dense counts from a scan of every position's window."""
+    freq = {}
+    for doc in docs:
+        for token in doc:
+            freq[token] = freq.get(token, 0) + 1
+    vocab = tuple(sorted((w for w in freq if freq[w] >= min_count),
+                         key=lambda w: (-freq[w], w)))
+    index = {w: i for i, w in enumerate(vocab)}
+    dense = np.zeros((len(vocab), len(vocab)))
+    for doc in docs:
+        ids = [index[t] for t in doc if t in index]
+        for i in range(len(ids)):
+            for k in range(1, window + 1):
+                if i + k < len(ids):
+                    weight = 1.0 if weighting == "flat" else 1.0 / k
+                    dense[ids[i], ids[i + k]] += weight
+                    dense[ids[i + k], ids[i]] += weight
+    return vocab, dense
+
+
+corpora = st.lists(st.lists(st.sampled_from("abcdefg"), max_size=9), min_size=1, max_size=7)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(docs=corpora, window=st.integers(1, 5), min_count=st.integers(1, 3),
+       weighting=st.sampled_from(["flat", "harmonic"]))
+@example(docs=[[], ["a"], ["a", "b", "a"], ["b"], []], window=5, min_count=1,
+         weighting="harmonic")
+def test_counts_match_brute_force(docs, window, min_count, weighting):
+    vocab, dense = brute_force_counts(docs, window, min_count, weighting)
+    if not vocab or not dense.any():
+        with pytest.raises(CorpusError):
+            count_cooccurrences(docs, window, min_count, weighting)
+        return
+    counts = count_cooccurrences(docs, window, min_count, weighting)
+    assert counts.vocab == vocab
+    if weighting == "flat":  # integer sums, exact in any order
+        assert np.array_equal(counts.counts.toarray(), dense)
+        assert counts.total == dense.sum()
+    else:
+        np.testing.assert_allclose(counts.counts.toarray(), dense, rtol=1e-13, atol=0)
+        assert counts.total == pytest.approx(dense.sum(), rel=1e-13, abs=0)
 
 
 class TestSignalMatrices:

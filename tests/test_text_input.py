@@ -97,11 +97,12 @@ def test_byte_order_mark_is_ignored(tmp_path, name):
     assert same(plain, with_bom)
 
 
-def test_corpus_documents_split_as_before(tmp_path):
-    """Blank and whitespace-only lines drop out; \\x0c and \\x85 still split."""
-    data = "a b\r\nc\rd\x0ce\n\n \n\x85f g\x1ch\n  \ni j".encode("utf-8")
+def test_corpus_documents_end_only_at_cr_or_lf(tmp_path):
+    """Blank and whitespace-only lines drop out; \\x0c, \\x85, U+2028 and \\x1c separate
+    tokens within a document."""
+    data = "a b\r\nc\rd\x0ce\n\n \n\x85f\u2028g\x1ch\n  \ni j".encode("utf-8")
     docs = read_corpus(write(tmp_path, "corpus", data))
-    assert docs == [["a", "b"], ["c"], ["d"], ["e"], ["f"], ["g"], ["h"], ["i", "j"]]
+    assert docs == [["a", "b"], ["c"], ["d", "e"], ["f", "g", "h"], ["i", "j"]]
 
 
 PIECES = [BOM, b"\r", b"\n", b"\r\n", b"\x00", b"\x0c", b"\xc2\x85", b"\xe9", b"\xff",
