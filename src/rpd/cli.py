@@ -24,7 +24,8 @@ from .evaluation import (
 from .layout import layout_from_distances
 from .metric import decompose_per_word, rpd, rpd_pairwise_matrix
 from .nullmodel import ALPHA, monte_carlo_null, z_test
-from .spectral import count_cooccurrences, read_corpus, save_counts, train_spectral_embedding
+from .spectral import (SIGNALS, WEIGHTINGS, count_cooccurrences, read_corpus, save_counts,
+                       train_spectral_embedding)
 from .store import EmbeddingMatrix, align_vocabularies, load_embeddings, save_embeddings
 
 _FORMAT_CHOICE = click.Choice(["word2vec", "glove"])
@@ -153,14 +154,12 @@ def cmd_nulltest(left, right, fmt, replicates, seed, one_sided, samples_out, out
 
 @main.command("train-svd")
 @click.option("--corpus", required=True, type=click.Path())
-@click.option("--signal", type=click.Choice(["pmi", "logcount"]), default="pmi",
-              show_default=True)
+@click.option("--signal", type=click.Choice(list(SIGNALS)), default="pmi", show_default=True)
 @click.option("--dim", type=click.IntRange(min=1), default=300, show_default=True)
 @click.option("--window", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--min-count", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--weighting", type=click.Choice(["flat", "harmonic"]), default="flat",
-              show_default=True)
+@click.option("--weighting", type=click.Choice(WEIGHTINGS), default="flat", show_default=True)
 @click.option("--no-lowercase", is_flag=True)
 @click.option("--save-counts", "counts_out", type=click.Path(), default=None,
               help="Also persist the co-occurrence counts as a triple file.")

@@ -15,6 +15,8 @@ plane and recovered.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
@@ -81,22 +83,14 @@ def _refine(
     return points, history
 
 
+@dataclass(frozen=True, eq=False)
 class LayoutMap:
-    """Planar coordinates for named points, with anchors and residual stress."""
+    """Planar coordinates for named points, with their residual stress."""
 
-    def __init__(
-        self,
-        names: tuple[str, ...],
-        coords: np.ndarray,
-        anchors: tuple[str, str],
-        stress: float,
-        fallback_used: bool = False,
-    ):
-        self.names = names
-        self.coords = coords
-        self.anchors = anchors
-        self.stress = stress
-        self.fallback_used = fallback_used
+    names: tuple[str, ...]
+    coords: np.ndarray
+    stress: float
+    fallback_used: bool = False
 
     def position(self, name: str) -> tuple[float, float]:
         i = self.names.index(name)
@@ -205,10 +199,4 @@ def layout_from_distances(
     residual_sq = float(np.sum((realized[iu] - dist[iu]) ** 2))
     stress = float(np.sqrt(residual_sq / target_sq))
 
-    return LayoutMap(
-        names=names,
-        coords=coords,
-        anchors=(anchor_a, anchor_b),
-        stress=stress,
-        fallback_used=fallback,
-    )
+    return LayoutMap(names=names, coords=coords, stress=stress, fallback_used=fallback)

@@ -75,9 +75,18 @@ class RpdReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
+def _named_side(name: str, matrix: np.ndarray, standardize: bool,
+                owned: bool = False) -> GramSide:
+    """:func:`gram_side`, with ``name`` leading its degenerate-input message."""
+    try:
+        return gram_side(matrix, standardize, owned)
+    except DegenerateInputError as exc:
+        raise DegenerateInputError(f"{name}: {exc}") from None
+
+
 def _sides(pair: AlignedPair, standardize_inputs: bool) -> tuple[GramSide, GramSide]:
-    return (gram_side(pair.left.matrix, standardize_inputs),
-            gram_side(pair.right.matrix, standardize_inputs))
+    return (_named_side("left", pair.left.matrix, standardize_inputs),
+            _named_side("right", pair.right.matrix, standardize_inputs))
 
 
 def rpd_from_sides(
@@ -115,7 +124,8 @@ def rpd(pair: AlignedPair, standardize_inputs: bool = True) -> RpdReport:
             d-by-d statistics; no standardized copy of either side is made.
 
     Raises:
-        DegenerateInputError: a side has zero Gram norm or zero variance.
+        DegenerateInputError: a side has zero Gram norm, or zero variance
+            (that side, ``left`` or ``right``, named).
     """
     return rpd_from_sides(*_sides(pair, standardize_inputs))
 
@@ -195,6 +205,8 @@ def rpd_pairwise_matrix(
         AlignmentError: an empty intersection, with the offending pair named,
             or an all-zero row in the common vocabulary, with its embedding
             named.
+        DegenerateInputError: a constant embedding when standardizing, with
+            its embedding (common vocabulary) or pair named.
     """
     if len(embs) < 2:
         raise PreconditionError("need at least 2 embeddings")
@@ -219,17 +231,18 @@ def rpd_pairwise_matrix(
                 rows = _restricted_rows(m, shared)
             except AlignmentError as exc:
                 raise AlignmentError(f"{name}: {exc}") from None
-            sides.append(gram_side(rows, standardize_inputs, owned=True))
+            sides.append(_named_side(name, rows, standardize_inputs, owned=True))
         for i, j in cells:
             values[i, j] = values[j, i] = rpd_from_sides(sides[i], sides[j]).rpd
     else:
         for i, j in cells:
+            pair_name = f"{names[i]} vs {names[j]}"
             try:
                 _, left, right = _aligned_rows(matrices[i], matrices[j])
             except AlignmentError as exc:
-                raise AlignmentError(f"{names[i]} vs {names[j]}: {exc}") from None
+                raise AlignmentError(f"{pair_name}: {exc}") from None
             values[i, j] = values[j, i] = rpd_from_sides(
-                gram_side(left, standardize_inputs, owned=True),
-                gram_side(right, standardize_inputs, owned=True),
+                _named_side(pair_name, left, standardize_inputs, owned=True),
+                _named_side(pair_name, right, standardize_inputs, owned=True),
             ).rpd
     return PairwiseRpd(names=names, values=values)

@@ -3,13 +3,13 @@ an ARPACK truncated SVD, and the U·sqrt(S) embedding extraction.
 
 The pipeline is:
 
-    documents -> count_cooccurrences -> pmi_matrix | log_count_matrix
+    documents -> count_cooccurrences -> SIGNALS[signal]
               -> truncated_svd -> svd_embedding
 
 Counts are symmetric sparse matrices over a frequency-filtered vocabulary;
-PMI entries are clamped at zero (positive PMI) and the log-count signal uses
-log(1 + count) so zero cells stay zero. Everything is deterministic for a
-fixed corpus, parameters, and seed.
+their total is the sum of their cells. ``SIGNALS`` names the two signals:
+positive PMI ("pmi") and log(1 + count) ("logcount"), both zero where the
+count is. Everything is deterministic for a fixed corpus, parameters, and seed.
 """
 
 from __future__ import annotations
@@ -17,14 +17,13 @@ from __future__ import annotations
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import svds
 
 from .errors import CorpusError, DimensionError, ParseError, PreconditionError
 from .store import EmbeddingMatrix, _is_word, _text_lines
@@ -39,23 +38,30 @@ class CooccurrenceCounts:
     ``vocab`` is ordered by descending corpus frequency (ties lexicographic)
     and excludes words below ``min_count``. ``counts[i, j]`` is the weighted
     number of times word j appeared within the window around word i, summed
-    over both directions, so the matrix is symmetric by construction.
+    over both directions, so the matrix is symmetric: exactly for flat
+    weights, and within one rounding per cell for harmonic ones. ``total``,
+    the sum of the cells, is derived; unless it is positive, construction
+    raises ``PreconditionError``.
     """
 
     vocab: tuple[str, ...]
     counts: sparse.csr_array
-    total: float
     window: int
     min_count: int
+    total: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "total", float(self.counts.sum()))
+        if not self.total > 0.0:  # NaN fails too
+            raise PreconditionError(f"counts total must be positive, got {self.total}")
 
 
 @dataclass(frozen=True, eq=False)
 class SignalMatrix:
-    """A sparse signal matrix derived from co-occurrence counts."""
+    """A sparse signal matrix over ``vocab``, derived from co-occurrence counts."""
 
-    kind: str  # "pmi" or "log_count"
     matrix: sparse.csr_array
-    source: CooccurrenceCounts
+    vocab: tuple[str, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,12 +152,9 @@ def count_cooccurrences(
         forward = sparse.coo_array((data, (rows, cols)), shape=(n, n)).tocsr()
         counts = counts + forward + forward.T
 
-    total = float(counts.sum())
-    if total <= 0.0:
+    if not counts.nnz:
         raise CorpusError("corpus produced no co-occurrence pairs")
-    return CooccurrenceCounts(
-        vocab=vocab, counts=counts, total=total, window=window, min_count=min_count
-    )
+    return CooccurrenceCounts(vocab=vocab, counts=counts, window=window, min_count=min_count)
 
 
 def pmi_matrix(counts: CooccurrenceCounts) -> SignalMatrix:
@@ -161,8 +164,6 @@ def pmi_matrix(counts: CooccurrenceCounts) -> SignalMatrix:
     nonzero cells; zero-count cells and negative values are stored as zero,
     which keeps the matrix sparse and nonnegative.
     """
-    if counts.total <= 0:
-        raise PreconditionError("counts total must be positive")
     coo = counts.counts.tocoo()
     rowsums = np.asarray(counts.counts.sum(axis=1)).ravel()
     values = np.log(coo.data * counts.total / (rowsums[coo.row] * rowsums[coo.col]))
@@ -170,18 +171,19 @@ def pmi_matrix(counts: CooccurrenceCounts) -> SignalMatrix:
     matrix = sparse.coo_array(
         (values[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape
     ).tocsr()
-    return SignalMatrix(kind="pmi", matrix=matrix, source=counts)
+    return SignalMatrix(matrix, counts.vocab)
 
 
 def log_count_matrix(counts: CooccurrenceCounts) -> SignalMatrix:
     """log(1 + count) signal; zero counts stay zero, preserving sparsity."""
-    if counts.total <= 0:
-        raise PreconditionError("counts total must be positive")
     coo = counts.counts.tocoo()
     matrix = sparse.coo_array(
         (np.log1p(coo.data), (coo.row, coo.col)), shape=coo.shape
     ).tocsr()
-    return SignalMatrix(kind="log_count", matrix=matrix, source=counts)
+    return SignalMatrix(matrix, counts.vocab)
+
+
+SIGNALS = {"pmi": pmi_matrix, "logcount": log_count_matrix}
 
 
 def truncated_svd(signal: SignalMatrix, d: int, seed: int) -> SvdFactors:
@@ -191,12 +193,16 @@ def truncated_svd(signal: SignalMatrix, d: int, seed: int) -> SvdFactors:
     ``seed`` only draws its standard-normal start vector, so factors for
     different seeds agree up to roundoff and the sign of each component (the
     basis, within a repeated singular value). ARPACK needs ``d < min(shape)``;
-    a full-rank request takes a dense SVD instead.
+    a full-rank request takes a dense SVD instead. Only this function checks
+    ``1 <= d <= min(shape)``, the vocabulary size.
     """
+    # Imported on use: every CLI call imports the package, few of them solve.
+    from scipy.sparse.linalg import svds
+
     matrix = signal.matrix
     n = min(matrix.shape)
     if not 1 <= d <= n:
-        raise DimensionError(f"need 1 <= d <= n, got d={d}, n={n}")
+        raise DimensionError(f"need 1 <= dim <= vocabulary size {n}, got dim={d}")
     if not np.all(np.isfinite(matrix.data)):
         raise PreconditionError("signal matrix has non-finite entries")
 
@@ -207,7 +213,7 @@ def truncated_svd(signal: SignalMatrix, d: int, seed: int) -> SvdFactors:
         u, s, vt = svds(matrix, k=d, v0=v0)
         order = np.argsort(s)[::-1]
         u, s, vt = u[:, order], s[order], vt[order]
-    return SvdFactors(U=u, S=s, Vt=vt, vocab=signal.source.vocab)
+    return SvdFactors(U=u, S=s, Vt=vt, vocab=signal.vocab)
 
 
 def svd_embedding(factors: SvdFactors) -> EmbeddingMatrix:
@@ -233,19 +239,14 @@ def train_spectral_embedding(
 
     Args:
         counts: Output of :func:`count_cooccurrences` or :func:`load_counts`.
-        signal: "pmi" (positive PMI) or "logcount" (log(1 + count)).
+        signal: A key of :data:`SIGNALS`: "pmi" (positive PMI) or "logcount"
+            (log(1 + count)).
         dim: Embedding dimension, at most the vocabulary size.
         seed: Start vector of the SVD solver; see :func:`truncated_svd`.
     """
-    if signal not in ("pmi", "logcount"):
-        raise PreconditionError(f"signal must be 'pmi' or 'logcount', got {signal!r}")
-    if dim > len(counts.vocab):
-        raise DimensionError(
-            f"dim={dim} exceeds vocabulary size {len(counts.vocab)}"
-        )
-    sig = pmi_matrix(counts) if signal == "pmi" else log_count_matrix(counts)
-    factors = truncated_svd(sig, dim, seed)
-    return svd_embedding(factors)
+    if signal not in SIGNALS:
+        raise PreconditionError(f"signal must be one of {tuple(SIGNALS)}, got {signal!r}")
+    return svd_embedding(truncated_svd(SIGNALS[signal](counts), dim, seed))
 
 
 def save_counts(counts: CooccurrenceCounts, path: str | Path) -> None:
@@ -323,14 +324,8 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
         shape=(n, n),
     ).tocsr()
     strict = sparse.triu(upper, k=1)
-    counts = upper + strict.T
-    total = float(counts.sum())
-    if total <= 0:
-        raise ParseError(f"{path}: no counts")
-    return CooccurrenceCounts(
-        vocab=vocab,
-        counts=counts.tocsr(),
-        total=total,
-        window=header["window"],
-        min_count=header["min_count"],
-    )
+    try:
+        return CooccurrenceCounts(vocab, (upper + strict.T).tocsr(),
+                                  header["window"], header["min_count"])
+    except PreconditionError:
+        raise ParseError(f"{path}: no counts") from None

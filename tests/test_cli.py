@@ -11,6 +11,7 @@ from conftest import random_embedding, random_orthogonal
 import rpd
 from rpd import EmbeddingMatrix, random_gaussian_embedding, save_embeddings
 from rpd.cli import main
+from rpd.spectral import SIGNALS, WEIGHTINGS
 
 
 @pytest.fixture
@@ -146,6 +147,17 @@ class TestMatrix:
         assert result.exit_code == 2
         assert "first" in result.output and "second" in result.output
 
+    def test_constant_embedding_named(self, runner, tmp_path, rng):
+        vocab = ("aa", "bb", "cc")
+        pa = save(tmp_path, "a.txt", EmbeddingMatrix(vocab, rng.standard_normal((3, 2))))
+        pb = save(tmp_path, "b.txt", EmbeddingMatrix(vocab, np.ones((3, 2))))
+        for flags, offender in (([], "first vs flat"), (["--common-vocab"], "flat")):
+            result = runner.invoke(
+                main, ["matrix", "--emb", f"first={pa}", "--emb", f"flat={pb}", *flags])
+            assert result.exit_code == 2
+            assert result.stderr == (
+                f"error: {offender}: matrix is constant: zero standard deviation\n")
+
 
 class TestNulltest:
     def test_independent_files_fail_to_reject(self, runner, tmp_path):
@@ -265,6 +277,11 @@ class TestTrainSvd:
             assert paths[0] == paths[1]
             outputs[signal] = paths[0]
         assert outputs["pmi"] != outputs["logcount"]
+
+    def test_choices_are_the_trainer_tables(self):
+        params = {p.name: p for p in main.commands["train-svd"].params}
+        assert list(params["signal"].type.choices) == list(SIGNALS)
+        assert tuple(params["weighting"].type.choices) == WEIGHTINGS
 
     def test_dim_exceeds_vocab_exits_2(self, runner, tmp_path):
         corpus = self.corpus(tmp_path)
@@ -464,9 +481,11 @@ class TestTextInput:
         assert reports[0] == reports[1]
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats takes most of a second to import; no command needs it.
-    code = "import sys, rpd.cli; print('scipy.stats' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse.linalg"])
+def test_cli_import_leaves_out_scipy_stats(module):
+    # scipy.stats takes most of a second to import and no command needs it;
+    # scipy.sparse.linalg (with scipy.linalg) is needed only to solve an SVD.
+    code = f"import sys, rpd.cli; print({module!r} in sys.modules)"
     src = str(Path(rpd.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True

@@ -85,6 +85,14 @@ class TestRpdBasics:
         with pytest.raises(DegenerateInputError):
             rpd(pair)
 
+    @pytest.mark.parametrize("compare", [rpd, decompose_per_word])
+    def test_constant_side_named(self, rng, compare):
+        varied = rng.standard_normal((4, 2))
+        for pair, side in ((pair_of(np.ones((4, 2)), varied), "left"),
+                           (pair_of(varied, np.ones((4, 2))), "right")):
+            with pytest.raises(DegenerateInputError, match=f"^{side}: matrix is constant"):
+                compare(pair)
+
     def test_no_standardize_skips_rescaling(self, rng):
         m = rng.standard_normal((30, 4))
         pair = pair_of(m, 2.0 * m)
@@ -207,6 +215,17 @@ class TestPairwiseMatrix:
         m[1], m[3] = 1.0, 0.0
         embs[1] = ("zeroed", EmbeddingMatrix(vocab, m))
         assert rpd_pairwise_matrix(embs, common_vocab=True).values.shape == (3, 3)
+
+    @pytest.mark.parametrize("common_vocab, offender", [(True, "flat: "),
+                                                        (False, "first vs flat: ")])
+    def test_constant_embedding_named(self, rng, common_vocab, offender):
+        vocab = ("a", "b", "c")
+        embs = [("first", EmbeddingMatrix(vocab, rng.standard_normal((3, 2)))),
+                ("flat", EmbeddingMatrix(vocab, np.full((3, 2), 0.5))),
+                ("third", EmbeddingMatrix(vocab, rng.standard_normal((3, 2))))]
+        with pytest.raises(DegenerateInputError) as exc:
+            rpd_pairwise_matrix(embs, common_vocab=common_vocab)
+        assert str(exc.value) == offender + "matrix is constant: zero standard deviation"
 
     def test_needs_two(self, rng):
         with pytest.raises(PreconditionError):

@@ -31,16 +31,14 @@ def dense_counts(array, vocab=None, window=1, min_count=1):
     return CooccurrenceCounts(
         vocab=vocab,
         counts=sparse.csr_array(array),
-        total=float(array.sum()),
         window=window,
         min_count=min_count,
     )
 
 
-def signal_of(array, kind="pmi"):
-    counts = dense_counts(array)
-    return SignalMatrix(kind=kind, matrix=sparse.csr_array(np.asarray(array, dtype=np.float64)),
-                        source=counts)
+def signal_of(array):
+    array = np.asarray(array, dtype=np.float64)
+    return SignalMatrix(sparse.csr_array(array), tuple(f"t{i}" for i in range(array.shape[0])))
 
 
 class TestCountCooccurrences:
@@ -168,13 +166,24 @@ def test_counts_match_brute_force(docs, window, min_count, weighting):
         assert counts.total == pytest.approx(dense.sum(), rel=1e-13, abs=0)
 
 
+class TestCountsRecord:
+    def test_total_is_the_sum_of_the_cells(self, rng):
+        raw = rng.random((6, 6))
+        counts = dense_counts(raw + raw.T)
+        assert counts.total == counts.counts.sum()
+
+    @pytest.mark.parametrize("cell", [0.0, -1.0, np.nan])
+    def test_total_must_be_positive(self, cell):
+        with pytest.raises(PreconditionError, match="counts total must be positive"):
+            dense_counts([[0.0, cell], [cell, 0.0]])
+
+
 class TestSignalMatrices:
     def test_pmi_hand_value(self):
         counts = dense_counts([[0.0, 1.0], [1.0, 0.0]])
         pmi = pmi_matrix(counts)
         dense = pmi.matrix.toarray()
         assert dense[0, 1] == pytest.approx(np.log(2.0), rel=1e-15)
-        assert pmi.kind == "pmi"
 
     def test_pmi_zero_cells_stay_zero(self):
         counts = dense_counts([[0.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -261,11 +270,16 @@ class TestTruncatedSvd:
         np.testing.assert_array_equal(f1.S, f2.S)
 
     def test_d_out_of_range(self, rng):
-        sig = signal_of(rng.standard_normal((10, 10)))
-        with pytest.raises(DimensionError):
-            truncated_svd(sig, 11, seed=0)
-        with pytest.raises(DimensionError):
-            truncated_svd(sig, 0, seed=0)
+        raw = rng.random((10, 10))
+        counts = dense_counts(raw + raw.T)
+        message = "need 1 <= dim <= vocabulary size 10, got dim={}"
+        for d in (0, 11):
+            with pytest.raises(DimensionError) as exc:
+                truncated_svd(pmi_matrix(counts), d, seed=0)
+            assert str(exc.value) == message.format(d)
+        with pytest.raises(DimensionError) as exc:
+            train_spectral_embedding(counts, "pmi", 11)
+        assert str(exc.value) == message.format(11)
 
     def test_corpus_signal_components_are_exact(self):
         # Every returned triplet, the tail included, must be exact to
@@ -396,6 +410,34 @@ class TestCountsPersistence:
         back = load_counts(path)
         np.testing.assert_allclose(back.counts.toarray(), counts.counts.toarray(),
                                    rtol=0, atol=0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(docs=corpora, window=st.integers(1, 4), weighting=st.sampled_from(["flat", "harmonic"]))
+def test_counts_survive_save_and_load(tmp_path_factory, docs, window, weighting):
+    try:
+        counts = count_cooccurrences(docs, window, 1, weighting)
+    except CorpusError:
+        return
+    path = tmp_path_factory.mktemp("counts") / "counts.txt"
+    save_counts(counts, path)
+    back = load_counts(path)
+    assert (back.vocab, back.window, back.min_count) == (counts.vocab, window, 1)
+    np.testing.assert_array_equal(back.counts.indptr, counts.counts.indptr)
+    np.testing.assert_array_equal(back.counts.indices, counts.counts.indices)
+    # The file holds the upper triangle. Harmonic sums can leave counts[i, j]
+    # and counts[j, i] one rounding apart, so the lower triangle comes back
+    # as the mirror of the upper one; flat sums are integers and exact.
+    upper = sparse.triu(counts.counts, format="csr")
+    mirrored = (upper + sparse.triu(upper, k=1).T).tocsr()
+    mirrored.sort_indices()
+    np.testing.assert_array_equal(back.counts.data, mirrored.data)
+    assert back.total == mirrored.sum()
+    if weighting == "flat":
+        np.testing.assert_array_equal(back.counts.data, counts.counts.data)
+        assert back.total == counts.total
+    else:
+        np.testing.assert_allclose(back.counts.data, counts.counts.data, rtol=3e-16, atol=0)
 
 
 class TestLoadCountsErrors:
