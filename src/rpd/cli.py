@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -37,6 +38,11 @@ def _emit(text: str, output: str | None) -> None:
     else:
         Path(output).write_text(text if text.endswith("\n") else text + "\n",
                                 encoding="utf-8")
+
+
+def _emit_json(payload: dict, output: str | None) -> None:
+    """The one JSON form every single-record command prints."""
+    _emit(json.dumps(payload, indent=2), output)
 
 
 def _provenance(pair, standardized: bool) -> dict:
@@ -98,12 +104,10 @@ def cmd_pair(left, right, fmt, no_standardize, decompose, top_k, output):
     standardize_inputs = not no_standardize
     if decompose or top_k is not None:
         report = decompose_per_word(pair, standardize_inputs)
+        report = replace(report, per_word=report.per_word[:top_k])  # None keeps all
     else:
         report = rpd(pair, standardize_inputs)
-    payload = {**report.to_dict(), **_provenance(pair, standardize_inputs)}
-    if top_k is not None and "per_word" in payload:
-        payload["per_word"] = payload["per_word"][:top_k]
-    _emit(json.dumps(payload, indent=2), output)
+    _emit_json({**report.to_dict(), **_provenance(pair, standardize_inputs)}, output)
 
 
 @main.command("matrix")
@@ -149,7 +153,7 @@ def cmd_nulltest(left, right, fmt, replicates, seed, one_sided, samples_out, out
         "alpha": ALPHA,
         "decision": "reject" if p_for_decision < ALPHA else "fail_to_reject",
     }
-    _emit(json.dumps(payload, indent=2), output)
+    _emit_json(payload, output)
 
 
 @main.command("train-svd")
@@ -188,7 +192,7 @@ def cmd_eval(emb_path, fmt, similarity, analogy, output):
     """Score an embedding on similarity and/or analogy datasets (JSON)."""
     sim_ds, ana_ds = _load_datasets(similarity, analogy)
     emb = load_embeddings(emb_path, fmt)
-    _emit(evaluate(emb, sim_ds, ana_ds).to_json(), output)
+    _emit_json(evaluate(emb, sim_ds, ana_ds).to_dict(), output)
 
 
 @main.command("study")

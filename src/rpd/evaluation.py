@@ -10,8 +10,8 @@ rather than raised, since coverage differences confound score comparisons.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -80,15 +80,7 @@ class EvalResult:
     analogy_coverage: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "similarity_spearman": self.similarity_spearman,
-            "similarity_coverage": self.similarity_coverage,
-            "analogy_accuracy": self.analogy_accuracy,
-            "analogy_coverage": self.analogy_coverage,
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        return asdict(self)
 
 
 def load_similarity_dataset(path: str | Path) -> SimilarityDataset:
@@ -218,10 +210,12 @@ def eval_analogy_3cosadd(emb: EmbeddingMatrix, ds: AnalogyDataset) -> EvalResult
     Rows are L2-normalized and put in word order once; for a question
     (a, b, c -> expected) the prediction is the vocabulary word maximizing
     cosine(v, v_b - v_a + v_c) with a, b, c excluded as candidates. Each block
-    of about ``_BLOCK_SCORES`` scores is one matrix product. The first maximum
-    in word order wins, so an exact score tie goes to the smallest word
-    whatever the row order. A question counts as answerable only when all four
-    words are in vocabulary.
+    of about ``_BLOCK_SCORES`` scores is one matrix product. A product rounds
+    a score differently with its position in the block, so candidates within
+    that rounding of the maximum are scored again with ``math.fsum``. The
+    first maximum in word order wins, so a tie goes to the smallest word
+    whatever the row order and block size. A question counts as answerable
+    only when all four words are in vocabulary.
     """
     by_word = _word_order(emb.vocab)
     position = {emb.vocab[i]: p for p, i in enumerate(by_word.tolist())}
@@ -239,9 +233,26 @@ def eval_analogy_3cosadd(emb: EmbeddingMatrix, ds: AnalogyDataset) -> EvalResult
     step = max(1, _BLOCK_SCORES // len(by_word))
     for block in np.split(np.array(answerable), range(step, len(answerable), step)):
         a, b, c, expected = block.T
-        scores = (unit[b] - unit[a] + unit[c]) @ unit.T
-        scores[np.arange(len(block))[:, None], block[:, :3]] = -np.inf
-        correct += int(np.count_nonzero(np.argmax(scores, axis=1) == expected))
+        targets = unit[b] - unit[a] + unit[c]
+        scores = targets @ unit.T
+        rows = np.arange(len(block))
+        scores[rows[:, None], block[:, :3]] = -np.inf
+        predicted = np.argmax(scores, axis=1)
+        # A d-term dot product with a unit row, summed in any order or by fsum
+        # of the rounded products, is within about (d/2 + 1)·eps·‖target‖ of
+        # the exact one (Higham, Accuracy and Stability of Numerical
+        # Algorithms, §3.1), so the fsum winner trails the block maximum by at
+        # most twice that. The slack doubles it again for higher-order terms.
+        slack = (2 * (unit.shape[1] + 2) * np.finfo(np.float64).eps
+                 * np.linalg.norm(targets, axis=1))
+        threshold = scores[rows, predicted] - slack
+        rivals = scores >= threshold[:, None]
+        rivals[rows, predicted] = False
+        for i in np.flatnonzero(rivals.any(axis=1)).tolist():
+            candidates = np.flatnonzero(scores[i] >= threshold[i])
+            exact = [math.fsum(targets[i] * unit[j]) for j in candidates.tolist()]
+            predicted[i] = candidates[int(np.argmax(exact))]
+        correct += int(np.count_nonzero(predicted == expected))
     return EvalResult(analogy_accuracy=correct / len(answerable), analogy_coverage=coverage)
 
 
@@ -255,12 +266,8 @@ def evaluate(
         raise PreconditionError("need at least one dataset")
     sim = eval_similarity(emb, sim_ds) if sim_ds is not None else EvalResult()
     ana = eval_analogy_3cosadd(emb, ana_ds) if ana_ds is not None else EvalResult()
-    return EvalResult(
-        similarity_spearman=sim.similarity_spearman,
-        similarity_coverage=sim.similarity_coverage,
-        analogy_accuracy=ana.analogy_accuracy,
-        analogy_coverage=ana.analogy_coverage,
-    )
+    return replace(sim, analogy_accuracy=ana.analogy_accuracy,
+                   analogy_coverage=ana.analogy_coverage)
 
 
 @dataclass(frozen=True)

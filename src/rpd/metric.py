@@ -12,8 +12,7 @@ large vocabularies independent random spaces concentrate near 1 - d/n.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -37,9 +36,6 @@ class PerWordDivergence:
     cos_theta_i: float | None
     w_i: float
 
-    def to_dict(self) -> dict:
-        return {"word": self.word, "cos_theta_i": self.cos_theta_i, "w_i": self.w_i}
-
 
 @dataclass(frozen=True)
 class RpdReport:
@@ -59,20 +55,14 @@ class RpdReport:
     per_word: tuple[PerWordDivergence, ...] | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "rpd": self.rpd,
-            "ratio_term": self.ratio_term,
-            "cosine_term": self.cosine_term,
-            "n": self.n,
-            "d_left": self.d_left,
-            "d_right": self.d_right,
-        }
-        if self.per_word is not None:
-            out["per_word"] = [p.to_dict() for p in self.per_word]
+        """The fields in order, as JSON-ready values; ``per_word`` only when computed."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.per_word is None:
+            del out["per_word"]
+        else:
+            # An entry's __dict__ holds its fields in order; asdict is ten times slower.
+            out["per_word"] = [p.__dict__.copy() for p in self.per_word]
         return out
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def _named_side(name: str, matrix: np.ndarray, standardize: bool,

@@ -10,10 +10,9 @@ that two embedding spaces are independent.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,19 +46,21 @@ class NullDistribution:
 
     ``samples`` (any 1-D sequence of at least 2 values, stored as a tuple of
     floats) are the draws. ``replicates``, ``mu``, ``sigma`` (N-1 divisor),
-    ``skewness`` and ``excess_kurtosis`` are computed from them once.
+    ``skewness`` and ``excess_kurtosis`` are computed from them once. The
+    constructor takes ``(n, d_left, d_right, seed, samples)``; the computed
+    fields are declared before ``seed`` because :meth:`to_dict` keeps field order.
     """
 
     n: int
     d_left: int
     d_right: int
-    seed: int
-    samples: tuple[float, ...]
     replicates: int = field(init=False)
     mu: float = field(init=False)
     sigma: float = field(init=False)
     skewness: float = field(init=False)
     excess_kurtosis: float = field(init=False)
+    seed: int
+    samples: tuple[float, ...]
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.samples, dtype=np.float64)
@@ -73,20 +74,8 @@ class NullDistribution:
             object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d_left": self.d_left,
-            "d_right": self.d_right,
-            "replicates": self.replicates,
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-            "seed": self.seed,
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        """The fields in order, without the draws (see :meth:`save_samples`)."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "samples"}
 
     def save_samples(self, path: str | Path) -> None:
         """Write the raw draws, one value per line, for external plotting."""
@@ -166,12 +155,7 @@ class ZTestResult:
     reject_at_0_01: bool
 
     def to_dict(self) -> dict:
-        return {
-            "z": self.z,
-            "p_two_sided": self.p_two_sided,
-            "p_one_sided": self.p_one_sided,
-            "reject_at_0_01": self.reject_at_0_01,
-        }
+        return asdict(self)
 
 
 def z_test(observed_rpd: float, null: NullDistribution) -> ZTestResult:
@@ -199,13 +183,6 @@ class NormalityDiagnostics:
     skewness: float
     excess_kurtosis: float
     normal_plausible: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-            "normal_plausible": self.normal_plausible,
-        }
 
 
 def normality_diagnostics(null: NullDistribution) -> NormalityDiagnostics:

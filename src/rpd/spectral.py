@@ -38,8 +38,7 @@ class CooccurrenceCounts:
     ``vocab`` is ordered by descending corpus frequency (ties lexicographic)
     and excludes words below ``min_count``. ``counts[i, j]`` is the weighted
     number of times word j appeared within the window around word i, summed
-    over both directions, so the matrix is symmetric: exactly for flat
-    weights, and within one rounding per cell for harmonic ones. ``total``,
+    over both directions, so the matrix is exactly symmetric. ``total``,
     the sum of the cells, is derived; unless it is positive, construction
     raises ``PreconditionError``.
     """
@@ -107,7 +106,8 @@ def count_cooccurrences(
     weighting) for each neighbor within ``window`` positions on either side.
     Words with corpus frequency below ``min_count`` are removed first. The
     kept tokens form one id array beside the document of each; the pairs at
-    offset k are positions i and i + k in one document, one sparse sum per k.
+    offset k are positions i and i + k in one document. The forward counts of
+    every offset are summed first and added to their transpose once.
 
     Args:
         documents: Iterable of token sequences; windows do not cross
@@ -142,15 +142,16 @@ def count_cooccurrences(
     kept = ids >= 0
     ids, doc_of = ids[kept], doc_of[kept]
 
-    counts = sparse.csr_array((n, n), dtype=np.float64)
+    forward = sparse.csr_array((n, n), dtype=np.float64)
     for k in range(1, window + 1):
         same_doc = doc_of[:-k] == doc_of[k:]
         rows = ids[:-k][same_doc]
         cols = ids[k:][same_doc]
         weight = 1.0 if weighting == "flat" else 1.0 / k
         data = np.full(rows.shape, weight, dtype=np.float64)
-        forward = sparse.coo_array((data, (rows, cols)), shape=(n, n)).tocsr()
-        counts = counts + forward + forward.T
+        forward = forward + sparse.coo_array((data, (rows, cols)), shape=(n, n)).tocsr()
+    # Each cell and its mirror add the same two floats, so the sum is exactly symmetric.
+    counts = forward + forward.T
 
     if not counts.nnz:
         raise CorpusError("corpus produced no co-occurrence pairs")

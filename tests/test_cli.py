@@ -102,6 +102,42 @@ class TestPair:
             assert result.exit_code == 0
 
 
+REPORT_KEYS = ["rpd", "ratio_term", "cosine_term", "n", "d_left", "d_right"]
+PROVENANCE_KEYS = ["coverage_left", "coverage_right", "standardized"]
+
+
+def test_json_key_order(runner, tmp_path, rng):
+    a = save(tmp_path, "a.txt", random_embedding(rng, 40, 5))
+    b = save(tmp_path, "b.txt", random_embedding(rng, 40, 7))
+    sim = tmp_path / "sim.tsv"
+    sim.write_text("w0\tw1\t1\nw2\tw3\t2\nw4\tw5\t3\n", encoding="utf-8")
+    ana = tmp_path / "ana.txt"
+    ana.write_text("w0 w1 w2 w3\nw4 w5 w6 w7\n", encoding="utf-8")
+
+    def run(*args):
+        result = runner.invoke(main, list(args))
+        assert result.exit_code == 0, result.output
+        return json.loads(result.output)
+
+    pair = ["pair", "--left", a, "--right", b]
+    assert list(run(*pair)) == REPORT_KEYS + PROVENANCE_KEYS
+    full = run(*pair, "--decompose")
+    top = run(*pair, "--decompose", "--top-k", "2")
+    assert list(top) == REPORT_KEYS + ["per_word"] + PROVENANCE_KEYS
+    assert [list(entry) for entry in top["per_word"]] == [["word", "cos_theta_i", "w_i"]] * 2
+    assert top == {**full, "per_word": full["per_word"][:2]}
+
+    null = run("nulltest", "--left", a, "--right", b, "--replicates", "30")
+    assert list(null) == ["observed_rpd", *PROVENANCE_KEYS, "null", "z", "p_two_sided",
+                          "p_one_sided", "reject_at_0_01", "alpha", "decision"]
+    assert list(null["null"]) == ["n", "d_left", "d_right", "replicates", "mu", "sigma",
+                                  "skewness", "excess_kurtosis", "seed"]
+
+    scores = run("eval", "--emb", a, "--similarity", str(sim), "--analogy", str(ana))
+    assert list(scores) == ["similarity_spearman", "similarity_coverage",
+                            "analogy_accuracy", "analogy_coverage"]
+
+
 class TestMatrix:
     def test_three_embeddings(self, runner, tmp_path, rng):
         e = random_embedding(rng, 25, 4)

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -227,6 +228,35 @@ class TestAnalogy:
         )
         result = eval_analogy_3cosadd(emb, AnalogyDataset(questions))
         assert result.analogy_accuracy == 1.0
+
+    @pytest.mark.parametrize("d", [7, 50])
+    def test_near_ties_do_not_depend_on_row_order_or_block_size(self, rng, monkeypatch, d):
+        # Duplicate rows, and integer rows next to their multiples, score alike
+        # in exact arithmetic, but a matrix product rounds each score by its
+        # position. Every question expects the fsum re-score's first maximum in
+        # word order, so one prediction that moves lowers the accuracy.
+        ints = rng.integers(-2, 3, size=(12, d)).astype(float)
+        gauss = rng.standard_normal((12, d))
+        matrix = np.array([k * v for v in ints for k in (1, 2, 3)]
+                          + [v for v in gauss for _ in range(3)])
+        n = len(matrix)
+        vocab = tuple(f"w{i:02d}" for i in range(n))
+        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+        unit = matrix / np.where(norms == 0.0, 1.0, norms)
+        questions = []
+        for _ in range(300):
+            abc = rng.choice(n, size=3, replace=False)
+            target = unit[abc[1]] - unit[abc[0]] + unit[abc[2]]
+            scores = [-math.inf if j in abc else math.fsum(target * unit[j]) for j in range(n)]
+            best = int(np.argmax(scores))
+            questions.append(AnalogyQuestion(*(vocab[i] for i in (*abc, best))))
+        ds = AnalogyDataset(tuple(questions))
+        perm = rng.permutation(n)
+        shuffled = EmbeddingMatrix(tuple(vocab[i] for i in perm), matrix[perm])
+        for block_scores in (rpd.evaluation._BLOCK_SCORES, 7 * n, n):
+            monkeypatch.setattr(rpd.evaluation, "_BLOCK_SCORES", block_scores)
+            for emb in (EmbeddingMatrix(vocab, matrix), shuffled):
+                assert eval_analogy_3cosadd(emb, ds).analogy_accuracy == 1.0
 
     def test_distractor_at_smaller_cosine(self):
         matrix = np.array([

@@ -304,7 +304,7 @@ class TestDecomposePerWord:
 
     def test_json_serialization(self, rng):
         pair = pair_of(rng.standard_normal((10, 3)), rng.standard_normal((10, 3)))
-        payload = json.loads(decompose_per_word(pair).to_json())
+        payload = json.loads(json.dumps(decompose_per_word(pair).to_dict()))
         assert set(payload) == {
             "rpd", "ratio_term", "cosine_term", "n", "d_left", "d_right", "per_word",
         }

@@ -414,6 +414,8 @@ class TestCountsPersistence:
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(docs=corpora, window=st.integers(1, 4), weighting=st.sampled_from(["flat", "harmonic"]))
+@example(docs=[["a", "c"], ["a", "b", "b", "c"], ["c", "b", "b", "a", "b", "b", "c"]],
+         window=3, weighting="harmonic")
 def test_counts_survive_save_and_load(tmp_path_factory, docs, window, weighting):
     try:
         counts = count_cooccurrences(docs, window, 1, weighting)
@@ -425,19 +427,9 @@ def test_counts_survive_save_and_load(tmp_path_factory, docs, window, weighting)
     assert (back.vocab, back.window, back.min_count) == (counts.vocab, window, 1)
     np.testing.assert_array_equal(back.counts.indptr, counts.counts.indptr)
     np.testing.assert_array_equal(back.counts.indices, counts.counts.indices)
-    # The file holds the upper triangle. Harmonic sums can leave counts[i, j]
-    # and counts[j, i] one rounding apart, so the lower triangle comes back
-    # as the mirror of the upper one; flat sums are integers and exact.
-    upper = sparse.triu(counts.counts, format="csr")
-    mirrored = (upper + sparse.triu(upper, k=1).T).tocsr()
-    mirrored.sort_indices()
-    np.testing.assert_array_equal(back.counts.data, mirrored.data)
-    assert back.total == mirrored.sum()
-    if weighting == "flat":
-        np.testing.assert_array_equal(back.counts.data, counts.counts.data)
-        assert back.total == counts.total
-    else:
-        np.testing.assert_allclose(back.counts.data, counts.counts.data, rtol=3e-16, atol=0)
+    # The file holds the upper triangle, so this holds only for exactly symmetric counts.
+    np.testing.assert_array_equal(back.counts.data, counts.counts.data)
+    assert back.total == counts.total
 
 
 class TestLoadCountsErrors:
