@@ -53,7 +53,7 @@ print(f"vocabulary: {len(counts.vocab)} words, "
 dim = 10
 embeddings = {}
 for name, signal in (("pmi", pmi_matrix(counts)), ("logcount", log_count_matrix(counts))):
-    factors = truncated_svd(signal, dim, seed=0)
+    factors = truncated_svd(signal, dim)
     embeddings[name] = svd_embedding(factors)
     print(f"{name:>8}: top singular values {np.round(factors.S[:4], 2)}")
 

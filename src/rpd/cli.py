@@ -162,22 +162,21 @@ def cmd_nulltest(left, right, fmt, replicates, seed, one_sided, samples_out, out
 @click.option("--dim", type=click.IntRange(min=1), default=300, show_default=True)
 @click.option("--window", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--min-count", type=click.IntRange(min=1), default=10, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--weighting", type=click.Choice(WEIGHTINGS), default="flat", show_default=True)
 @click.option("--no-lowercase", is_flag=True)
 @click.option("--save-counts", "counts_out", type=click.Path(), default=None,
               help="Also persist the co-occurrence counts as a triple file.")
 @click.option("--output", required=True, type=click.Path(),
               help="Embedding file to write (word2vec text format).")
-def cmd_train_svd(corpus, signal, dim, window, min_count, seed, weighting, no_lowercase,
-                  counts_out, output):
+def cmd_train_svd(corpus, signal, dim, window, min_count, weighting, no_lowercase, counts_out,
+                  output):
     """Train a spectral embedding from a plain-text corpus."""
     documents = read_corpus(corpus, lowercase=not no_lowercase)
     counts = count_cooccurrences(documents, window=window, min_count=min_count,
                                  weighting=weighting)
     if counts_out is not None:
         save_counts(counts, counts_out)
-    emb = train_spectral_embedding(counts, signal, dim, seed)
+    emb = train_spectral_embedding(counts, signal, dim)
     save_embeddings(emb, output, "word2vec_text")
     click.echo(f"wrote {emb.n} x {emb.dim} embedding to {output}", err=True)
 

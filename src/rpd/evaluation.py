@@ -71,7 +71,9 @@ class EvalResult:
     """Similarity and analogy scores with their vocabulary coverage.
 
     A metric is None when nothing was evaluated for it (missing dataset or
-    zero coverage).
+    zero coverage) or, for ``similarity_spearman``, when the correlation is
+    undefined: fewer than two covered pairs, or all their cosines or all their
+    human scores equal. Its coverage is reported either way.
     """
 
     similarity_spearman: float | None = None
@@ -188,7 +190,8 @@ def eval_similarity(emb: EmbeddingMatrix, ds: SimilarityDataset) -> EvalResult:
     """Spearman correlation between pair cosines and the human scores.
 
     Pairs with an out-of-vocabulary word are skipped and counted against
-    coverage; with zero covered pairs the metric is absent.
+    coverage. Where the correlation is undefined (fewer than two covered
+    pairs, or a constant side) the metric is absent.
     """
     idx = emb.index
     cosines: list[float] = []
@@ -197,11 +200,11 @@ def eval_similarity(emb: EmbeddingMatrix, ds: SimilarityDataset) -> EvalResult:
         if w1 in idx and w2 in idx:
             cosines.append(_cosine(emb.matrix[idx[w1]], emb.matrix[idx[w2]], w1, w2))
             scores.append(human)
-    coverage = len(cosines) / len(ds.pairs)
-    if not cosines:
-        return EvalResult(similarity_spearman=None, similarity_coverage=0.0)
-    rho = spearman(cosines, scores)
-    return EvalResult(similarity_spearman=rho, similarity_coverage=coverage)
+    try:
+        rho = spearman(cosines, scores)
+    except (PreconditionError, DegenerateInputError):
+        rho = None
+    return EvalResult(similarity_spearman=rho, similarity_coverage=len(cosines) / len(ds.pairs))
 
 
 def eval_analogy_3cosadd(emb: EmbeddingMatrix, ds: AnalogyDataset) -> EvalResult:

@@ -9,7 +9,8 @@ The pipeline is:
 Counts are symmetric sparse matrices over a frequency-filtered vocabulary;
 their total is the sum of their cells. ``SIGNALS`` names the two signals:
 positive PMI ("pmi") and log(1 + count) ("logcount"), both zero where the
-count is. Everything is deterministic for a fixed corpus, parameters, and seed.
+count is. A trained embedding is a function of the corpus and the options
+alone: the SVD starts from a fixed vector and fixes the sign of each component.
 """
 
 from __future__ import annotations
@@ -65,7 +66,11 @@ class SignalMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SvdFactors:
-    """Truncated SVD factors; U has orthonormal columns, S is descending."""
+    """Truncated SVD factors; U has orthonormal columns, S is descending.
+
+    The largest-magnitude entry of each column of U is positive (the first
+    such row on a tie); the matching row of Vt carries the same sign.
+    """
 
     U: np.ndarray
     S: np.ndarray
@@ -165,37 +170,38 @@ def pmi_matrix(counts: CooccurrenceCounts) -> SignalMatrix:
     nonzero cells; zero-count cells and negative values are stored as zero,
     which keeps the matrix sparse and nonnegative.
     """
-    coo = counts.counts.tocoo()
-    rowsums = np.asarray(counts.counts.sum(axis=1)).ravel()
-    values = np.log(coo.data * counts.total / (rowsums[coo.row] * rowsums[coo.col]))
-    keep = values > 0.0
-    matrix = sparse.coo_array(
-        (values[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape
-    ).tocsr()
+    c = counts.counts
+    rowsums = np.asarray(c.sum(axis=1)).ravel()
+    rows = np.repeat(np.arange(c.shape[0]), np.diff(c.indptr))
+    values = np.log(c.data * counts.total / (rowsums[rows] * rowsums[c.indices]))
+    values[~(values > 0.0)] = 0.0
+    # eliminate_zeros works in place: the counts keep their own index arrays.
+    matrix = sparse.csr_array((values, c.indices.copy(), c.indptr.copy()), shape=c.shape)
+    matrix.eliminate_zeros()
     return SignalMatrix(matrix, counts.vocab)
 
 
 def log_count_matrix(counts: CooccurrenceCounts) -> SignalMatrix:
     """log(1 + count) signal; zero counts stay zero, preserving sparsity."""
-    coo = counts.counts.tocoo()
-    matrix = sparse.coo_array(
-        (np.log1p(coo.data), (coo.row, coo.col)), shape=coo.shape
-    ).tocsr()
+    c = counts.counts
+    matrix = sparse.csr_array((np.log1p(c.data), c.indices.copy(), c.indptr.copy()),
+                              shape=c.shape)
     return SignalMatrix(matrix, counts.vocab)
 
 
 SIGNALS = {"pmi": pmi_matrix, "logcount": log_count_matrix}
 
 
-def truncated_svd(signal: SignalMatrix, d: int, seed: int) -> SvdFactors:
+def truncated_svd(signal: SignalMatrix, d: int) -> SvdFactors:
     """The top ``d`` singular triplets of a sparse signal matrix, descending.
 
-    ARPACK (``scipy.sparse.linalg.svds``) solves them to working precision.
-    ``seed`` only draws its standard-normal start vector, so factors for
-    different seeds agree up to roundoff and the sign of each component (the
-    basis, within a repeated singular value). ARPACK needs ``d < min(shape)``;
-    a full-rank request takes a dense SVD instead. Only this function checks
-    ``1 <= d <= min(shape)``, the vocabulary size.
+    ARPACK (``scipy.sparse.linalg.svds``) solves them to working precision
+    from a fixed standard-normal start vector. ARPACK needs ``d < min(shape)``;
+    a full-rank request takes a dense SVD instead. On both paths each
+    component is signed so that the largest-magnitude entry of its column of
+    U is positive (scikit-learn's ``svd_flip``), so the factors depend on the
+    matrix and ``d`` alone, not on roundoff that flips a component. Only this
+    function checks ``1 <= d <= min(shape)``, the vocabulary size.
     """
     # Imported on use: every CLI call imports the package, few of them solve.
     from scipy.sparse.linalg import svds
@@ -210,11 +216,12 @@ def truncated_svd(signal: SignalMatrix, d: int, seed: int) -> SvdFactors:
     if d == n:
         u, s, vt = np.linalg.svd(matrix.toarray(), full_matrices=False)
     else:
-        v0 = np.random.default_rng(seed).standard_normal(n)
+        v0 = np.random.default_rng(0).standard_normal(n)
         u, s, vt = svds(matrix, k=d, v0=v0)
         order = np.argsort(s)[::-1]
         u, s, vt = u[:, order], s[order], vt[order]
-    return SvdFactors(U=u, S=s, Vt=vt, vocab=signal.vocab)
+    signs = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(d)] < 0, -1.0, 1.0)
+    return SvdFactors(U=u * signs, S=s, Vt=vt * signs[:, None], vocab=signal.vocab)
 
 
 def svd_embedding(factors: SvdFactors) -> EmbeddingMatrix:
@@ -234,7 +241,6 @@ def train_spectral_embedding(
     counts: CooccurrenceCounts,
     signal: str = "pmi",
     dim: int = 300,
-    seed: int = 0,
 ) -> EmbeddingMatrix:
     """Spectral embedding of co-occurrence counts: signal, truncated SVD, U·sqrt(S).
 
@@ -243,11 +249,10 @@ def train_spectral_embedding(
         signal: A key of :data:`SIGNALS`: "pmi" (positive PMI) or "logcount"
             (log(1 + count)).
         dim: Embedding dimension, at most the vocabulary size.
-        seed: Start vector of the SVD solver; see :func:`truncated_svd`.
     """
     if signal not in SIGNALS:
         raise PreconditionError(f"signal must be one of {tuple(SIGNALS)}, got {signal!r}")
-    return svd_embedding(truncated_svd(SIGNALS[signal](counts), dim, seed))
+    return svd_embedding(truncated_svd(SIGNALS[signal](counts), dim))
 
 
 def save_counts(counts: CooccurrenceCounts, path: str | Path) -> None:
@@ -274,7 +279,8 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
     """Load counts written by :func:`save_counts`.
 
     Raises:
-        ParseError: a bad line in either file (at ``path:line``) or no counts.
+        ParseError: a bad line in either file (at ``path:line``; a cell listed
+            a second time is bad there) or no counts.
     """
     path = Path(path)
     vocab_path = path.with_name(path.name + ".vocab")
@@ -294,6 +300,7 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
     rows: list[int] = []
     cols: list[int] = []
     data: list[float] = []
+    linenos: list[int] = []
     for lineno, line in _text_lines(path):
         line = line.strip()
         if line.startswith("#"):
@@ -319,11 +326,17 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
         rows.append(i)
         cols.append(j)
         data.append(v)
+        linenos.append(lineno)
 
-    upper = sparse.coo_array(
-        (np.array(data), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(n, n),
-    ).tocsr()
+    row_ids, col_ids = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    keys = row_ids * n + col_ids
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if repeats.size:
+        first = int(repeats.min())
+        raise ParseError(f"{path}:{linenos[first]}: cell {rows[first]} {cols[first]} "
+                         f"listed twice")
+    upper = sparse.coo_array((np.array(data), (row_ids, col_ids)), shape=(n, n)).tocsr()
     strict = sparse.triu(upper, k=1)
     try:
         return CooccurrenceCounts(vocab, (upper + strict.T).tocsr(),

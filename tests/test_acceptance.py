@@ -161,7 +161,7 @@ def test_criterion_7_spectral_trainer_correctness(tmp_path):
     counts = count_cooccurrences(docs, window=5, min_count=5)
     signal = pmi_matrix(counts)
     d = 32
-    factors = truncated_svd(signal, d, seed=0)
+    factors = truncated_svd(signal, d)
 
     dense_s = np.linalg.svd(signal.matrix.toarray(), compute_uv=False)[:d]
     np.testing.assert_allclose(factors.S, dense_s, rtol=1e-6)
@@ -170,7 +170,7 @@ def test_criterion_7_spectral_trainer_correctness(tmp_path):
     gram_d = emb.matrix.T @ emb.matrix
     np.testing.assert_allclose(gram_d, np.diag(factors.S), atol=1e-8)
 
-    rerun = truncated_svd(signal, d, seed=0)
+    rerun = truncated_svd(signal, d)
     emb2 = svd_embedding(rerun)
     assert emb.vocab == emb2.vocab
     assert np.array_equal(emb.matrix, emb2.matrix)
@@ -185,8 +185,8 @@ def test_criterion_8_trained_spaces_are_dependent():
     docs = tokenize_corpus_text(text)
     counts = count_cooccurrences(docs, window=10, min_count=10)
     d = 100
-    factors_pmi = truncated_svd(pmi_matrix(counts), d, seed=0)
-    factors_lc = truncated_svd(log_count_matrix(counts), d, seed=0)
+    factors_pmi = truncated_svd(pmi_matrix(counts), d)
+    factors_lc = truncated_svd(log_count_matrix(counts), d)
     emb_pmi = svd_embedding(factors_pmi)
     emb_lc = svd_embedding(factors_lc)
 

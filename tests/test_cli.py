@@ -14,6 +14,9 @@ from rpd.cli import main
 from rpd.spectral import SIGNALS, WEIGHTINGS
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -306,7 +309,7 @@ class TestTrainSvd:
                 result = runner.invoke(main, [
                     "train-svd", "--corpus", corpus, "--signal", signal,
                     "--dim", "12", "--window", "4", "--min-count", "3",
-                    "--seed", "7", "--output", str(out),
+                    "--output", str(out),
                 ])
                 assert result.exit_code == 0, result.output
                 paths.append(out.read_text())
@@ -328,22 +331,19 @@ class TestTrainSvd:
         assert result.exit_code == 2
         assert "vocabulary" in result.output
 
-    def test_seed_insensitive_singular_values(self, runner, tmp_path):
+    def test_written_components_are_signed(self, runner, tmp_path):
         from rpd import load_embeddings
 
         corpus = self.corpus(tmp_path)
-        norms = {}
-        for seed in ("3", "4"):
-            out = tmp_path / f"seed{seed}.txt"
-            result = runner.invoke(main, [
-                "train-svd", "--corpus", corpus, "--dim", "10", "--window", "4",
-                "--min-count", "3", "--seed", seed, "--output", str(out),
-            ])
-            assert result.exit_code == 0
-            emb = load_embeddings(out, "word2vec")
-            # squared column norms of U sqrt(S) recover the singular values
-            norms[seed] = np.linalg.norm(emb.matrix, axis=0) ** 2
-        np.testing.assert_allclose(norms["3"], norms["4"], rtol=1e-6)
+        out = tmp_path / "e.txt"
+        args = ["train-svd", "--corpus", corpus, "--dim", "10", "--window", "4",
+                "--min-count", "3", "--output", str(out)]
+        assert runner.invoke(main, args + ["--seed", "3"]).exit_code == 2
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        matrix = load_embeddings(out, "word2vec").matrix
+        # U·sqrt(S) keeps the sign of each column's largest-magnitude entry of U.
+        assert np.all(matrix[np.argmax(np.abs(matrix), axis=0), np.arange(10)] > 0)
 
     def test_save_counts_round_trip(self, runner, tmp_path):
         from rpd import load_counts
@@ -395,6 +395,25 @@ class TestEvalStudyMap:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["similarity_spearman"] == pytest.approx(1.0, abs=1e-9)
+        assert payload["analogy_accuracy"] == 1.0
+
+    @pytest.mark.parametrize("lines, coverage", [
+        (["w0\tw1\t1.0", "w0\tmissing\t2.0"], 0.5),
+        (["w0\tw1\t2.0", "w1\tw2\t2.0", "w2\tw3\t2.0"], 1.0),
+    ], ids=["one_covered_pair", "equal_human_scores"])
+    def test_eval_undefined_correlation_keeps_analogy(self, runner, tmp_path, rng, lines,
+                                                      coverage):
+        base, _, ana_path = self.setup_files(tmp_path, rng)
+        emb_path = save(tmp_path, "base.txt", base)
+        sim_path = tmp_path / "flat.tsv"
+        sim_path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, [
+            "eval", "--emb", emb_path, "--similarity", str(sim_path), "--analogy", ana_path,
+        ])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["similarity_spearman"] is None
+        assert payload["similarity_coverage"] == coverage
         assert payload["analogy_accuracy"] == 1.0
 
     def test_eval_requires_dataset(self, runner, tmp_path, rng):
@@ -527,3 +546,15 @@ def test_cli_import_leaves_out_scipy_stats(module):
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_readme_examples_use_real_options():
+    # Each `rpd …` line of the README, with its continuation lines joined.
+    text = README.read_text(encoding="utf-8").replace("\\\n", " ")
+    examples = [line.split() for line in text.splitlines() if line.startswith("rpd ")]
+    assert {words[1] for words in examples} == set(main.commands)
+    for words in examples:
+        params = main.commands[words[1]].params
+        options = {opt for p in params for opt in p.opts + p.secondary_opts}
+        flags = {word for word in words if word.startswith("--")}
+        assert flags <= options, f"{' '.join(words[:2])}: no option {sorted(flags - options)}"

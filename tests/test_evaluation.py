@@ -138,6 +138,16 @@ class TestSimilarity:
         assert result.similarity_coverage == 0.0
         assert result.similarity_spearman is None
 
+    @pytest.mark.parametrize("pairs, coverage", [
+        ((("w0", "w1", 1.0), ("w0", "missing", 2.0)), 0.5),
+        ((("w0", "w1", 2.0), ("w1", "w2", 2.0), ("w2", "w3", 2.0)), 1.0),
+    ], ids=["one_covered_pair", "equal_human_scores"])
+    def test_undefined_correlation(self, rng, pairs, coverage):
+        emb = random_embedding(rng, 4, 3)
+        result = eval_similarity(emb, SimilarityDataset(pairs))
+        assert result.similarity_coverage == coverage
+        assert result.similarity_spearman is None
+
 
 class TestAnalogy:
     def test_exact_construction(self):

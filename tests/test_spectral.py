@@ -231,41 +231,55 @@ class TestSignalMatrices:
 class TestTruncatedSvd:
     def test_diagonal_signal(self):
         sig = signal_of(np.diag([3.0, 2.0, 1.0]))
-        factors = truncated_svd(sig, 2, seed=0)
+        factors = truncated_svd(sig, 2)
         np.testing.assert_allclose(factors.S, [3.0, 2.0], atol=1e-12)
-        # U columns are coordinate axes up to sign
-        np.testing.assert_allclose(np.abs(factors.U), [[1, 0], [0, 1], [0, 0]],
-                                   atol=1e-10)
+        # U columns are coordinate axes, each signed positive
+        np.testing.assert_allclose(factors.U, [[1, 0], [0, 1], [0, 0]], atol=1e-10)
+        np.testing.assert_allclose(factors.Vt, [[1, 0, 0], [0, 1, 0]], atol=1e-10)
 
     def test_random_symmetric_matches_dense(self, rng):
         a = rng.standard_normal((200, 200))
         m = (a + a.T) / 2.0
         sig = signal_of(m)
-        factors = truncated_svd(sig, 20, seed=1)
+        factors = truncated_svd(sig, 20)
         dense_s = np.linalg.svd(m, compute_uv=False)[:20]
         np.testing.assert_allclose(factors.S, dense_s, rtol=1e-6)
 
     def test_full_rank_reconstruction(self, rng):
         m = rng.standard_normal((40, 40))
         sig = signal_of(m)
-        factors = truncated_svd(sig, 40, seed=2)
+        factors = truncated_svd(sig, 40)
         recon = factors.U * factors.S @ factors.Vt
         assert np.linalg.norm(recon - m) / np.linalg.norm(m) < 1e-8
 
     def test_orthonormal_columns(self, rng):
         m = rng.standard_normal((60, 60))
         sig = signal_of((m + m.T) / 2.0)
-        factors = truncated_svd(sig, 10, seed=3)
+        factors = truncated_svd(sig, 10)
         gram = factors.U.T @ factors.U
         np.testing.assert_allclose(gram, np.eye(10), atol=1e-8)
         assert np.all(np.diff(factors.S) <= 1e-12)
         assert np.all(factors.S >= 0.0)
 
-    def test_deterministic_for_seed(self, rng):
+    @pytest.mark.parametrize("d", [12, 40], ids=["arpack", "dense"])
+    def test_sign_convention(self, rng, d):
+        # The largest-magnitude entry of each column of U is positive, and
+        # Vt carries the same signs, so A·vₖ = sₖ·uₖ and U·diag(S)·Vt is
+        # the signal's best rank-d approximation.
+        m = rng.standard_normal((40, 40))
+        factors = truncated_svd(signal_of(m), d)
+        columns = np.arange(d)
+        assert np.all(factors.U[np.argmax(np.abs(factors.U), axis=0), columns] > 0)
+        np.testing.assert_allclose(m @ factors.Vt.T, factors.U * factors.S, atol=1e-10)
+        u, s, vt = np.linalg.svd(m)
+        np.testing.assert_allclose((factors.U * factors.S) @ factors.Vt,
+                                   (u[:, :d] * s[:d]) @ vt[:d], atol=1e-10)
+
+    def test_deterministic(self, rng):
         m = rng.standard_normal((50, 50))
         sig = signal_of(m)
-        f1 = truncated_svd(sig, 8, seed=4)
-        f2 = truncated_svd(sig, 8, seed=4)
+        f1 = truncated_svd(sig, 8)
+        f2 = truncated_svd(sig, 8)
         np.testing.assert_array_equal(f1.U, f2.U)
         np.testing.assert_array_equal(f1.S, f2.S)
 
@@ -275,7 +289,7 @@ class TestTruncatedSvd:
         message = "need 1 <= dim <= vocabulary size 10, got dim={}"
         for d in (0, 11):
             with pytest.raises(DimensionError) as exc:
-                truncated_svd(pmi_matrix(counts), d, seed=0)
+                truncated_svd(pmi_matrix(counts), d)
             assert str(exc.value) == message.format(d)
         with pytest.raises(DimensionError) as exc:
             train_spectral_embedding(counts, "pmi", 11)
@@ -288,7 +302,7 @@ class TestTruncatedSvd:
         counts = count_cooccurrences(tokenize_corpus_text(text), window=5, min_count=3)
         signal = pmi_matrix(counts)
         d = 40
-        factors = truncated_svd(signal, d, seed=0)
+        factors = truncated_svd(signal, d)
         av = signal.matrix @ factors.Vt.T
         residuals = np.linalg.norm(av - factors.U * factors.S, axis=0) / factors.S
         assert np.max(residuals) <= 1e-10
@@ -302,7 +316,7 @@ class TestTruncatedSvd:
         m = b @ b.T + 0.01 * rng.standard_normal((120, 120))
         sig = signal_of(m)
         d = 10
-        factors = truncated_svd(sig, d, seed=6)
+        factors = truncated_svd(sig, d)
         residual = np.linalg.norm(m - (factors.U * factors.S) @ factors.Vt)
         dense_s = np.linalg.svd(m, compute_uv=False)
         optimal = np.linalg.norm(dense_s[d:])
@@ -321,7 +335,7 @@ class TestSvdEmbedding:
     def test_gram_is_diagonal_of_singular_values(self, rng):
         m = rng.standard_normal((30, 30))
         sig = signal_of((m + m.T) / 2.0)
-        factors = truncated_svd(sig, 6, seed=5)
+        factors = truncated_svd(sig, 6)
         emb = svd_embedding(factors)
         np.testing.assert_allclose(emb.matrix.T @ emb.matrix, np.diag(factors.S),
                                    atol=1e-8)
@@ -344,7 +358,7 @@ class TestSvdEmbedding:
         by_magnitude = eigenvalues[np.argsort(np.abs(eigenvalues))[::-1]]
         assert np.all(by_magnitude[:d] > 0)
 
-        factors = truncated_svd(signal, d, seed=8)
+        factors = truncated_svd(signal, d)
         emb = svd_embedding(factors)
         gram = emb.matrix @ emb.matrix.T
 
@@ -359,16 +373,16 @@ class TestTrainPipeline:
     def test_deterministic_end_to_end(self):
         text = synthetic_corpus_text(8000, vocab_size=120, seed=9)
         counts = count_cooccurrences(tokenize_corpus_text(text), window=5, min_count=3)
-        e1 = train_spectral_embedding(counts, signal="pmi", dim=16, seed=10)
-        e2 = train_spectral_embedding(counts, signal="pmi", dim=16, seed=10)
+        e1 = train_spectral_embedding(counts, signal="pmi", dim=16)
+        e2 = train_spectral_embedding(counts, signal="pmi", dim=16)
         assert e1.vocab == e2.vocab
         np.testing.assert_array_equal(e1.matrix, e2.matrix)
 
     def test_signals_differ(self):
         text = synthetic_corpus_text(8000, vocab_size=120, seed=9)
         counts = count_cooccurrences(tokenize_corpus_text(text), window=5, min_count=3)
-        pmi = train_spectral_embedding(counts, signal="pmi", dim=16, seed=10)
-        lc = train_spectral_embedding(counts, signal="logcount", dim=16, seed=10)
+        pmi = train_spectral_embedding(counts, signal="pmi", dim=16)
+        lc = train_spectral_embedding(counts, signal="logcount", dim=16)
         assert pmi.vocab == lc.vocab
         assert not np.allclose(pmi.matrix, lc.matrix)
 
@@ -377,14 +391,19 @@ class TestTrainPipeline:
         with pytest.raises(DimensionError):
             train_spectral_embedding(counts, signal="pmi", dim=10)
 
-    def test_seed_only_affects_range_finder(self):
-        text = synthetic_corpus_text(6000, vocab_size=100, seed=11)
-        docs = tokenize_corpus_text(text)
-        counts = count_cooccurrences(docs, window=5, min_count=3)
+    def test_last_bit_change_flips_no_component(self):
+        # Without a sign convention ARPACK flips about half the components of
+        # this signal when 5% of its cells move by one ulp.
+        text = synthetic_corpus_text(15000, vocab_size=150, seed=11)
+        counts = count_cooccurrences(tokenize_corpus_text(text), window=5, min_count=3)
         signal = pmi_matrix(counts)
-        f1 = truncated_svd(signal, 10, seed=1)
-        f2 = truncated_svd(signal, 10, seed=2)
-        np.testing.assert_allclose(f1.S, f2.S, rtol=1e-6)
+        nudged = signal.matrix.copy()
+        hit = np.random.default_rng(0).random(nudged.nnz) < 0.05
+        nudged.data[hit] = np.nextafter(nudged.data[hit], np.inf)
+        a = svd_embedding(truncated_svd(signal, 20)).matrix
+        b = svd_embedding(truncated_svd(SignalMatrix(nudged, signal.vocab), 20)).matrix
+        assert np.all(np.sum(a * b, axis=0) > 0)
+        assert np.max(np.abs(a - b)) <= 1e-10
 
 
 class TestCountsPersistence:
@@ -448,6 +467,15 @@ class TestLoadCountsErrors:
     def test_non_finite_or_negative_count(self, tmp_path, value):
         path = self.write_counts(tmp_path, f"# window 2\n0 1 2\n1 1 {value}\n")
         with pytest.raises(ParseError, match=r"counts\.txt:3: count must be finite and >= 0"):
+            load_counts(path)
+
+    @pytest.mark.parametrize("body, where", [
+        ("0 1 2\n0 1 2\n", "2: cell 0 1"),
+        ("# window 2\n0 1 2\n1 1 3\n\n0 0 1\n1 1 0.5\n0 1 2\n", "6: cell 1 1"),
+    ], ids=["adjacent", "first_repeat_in_file_order"])
+    def test_repeated_cell(self, tmp_path, body, where):
+        path = self.write_counts(tmp_path, body)
+        with pytest.raises(ParseError, match=rf"counts\.txt:{where} listed twice"):
             load_counts(path)
 
     @pytest.mark.parametrize("sidecar, lineno", [("a\nb\na\n", 3), ("a\n\nb\na\n", 4)])
