@@ -137,7 +137,14 @@ def cmd_matrix(embs, fmt, common_vocab, no_standardize, output):
               help="Write the raw null draws, one per line.")
 @click.option("--output", type=click.Path(), default=None)
 def cmd_nulltest(left, right, fmt, replicates, seed, one_sided, samples_out, output):
-    """Dependence z-test of two embedding files against the Monte Carlo null."""
+    """Dependence z-test of two embedding files against the Monte Carlo null.
+
+    Each replicate is the RPD of two independent Gaussian spaces of the aligned
+    pair's shape, drawn exactly through the Bartlett factor of their joint Gram
+    matrix: O(min(n, d1+d2)·(d1+d2)²) per replicate, independent of the
+    vocabulary size n beyond d1+d2. The JSON reports the Monte Carlo standard
+    errors of the null's mu and sigma and of z.
+    """
     pair = align_vocabularies(load_embeddings(left, fmt), load_embeddings(right, fmt))
     observed = rpd(pair).rpd
     null = monte_carlo_null(pair.n, pair.left.dim, pair.right.dim, replicates, seed)

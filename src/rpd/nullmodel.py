@@ -1,11 +1,18 @@
 """Null distribution of RPD between independent random embeddings, and the z-test.
 
-The null model draws pairs of independent Gaussian embeddings matched to the
-observed comparison's shape (n, d_left, d_right) and records the RPD of each
-pair. A ``NullDistribution`` holds the draws and the moments computed from
-them; the z-test reads their mean and standard deviation. Observed
-distances many standard deviations below the null mean reject the hypothesis
-that two embedding spaces are independent.
+The null is the RPD of two independent standard-Gaussian embeddings E₁
+(n×d₁) and E₂ (n×d₂) matched to the observed comparison's shape. That
+standardized RPD is a function of the Gram matrix of ``[E₁ E₂]`` alone,
+which is Wishart(n, I) of size p = d₁+d₂. So each draw samples its Bartlett
+factor R, a min(n, p)×p upper-trapezoidal matrix with ``RᵀR`` distributed
+exactly as that Gram matrix, and takes the RPD of R's two column blocks:
+O(min(n, p)·p²) per draw, independent of n beyond p (Bartlett 1933; Smith &
+Hocking 1972, AS 53).
+
+A ``NullDistribution`` holds the draws, the moments computed from them and
+their Monte Carlo standard errors; the z-test reads the mean and standard
+deviation. Observed distances many standard deviations below the null mean
+reject the hypothesis that two embedding spaces are independent.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ import numpy as np
 from .errors import DegenerateInputError, PreconditionError
 from .gram import gram_side
 from .metric import rpd_from_sides
-from .store import _gaussian_rows
 
 ALPHA = 0.01  # significance level of ``reject_at_0_01`` and ``nulltest``'s decision
 _SKEW_THRESHOLD = 0.3
@@ -46,9 +52,12 @@ class NullDistribution:
 
     ``samples`` (any 1-D sequence of at least 2 values, stored as a tuple of
     floats) are the draws. ``replicates``, ``mu``, ``sigma`` (N-1 divisor),
-    ``skewness`` and ``excess_kurtosis`` are computed from them once. The
-    constructor takes ``(n, d_left, d_right, seed, samples)``; the computed
-    fields are declared before ``seed`` because :meth:`to_dict` keeps field order.
+    ``skewness`` and ``excess_kurtosis`` are computed from them once, and so
+    are the Monte Carlo standard errors of the two moments the z-test reads:
+    ``mu_se = sigma/√R`` and ``sigma_se = sigma·√((excess_kurtosis + 2)/(4R))``
+    (nan when the moments are). The constructor takes
+    ``(n, d_left, d_right, seed, samples)``; the computed fields are declared
+    before ``seed`` because :meth:`to_dict` keeps field order.
     """
 
     n: int
@@ -59,6 +68,8 @@ class NullDistribution:
     sigma: float = field(init=False)
     skewness: float = field(init=False)
     excess_kurtosis: float = field(init=False)
+    mu_se: float = field(init=False)
+    sigma_se: float = field(init=False)
     seed: int
     samples: tuple[float, ...]
 
@@ -68,8 +79,15 @@ class NullDistribution:
             raise PreconditionError(
                 f"need a 1-D sequence of at least 2 samples, got shape {arr.shape}"
             )
-        derived = (tuple(arr.tolist()), arr.size, *_sample_moments(arr))
-        names = ("samples", "replicates", "mu", "sigma", "skewness", "excess_kurtosis")
+        mu, sigma, skew, exkurt = _sample_moments(arr)
+        r = arr.size
+        # Var(s) ≈ σ²(κ - 1)/(4R), κ = excess_kurtosis + 3 >= 1 (clamped for
+        # roundoff; np.maximum keeps a nan kurtosis nan).
+        sigma_se = float(sigma * np.sqrt(np.maximum(exkurt + 2.0, 0.0) / (4 * r)))
+        derived = (tuple(arr.tolist()), r, mu, sigma, skew, exkurt,
+                   sigma / math.sqrt(r), sigma_se)
+        names = ("samples", "replicates", "mu", "sigma", "skewness", "excess_kurtosis",
+                 "mu_se", "sigma_se")
         for name, value in zip(names, derived):
             object.__setattr__(self, name, value)
 
@@ -100,9 +118,15 @@ def monte_carlo_null(
 ) -> NullDistribution:
     """Estimate the null RPD distribution by repeated independent draws.
 
-    Each replicate r draws two independent Gaussian embeddings with seeds
-    derived from (seed, r, side) and records their RPD (standardization on).
-    The result, draws included, is a pure function of the arguments.
+    Replicate r samples, from the stream seeded by ``_derived_seed(seed, r, 0)``,
+    the Bartlett factor of the Gram matrix of an n×(d_left + d_right) Gaussian
+    matrix: a k×p upper-trapezoidal R (p = d_left + d_right, k = min(n, p))
+    with ``√χ²(n - i)`` in diagonal entry i and N(0, 1) entries above the
+    diagonal, so that ``RᵀR`` has exactly the law of that Gram matrix. The
+    draw is the standardized RPD of R's first d_left and last d_right columns,
+    which equals the RPD of the two Gaussian spaces they stand for. A draw
+    costs O(k·p²) and holds k×p values, independent of n beyond p. The
+    result, draws included, is a pure function of the arguments.
 
     Args:
         n: Vocabulary size of the simulated spaces; must exceed both dims.
@@ -123,13 +147,16 @@ def monte_carlo_null(
             f"{replicates} replicates is a noisy estimate; 30+ recommended",
             stacklevel=2,
         )
+    p = d_left + d_right
+    k = min(n, p)
 
     def draw(r: int) -> float:
-        # The draws of random_gaussian_embedding, without its vocabulary.
-        left = _gaussian_rows(n, d_left, _derived_seed(seed, r, 0))
-        right = _gaussian_rows(n, d_right, _derived_seed(seed, r, 1))
-        return rpd_from_sides(gram_side(left, True, owned=True),
-                              gram_side(right, True, owned=True)).rpd
+        rng = np.random.default_rng(_derived_seed(seed, r, 0))
+        factor = np.triu(rng.standard_normal((k, p)), 1)
+        np.fill_diagonal(factor, np.sqrt(rng.chisquare(n - np.arange(k))))
+        # Standardization's n cancels in the ratio term, so k rows give the same RPD.
+        return rpd_from_sides(gram_side(factor[:, :d_left], True),
+                              gram_side(factor[:, d_left:], True)).rpd
 
     return NullDistribution(n, d_left, d_right, seed, [draw(r) for r in range(replicates)])
 
@@ -147,9 +174,14 @@ def analytic_null_mean(n: int, d: int) -> float:
 
 @dataclass(frozen=True)
 class ZTestResult:
-    """Dependence z-test outcome. ``reject_at_0_01`` uses the two-sided p."""
+    """Dependence z-test outcome. ``reject_at_0_01`` uses the two-sided p.
+
+    ``z_se`` is the Monte Carlo standard error of ``z`` from the finite null
+    sample (see :func:`z_test`).
+    """
 
     z: float
+    z_se: float
     p_two_sided: float
     p_one_sided: float
     reject_at_0_01: bool
@@ -163,15 +195,24 @@ def z_test(observed_rpd: float, null: NullDistribution) -> ZTestResult:
 
     ``p_two_sided`` is the standard-normal two-tailed probability;
     ``p_one_sided`` is the lower-tail probability (dependence pulls RPD
-    below the null mean).
+    below the null mean). ``z_se`` propagates the null's ``mu_se`` and
+    ``sigma_se`` by the delta method, with the μ̂–σ̂ covariance
+    ``skewness·σ²/(2R)``:
+
+        z_se² = (mu_se² + z²·sigma_se² + z·skewness·σ²/R) / σ²
     """
     if null.sigma == 0.0:
         raise DegenerateInputError("null distribution has zero sigma")
-    z = (observed_rpd - null.mu) / null.sigma
+    sigma = null.sigma
+    z = (observed_rpd - null.mu) / sigma
+    # A variance, so >= 0 by Pearson's inequality κ >= skewness² + 1; clamp roundoff.
+    var = (null.mu_se**2 + z * z * null.sigma_se**2
+           + z * null.skewness * sigma**2 / null.replicates)
     p_two = math.erfc(abs(z) / math.sqrt(2.0))
     p_one = 0.5 * math.erfc(-z / math.sqrt(2.0))  # lower tail
     return ZTestResult(
         z=float(z),
+        z_se=math.sqrt(max(var, 0.0)) / sigma,
         p_two_sided=float(p_two),
         p_one_sided=float(p_one),
         reject_at_0_01=bool(p_two < ALPHA),

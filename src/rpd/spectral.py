@@ -26,7 +26,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import CorpusError, DimensionError, ParseError, PreconditionError
+from .errors import (CorpusError, DegenerateInputError, DimensionError, ParseError,
+                     PreconditionError)
 from .store import EmbeddingMatrix, _is_word, _text_lines
 
 WEIGHTINGS = ("flat", "harmonic")
@@ -202,6 +203,11 @@ def truncated_svd(signal: SignalMatrix, d: int) -> SvdFactors:
     U is positive (scikit-learn's ``svd_flip``), so the factors depend on the
     matrix and ``d`` alone, not on roundoff that flips a component. Only this
     function checks ``1 <= d <= min(shape)``, the vocabulary size.
+
+    Raises:
+        DegenerateInputError: the signal has no non-zero entry (for example a
+            positive-PMI signal where every pair co-occurs exactly as often as
+            independence predicts).
     """
     # Imported on use: every CLI call imports the package, few of them solve.
     from scipy.sparse.linalg import svds
@@ -212,6 +218,8 @@ def truncated_svd(signal: SignalMatrix, d: int) -> SvdFactors:
         raise DimensionError(f"need 1 <= dim <= vocabulary size {n}, got dim={d}")
     if not np.all(np.isfinite(matrix.data)):
         raise PreconditionError("signal matrix has non-finite entries")
+    if not matrix.count_nonzero():
+        raise DegenerateInputError("signal matrix has no non-zero entry: nothing to factorize")
 
     if d == n:
         u, s, vt = np.linalg.svd(matrix.toarray(), full_matrices=False)

@@ -392,9 +392,4 @@ def random_gaussian_embedding(n: int, d: int, seed: int) -> EmbeddingMatrix:
     if n < 1 or d < 1:
         raise PreconditionError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     vocab = tuple(f"w{i}" for i in range(n))
-    return EmbeddingMatrix(vocab, _gaussian_rows(n, d, seed))
-
-
-def _gaussian_rows(n: int, d: int, seed: int) -> np.ndarray:
-    """The n-by-d standard-normal draw of :func:`random_gaussian_embedding`."""
-    return np.random.default_rng(seed).standard_normal((n, d))
+    return EmbeddingMatrix(vocab, np.random.default_rng(seed).standard_normal((n, d)))

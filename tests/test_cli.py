@@ -131,10 +131,10 @@ def test_json_key_order(runner, tmp_path, rng):
     assert top == {**full, "per_word": full["per_word"][:2]}
 
     null = run("nulltest", "--left", a, "--right", b, "--replicates", "30")
-    assert list(null) == ["observed_rpd", *PROVENANCE_KEYS, "null", "z", "p_two_sided",
-                          "p_one_sided", "reject_at_0_01", "alpha", "decision"]
+    assert list(null) == ["observed_rpd", *PROVENANCE_KEYS, "null", "z", "z_se",
+                          "p_two_sided", "p_one_sided", "reject_at_0_01", "alpha", "decision"]
     assert list(null["null"]) == ["n", "d_left", "d_right", "replicates", "mu", "sigma",
-                                  "skewness", "excess_kurtosis", "seed"]
+                                  "skewness", "excess_kurtosis", "mu_se", "sigma_se", "seed"]
 
     scores = run("eval", "--emb", a, "--similarity", str(sim), "--analogy", str(ana))
     assert list(scores) == ["similarity_spearman", "similarity_coverage",
@@ -330,6 +330,17 @@ class TestTrainSvd:
         ])
         assert result.exit_code == 2
         assert "vocabulary" in result.output
+
+    def test_all_zero_signal_exits_2(self, runner, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b\nb a\na a\nb b\n", encoding="utf-8")
+        result = runner.invoke(main, [
+            "train-svd", "--corpus", str(corpus), "--window", "1", "--min-count", "1",
+            "--dim", "1", "--output", str(tmp_path / "e.txt"),
+        ])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ") and "no non-zero entry" in result.output
+        assert not (tmp_path / "e.txt").exists()
 
     def test_written_components_are_signed(self, runner, tmp_path):
         from rpd import load_embeddings

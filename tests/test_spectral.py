@@ -7,6 +7,7 @@ from _corpus import synthetic_corpus_text
 from rpd import (
     CooccurrenceCounts,
     CorpusError,
+    DegenerateInputError,
     DimensionError,
     ParseError,
     PreconditionError,
@@ -274,6 +275,19 @@ class TestTruncatedSvd:
         u, s, vt = np.linalg.svd(m)
         np.testing.assert_allclose((factors.U * factors.S) @ factors.Vt,
                                    (u[:, :d] * s[:d]) @ vt[:d], atol=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2], ids=["arpack", "dense"])
+    def test_all_zero_signal(self, d):
+        # Every pair co-occurs exactly as often as independence predicts, so
+        # every PMI is 0 and the positive-PMI signal is empty; a stored zero
+        # is no entry either.
+        docs = tokenize_corpus_text("a b\nb a\na a\nb b\n")
+        empty = pmi_matrix(count_cooccurrences(docs, window=1, min_count=1))
+        stored_zeros = SignalMatrix(sparse.csr_array((np.zeros(2), ([0, 1], [1, 0]))), ("a", "b"))
+        assert stored_zeros.matrix.nnz == 2
+        for signal in (empty, stored_zeros):
+            with pytest.raises(DegenerateInputError, match="no non-zero entry"):
+                truncated_svd(signal, d)
 
     def test_deterministic(self, rng):
         m = rng.standard_normal((50, 50))
