@@ -45,13 +45,9 @@ def _emit_json(payload: dict, output: str | None) -> None:
     _emit(json.dumps(payload, indent=2), output)
 
 
-def _provenance(pair, standardized: bool) -> dict:
-    """What a pair report was computed on: vocabulary coverage and scaling."""
-    return {
-        "coverage_left": pair.coverage_left,
-        "coverage_right": pair.coverage_right,
-        "standardized": standardized,
-    }
+def _provenance(pair) -> dict:
+    """What a pair report was computed on: the vocabulary coverage of each side."""
+    return {"coverage_left": pair.coverage_left, "coverage_right": pair.coverage_right}
 
 
 def _load_datasets(
@@ -93,21 +89,19 @@ def main() -> None:
 @click.option("--left", required=True, type=click.Path())
 @click.option("--right", required=True, type=click.Path())
 @click.option("--format", "fmt", type=_FORMAT_CHOICE, default="word2vec", show_default=True)
-@click.option("--no-standardize", is_flag=True, help="Skip the entry-std normalization.")
 @click.option("--decompose", is_flag=True, help="Include the per-word breakdown.")
 @click.option("--top-k", type=click.IntRange(min=0), default=None,
               help="Keep only the K most divergent words (implies --decompose).")
 @click.option("--output", type=click.Path(), default=None)
-def cmd_pair(left, right, fmt, no_standardize, decompose, top_k, output):
+def cmd_pair(left, right, fmt, decompose, top_k, output):
     """Distance between two embedding files, as a JSON report."""
     pair = align_vocabularies(load_embeddings(left, fmt), load_embeddings(right, fmt))
-    standardize_inputs = not no_standardize
     if decompose or top_k is not None:
-        report = decompose_per_word(pair, standardize_inputs)
+        report = decompose_per_word(pair)
         report = replace(report, per_word=report.per_word[:top_k])  # None keeps all
     else:
-        report = rpd(pair, standardize_inputs)
-    _emit_json({**report.to_dict(), **_provenance(pair, standardize_inputs)}, output)
+        report = rpd(pair)
+    _emit_json({**report.to_dict(), **_provenance(pair)}, output)
 
 
 @main.command("matrix")
@@ -115,12 +109,10 @@ def cmd_pair(left, right, fmt, no_standardize, decompose, top_k, output):
 @click.option("--format", "fmt", type=_FORMAT_CHOICE, default="word2vec", show_default=True)
 @click.option("--common-vocab", is_flag=True,
               help="Restrict every embedding to the global vocabulary intersection.")
-@click.option("--no-standardize", is_flag=True)
 @click.option("--output", type=click.Path(), default=None)
-def cmd_matrix(embs, fmt, common_vocab, no_standardize, output):
+def cmd_matrix(embs, fmt, common_vocab, output):
     """Pairwise distance matrix over named embeddings, as TSV."""
-    result = rpd_pairwise_matrix(_parse_named(embs, fmt), standardize_inputs=not no_standardize,
-                                 common_vocab=common_vocab)
+    result = rpd_pairwise_matrix(_parse_named(embs, fmt), common_vocab=common_vocab)
     _emit(result.to_tsv(), output)
 
 
@@ -154,7 +146,7 @@ def cmd_nulltest(left, right, fmt, replicates, seed, one_sided, samples_out, out
     p_for_decision = result.p_one_sided if one_sided else result.p_two_sided
     payload = {
         "observed_rpd": observed,
-        **_provenance(pair, True),
+        **_provenance(pair),
         "null": null.to_dict(),
         **result.to_dict(),
         "alpha": ALPHA,

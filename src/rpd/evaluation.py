@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParseError, PreconditionError, RpdError
 from .metric import rpd as _rpd
-from .store import EmbeddingMatrix, _is_word, _text_lines, _word_order, align_vocabularies
+from .store import (EmbeddingMatrix, _is_word, _text_lines, _unit_exponent, _word_order,
+                    align_vocabularies)
 
 _BLOCK_SCORES = 1 << 20  # analogy scores per matrix product: 8 MB of float64
 
@@ -73,7 +74,9 @@ class EvalResult:
     A metric is None when nothing was evaluated for it (missing dataset or
     zero coverage) or, for ``similarity_spearman``, when the correlation is
     undefined: fewer than two covered pairs, or all their cosines or all their
-    human scores equal. Its coverage is reported either way.
+    human scores equal. Its coverage is reported either way; a similarity pair
+    with a zero vector counts as uncovered. Both scorers take cosines of
+    :func:`_unit_rows`, so entries of extreme finite magnitude score as unscaled.
     """
 
     similarity_spearman: float | None = None
@@ -177,29 +180,35 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _cosine(u: np.ndarray, v: np.ndarray, word_u: str, word_v: str) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        bad = word_u if nu == 0.0 else word_v
-        raise DegenerateInputError(f"zero vector for word {bad!r}")
-    return float(u @ v) / (nu * nv)
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Scale ``rows`` in place to unit L2 norm and return it; zero rows stay zero.
+
+    Each row is first multiplied by the power of two nearest 1/max|row|, the
+    prescale of :func:`rpd.gram.gram_side`: exact, and no square overflows or
+    underflows.
+    """
+    np.ldexp(rows, _unit_exponent(rows.max(axis=1, keepdims=True),
+                                  rows.min(axis=1, keepdims=True)), out=rows)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    rows /= np.where(norms == 0.0, 1.0, norms)
+    return rows
 
 
 def eval_similarity(emb: EmbeddingMatrix, ds: SimilarityDataset) -> EvalResult:
     """Spearman correlation between pair cosines and the human scores.
 
-    Pairs with an out-of-vocabulary word are skipped and counted against
-    coverage. Where the correlation is undefined (fewer than two covered
-    pairs, or a constant side) the metric is absent.
+    Pairs with an out-of-vocabulary word or a zero vector are skipped and
+    counted against coverage. Where the correlation is undefined (fewer than
+    two covered pairs, or a constant side) the metric is absent.
     """
     idx = emb.index
-    cosines: list[float] = []
-    scores: list[float] = []
-    for w1, w2, human in ds.pairs:
-        if w1 in idx and w2 in idx:
-            cosines.append(_cosine(emb.matrix[idx[w1]], emb.matrix[idx[w2]], w1, w2))
-            scores.append(human)
+    found = [(idx[w1], idx[w2], human) for w1, w2, human in ds.pairs
+             if w1 in idx and w2 in idx]
+    first = _unit_rows(emb.matrix[[i for i, _, _ in found]])
+    second = _unit_rows(emb.matrix[[j for _, j, _ in found]])
+    covered = np.any(first, axis=1) & np.any(second, axis=1)
+    cosines = np.einsum("ij,ij->i", first[covered], second[covered])
+    scores = np.array([human for _, _, human in found])[covered]
     try:
         rho = spearman(cosines, scores)
     except (PreconditionError, DegenerateInputError):
@@ -228,9 +237,7 @@ def eval_analogy_3cosadd(emb: EmbeddingMatrix, ds: AnalogyDataset) -> EvalResult
     if not answerable:
         return EvalResult(analogy_accuracy=None, analogy_coverage=0.0)
 
-    unit = emb.matrix[by_word]
-    norms = np.linalg.norm(unit, axis=1, keepdims=True)
-    unit /= np.where(norms == 0.0, 1.0, norms)
+    unit = _unit_rows(emb.matrix[by_word])
 
     correct = 0
     step = max(1, _BLOCK_SCORES // len(by_word))

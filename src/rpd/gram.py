@@ -2,8 +2,8 @@
 
 Every distance-type result reads from :class:`GramSide`, one summary per
 aligned side: its rows, ``G = EᵀE`` and the scalar that standardization
-divides G by. The n-by-n Gram matrices enter only through two trace
-identities,
+divides G by. Every distance is of standardized inputs. The n-by-n Gram
+matrices enter only through two trace identities,
 
     ||E Eᵀ||_F²          = ||Eᵀ E||_F²
     <E₁E₁ᵀ, E₂E₂ᵀ>_F     = ||E₁ᵀ E₂||_F²
@@ -34,10 +34,10 @@ class GramSide:
     ``rows`` is the input times ``2**k``, the power of two nearest 1/max|E|.
     That scaling is exact in floating point, so an input and its power-of-two
     multiples give the same statistics bit for bit, while inputs of extreme
-    finite magnitude form their products without overflow or underflow. ``gram`` is ``rowsᵀ·rows``,
-    ``norm`` its Frobenius norm, and ``divisor`` maps ``gram`` to the Gram
-    matrix the metric compares: ``s² = tr(gram)/(n·d)`` when standardizing,
-    ``4**k`` (undoing the prescale) otherwise.
+    finite magnitude form their products without overflow or underflow.
+    ``gram`` is ``rowsᵀ·rows``, ``norm`` its Frobenius norm, and ``divisor``
+    maps ``gram`` to the Gram matrix of the standardized input, the one the
+    metric compares: ``s² = tr(gram)/(n·d)``.
     """
 
     rows: np.ndarray
@@ -46,15 +46,15 @@ class GramSide:
     divisor: float
 
 
-def gram_side(matrix: np.ndarray, standardize: bool, owned: bool = False) -> GramSide:
+def gram_side(matrix: np.ndarray, *, owned: bool = False) -> GramSide:
     """Summarize an aligned side; ``owned=True`` lets the prescale reuse ``matrix``.
 
     Raises:
-        DegenerateInputError: standardizing a constant matrix (zero standard
-            deviation), as :func:`rpd.store.standardize` does.
+        DegenerateInputError: a constant matrix (zero standard deviation),
+            as :func:`rpd.store.standardize` raises.
     """
     high, low = float(matrix.max()), float(matrix.min())
-    if standardize and high == low:
+    if high == low:
         raise DegenerateInputError("matrix is constant: zero standard deviation")
     exponent = _unit_exponent(high, low)
     rows = matrix
@@ -62,10 +62,7 @@ def gram_side(matrix: np.ndarray, standardize: bool, owned: bool = False) -> Gra
         rows = np.ldexp(matrix, exponent, out=matrix if owned else None)
     gram = rows.T @ rows
     n, d = rows.shape
-    if standardize:
-        divisor = float(np.trace(gram)) / (n * d)
-    else:
-        divisor = float(np.ldexp(1.0, 2 * exponent))
+    divisor = float(np.trace(gram)) / (n * d)
     return GramSide(rows, gram, float(np.sqrt(np.sum(gram * gram))), divisor)
 
 

@@ -26,16 +26,19 @@ _BACKTRACK_LIMIT = 60
 _ARMIJO = 1e-4
 
 
-def _residual_objective(points: np.ndarray, dist: np.ndarray) -> float:
+def _pairwise(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The differences ``points[i] - points[j]`` and their lengths, for all i, j."""
     delta = points[:, None, :] - points[None, :, :]
-    realized = np.sqrt(np.sum(delta * delta, axis=2))
-    res = realized - dist
+    return delta, np.sqrt(np.sum(delta * delta, axis=2))
+
+
+def _residual_objective(points: np.ndarray, dist: np.ndarray) -> float:
+    res = _pairwise(points)[1] - dist
     return 0.5 * float(np.sum(res * res))  # each pair counted twice
 
 
 def _residual_gradient(points: np.ndarray, dist: np.ndarray, free: np.ndarray) -> np.ndarray:
-    delta = points[:, None, :] - points[None, :, :]
-    realized = np.sqrt(np.sum(delta * delta, axis=2))
+    delta, realized = _pairwise(points)
     with np.errstate(invalid="ignore", divide="ignore"):
         coeff = np.where(realized > 0.0, (realized - dist) / realized, 0.0)
     np.fill_diagonal(coeff, 0.0)
@@ -192,8 +195,7 @@ def layout_from_distances(
     free[[ia, ib]] = False
     coords, _ = _refine(coords, dist, free, REFINE_ITERATIONS)
 
-    delta = coords[:, None, :] - coords[None, :, :]
-    realized = np.sqrt(np.sum(delta * delta, axis=2))
+    realized = _pairwise(coords)[1]
     iu = np.triu_indices(n, k=1)
     target_sq = float(np.sum(dist[iu] ** 2))
     residual_sq = float(np.sum((realized[iu] - dist[iu]) ** 2))

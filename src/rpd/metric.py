@@ -5,9 +5,10 @@ For standardized matrices Ẽ₁, Ẽ₂ sharing a vocabulary,
     RPD = ½ ||Ẽ₁Ẽ₁ᵀ - Ẽ₂Ẽ₂ᵀ||² / (||Ẽ₁Ẽ₁ᵀ|| ||Ẽ₂Ẽ₂ᵀ||)
 
 which expands into a ratio term ½(a/b + b/a) minus a cosine-like term
-<Ĝ₁,Ĝ₂>/(a·b), with a, b the Gram norms. The value is invariant to rotation,
-row permutation, and (with standardization) scaling of either input, and for
-large vocabularies independent random spaces concentrate near 1 - d/n.
+<Ĝ₁,Ĝ₂>/(a·b), with a, b the Gram norms. Every function here standardizes
+both inputs, so the value is invariant to rotation, row permutation and
+scaling of either input, and for large vocabularies independent random
+spaces concentrate near 1 - d/n.
 """
 
 from __future__ import annotations
@@ -65,18 +66,16 @@ class RpdReport:
         return out
 
 
-def _named_side(name: str, matrix: np.ndarray, standardize: bool,
-                owned: bool = False) -> GramSide:
+def _named_side(name: str, matrix: np.ndarray, *, owned: bool = False) -> GramSide:
     """:func:`gram_side`, with ``name`` leading its degenerate-input message."""
     try:
-        return gram_side(matrix, standardize, owned)
+        return gram_side(matrix, owned=owned)
     except DegenerateInputError as exc:
         raise DegenerateInputError(f"{name}: {exc}") from None
 
 
-def _sides(pair: AlignedPair, standardize_inputs: bool) -> tuple[GramSide, GramSide]:
-    return (_named_side("left", pair.left.matrix, standardize_inputs),
-            _named_side("right", pair.right.matrix, standardize_inputs))
+def _sides(pair: AlignedPair) -> tuple[GramSide, GramSide]:
+    return _named_side("left", pair.left.matrix), _named_side("right", pair.right.matrix)
 
 
 def rpd_from_sides(
@@ -103,24 +102,22 @@ def rpd_from_sides(
     )
 
 
-def rpd(pair: AlignedPair, standardize_inputs: bool = True) -> RpdReport:
+def rpd(pair: AlignedPair) -> RpdReport:
     """RPD of an aligned pair, via the d-space Gram identities.
 
-    Args:
-        pair: Aligned embeddings (dimensions may differ).
-        standardize_inputs: Rescale both sides to unit entry standard
-            deviation first (the metric's definition; disable only for
-            inputs normalized elsewhere). The rescaling is applied to the
-            d-by-d statistics; no standardized copy of either side is made.
+    Both sides are standardized to unit entry standard deviation (the
+    metric's definition, :func:`rpd.store.standardize`). The rescaling is
+    applied to the d-by-d statistics; no standardized copy of either side is
+    made. Dimensions may differ.
 
     Raises:
         DegenerateInputError: a side has zero Gram norm, or zero variance
             (that side, ``left`` or ``right``, named).
     """
-    return rpd_from_sides(*_sides(pair, standardize_inputs))
+    return rpd_from_sides(*_sides(pair))
 
 
-def decompose_per_word(pair: AlignedPair, standardize_inputs: bool = True) -> RpdReport:
+def decompose_per_word(pair: AlignedPair) -> RpdReport:
     """RPD report with the per-word decomposition of the cosine term.
 
     Each word i contributes weight ``w_i = ||ĝ⁽¹⁾ᵢ|| ||ĝ⁽²⁾ᵢ|| / (a·b)`` and
@@ -135,7 +132,7 @@ def decompose_per_word(pair: AlignedPair, standardize_inputs: bool = True) -> Rp
         <g⁽¹⁾ᵢ, g⁽²⁾ᵢ> = v⁽¹⁾ᵢ G₁₂ v⁽²⁾ᵢᵀ
         ||g⁽¹⁾ᵢ||²     = v⁽¹⁾ᵢ G₁₁ v⁽¹⁾ᵢᵀ
     """
-    left, right = _sides(pair, standardize_inputs)
+    left, right = _sides(pair)
     cross = left.rows.T @ right.rows
     report = rpd_from_sides(left, right, cross)
     # Weights and cosines are scale-free, so the prescaled blocks serve.
@@ -181,7 +178,7 @@ class PairwiseRpd:
 
 def rpd_pairwise_matrix(
     embs: Sequence[tuple[str, EmbeddingMatrix]],
-    standardize_inputs: bool = True,
+    *,
     common_vocab: bool = False,
 ) -> PairwiseRpd:
     """All pairwise RPD values between named embeddings.
@@ -195,8 +192,8 @@ def rpd_pairwise_matrix(
         AlignmentError: an empty intersection, with the offending pair named,
             or an all-zero row in the common vocabulary, with its embedding
             named.
-        DegenerateInputError: a constant embedding when standardizing, with
-            its embedding (common vocabulary) or pair named.
+        DegenerateInputError: a constant embedding, with its embedding
+            (common vocabulary) or pair named.
     """
     if len(embs) < 2:
         raise PreconditionError("need at least 2 embeddings")
@@ -221,7 +218,7 @@ def rpd_pairwise_matrix(
                 rows = _restricted_rows(m, shared)
             except AlignmentError as exc:
                 raise AlignmentError(f"{name}: {exc}") from None
-            sides.append(_named_side(name, rows, standardize_inputs, owned=True))
+            sides.append(_named_side(name, rows, owned=True))
         for i, j in cells:
             values[i, j] = values[j, i] = rpd_from_sides(sides[i], sides[j]).rpd
     else:
@@ -232,7 +229,7 @@ def rpd_pairwise_matrix(
             except AlignmentError as exc:
                 raise AlignmentError(f"{pair_name}: {exc}") from None
             values[i, j] = values[j, i] = rpd_from_sides(
-                _named_side(pair_name, left, standardize_inputs, owned=True),
-                _named_side(pair_name, right, standardize_inputs, owned=True),
+                _named_side(pair_name, left, owned=True),
+                _named_side(pair_name, right, owned=True),
             ).rpd
     return PairwiseRpd(names=names, values=values)

@@ -155,8 +155,8 @@ def monte_carlo_null(
         factor = np.triu(rng.standard_normal((k, p)), 1)
         np.fill_diagonal(factor, np.sqrt(rng.chisquare(n - np.arange(k))))
         # Standardization's n cancels in the ratio term, so k rows give the same RPD.
-        return rpd_from_sides(gram_side(factor[:, :d_left], True),
-                              gram_side(factor[:, d_left:], True)).rpd
+        return rpd_from_sides(gram_side(factor[:, :d_left]),
+                              gram_side(factor[:, d_left:])).rpd
 
     return NullDistribution(n, d_left, d_right, seed, [draw(r) for r in range(replicates)])
 

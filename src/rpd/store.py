@@ -327,10 +327,11 @@ def standardize(emb: EmbeddingMatrix) -> EmbeddingMatrix:
     return EmbeddingMatrix(emb.vocab, rows)
 
 
-def _unit_exponent(high: float, low: float) -> int:
-    """The k for which ``2**k`` times the peak magnitude is nearest 1 (0 for zeros)."""
-    peak = max(high, -low)
-    return -int(np.rint(np.log2(peak))) if peak > 0.0 else 0
+def _unit_exponent(high, low) -> np.ndarray:
+    """Elementwise, the k for which ``2**k`` times the peak magnitude is nearest 1 (0 for 0)."""
+    peak = np.maximum(high, -low)
+    # int32, not int64: numpy's ldexp loop for int64 exponents is about ten times slower.
+    return -np.rint(np.log2(peak, out=np.zeros_like(peak), where=peak > 0.0)).astype(np.int32)
 
 
 def _restricted_rows(emb: EmbeddingMatrix, words: Sequence[str]) -> np.ndarray:

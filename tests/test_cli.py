@@ -79,14 +79,12 @@ class TestPair:
         b_emb = random_embedding(rng, 40, 6)
         b = save(tmp_path, "b.txt", EmbeddingMatrix(
             tuple(f"w{i + 10}" for i in range(40)), b_emb.matrix))
-        for flags, standardized in (([], True), (["--no-standardize"], False)):
-            result = runner.invoke(main, ["pair", "--left", a, "--right", b, *flags])
-            assert result.exit_code == 0
-            payload = json.loads(result.output)
-            assert payload["n"] == 20
-            assert payload["coverage_left"] == pytest.approx(20 / 30, rel=1e-15)
-            assert payload["coverage_right"] == pytest.approx(20 / 40, rel=1e-15)
-            assert payload["standardized"] is standardized
+        result = runner.invoke(main, ["pair", "--left", a, "--right", b])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["n"] == 20
+        assert payload["coverage_left"] == pytest.approx(20 / 30, rel=1e-15)
+        assert payload["coverage_right"] == pytest.approx(20 / 40, rel=1e-15)
 
     @pytest.mark.parametrize("k", ["-1", "-2"])
     def test_negative_top_k_exits_2(self, runner, tmp_path, rng, k):
@@ -99,6 +97,14 @@ class TestPair:
         result = runner.invoke(main, ["pair", "--bogus"])
         assert result.exit_code == 2
 
+    def test_no_standardize_exits_2(self, runner, tmp_path, rng):
+        # Every distance is of standardized inputs; there is no switch to skip it.
+        path = save(tmp_path, "e.txt", random_embedding(rng, 10, 3))
+        result = runner.invoke(main, ["pair", "--left", path, "--right", path,
+                                      "--no-standardize"])
+        assert result.exit_code == 2
+        assert "--no-standardize" in result.output
+
     def test_help(self, runner):
         for cmd in ("pair", "matrix", "nulltest", "train-svd", "eval", "study", "map"):
             result = runner.invoke(main, [cmd, "--help"])
@@ -106,7 +112,7 @@ class TestPair:
 
 
 REPORT_KEYS = ["rpd", "ratio_term", "cosine_term", "n", "d_left", "d_right"]
-PROVENANCE_KEYS = ["coverage_left", "coverage_right", "standardized"]
+PROVENANCE_KEYS = ["coverage_left", "coverage_right"]
 
 
 def test_json_key_order(runner, tmp_path, rng):
@@ -241,7 +247,6 @@ class TestNulltest:
         payload = json.loads(result.output)
         assert payload["coverage_left"] == pytest.approx(40 / 60, rel=1e-15)
         assert payload["coverage_right"] == pytest.approx(40 / 50, rel=1e-15)
-        assert payload["standardized"] is True
         assert payload["null"]["n"] == 40
 
     def test_zero_replicates_exits_2(self, runner, tmp_path, rng):
@@ -426,6 +431,43 @@ class TestEvalStudyMap:
         assert payload["similarity_spearman"] is None
         assert payload["similarity_coverage"] == coverage
         assert payload["analogy_accuracy"] == 1.0
+
+    def eval_json(self, runner, *args):
+        """The ``eval`` output, parsed as strict JSON (no NaN or Infinity)."""
+        result = runner.invoke(main, ["eval", *args])
+        assert result.exit_code == 0, result.output
+        return json.loads(result.output, parse_constant=lambda name: pytest.fail(name))
+
+    @pytest.mark.parametrize("scale", ["e160", "e-170"])
+    def test_eval_extreme_magnitudes_match_unscaled(self, runner, tmp_path, scale):
+        rows = {"a": (1, 2), "b": (3, -1), "c": (5, 2.5), "d": (-2, 1)}
+        sim = tmp_path / "sim.tsv"
+        sim.write_text("a\tb\t1\nc\td\t2\na\tc\t3\nb\td\t4\n", encoding="utf-8")
+        ana = tmp_path / "ana.txt"
+        ana.write_text("a b c d\n", encoding="utf-8")
+        payloads = []
+        for name, suffix in (("plain.txt", ""), ("scaled.txt", scale)):
+            emb = tmp_path / name
+            emb.write_text("4 2\n" + "".join(f"{w} {x}{suffix} {y}{suffix}\n"
+                                             for w, (x, y) in rows.items()), encoding="utf-8")
+            payloads.append(self.eval_json(runner, "--emb", str(emb), "--similarity", str(sim),
+                                           "--analogy", str(ana)))
+        assert payloads[1] == payloads[0]
+        assert payloads[0]["similarity_spearman"] is not None
+
+    def test_eval_zero_row_lowers_coverage_and_keeps_analogy(self, runner, tmp_path, rng):
+        base, sim_path, ana_path = self.setup_files(tmp_path, rng)
+        padded = EmbeddingMatrix(base.vocab + ("pad",), np.vstack([base.matrix, np.zeros(8)]))
+        emb_path = save(tmp_path, "padded.txt", padded)
+        lines = Path(sim_path).read_text(encoding="utf-8").splitlines()
+        sim_padded = tmp_path / "sim_padded.tsv"
+        sim_padded.write_text("\n".join(lines + ["pad\tw0\t0.5"]) + "\n", encoding="utf-8")
+        payload = self.eval_json(runner, "--emb", emb_path, "--similarity", str(sim_padded),
+                                 "--analogy", ana_path)
+        assert payload["similarity_coverage"] == len(lines) / (len(lines) + 1)
+        assert payload["similarity_spearman"] == pytest.approx(1.0, abs=1e-9)
+        alone = self.eval_json(runner, "--emb", emb_path, "--analogy", ana_path)
+        assert payload["analogy_accuracy"] == alone["analogy_accuracy"] == 1.0
 
     def test_eval_requires_dataset(self, runner, tmp_path, rng):
         emb_path = save(tmp_path, "e.txt", random_embedding(rng, 10, 3))

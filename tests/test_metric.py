@@ -93,14 +93,6 @@ class TestRpdBasics:
             with pytest.raises(DegenerateInputError, match=f"^{side}: matrix is constant"):
                 compare(pair)
 
-    def test_no_standardize_skips_rescaling(self, rng):
-        m = rng.standard_normal((30, 4))
-        pair = pair_of(m, 2.0 * m)
-        raw = rpd(pair, standardize_inputs=False)
-        # Gram norms differ by 4x without standardization.
-        assert raw.ratio_term == pytest.approx(0.5 * (0.25 + 4.0), rel=1e-12)
-        assert rpd(pair).rpd <= 1e-12
-
 
 class TestRpdInvariances:
     def test_symmetry(self, rng):
@@ -189,15 +181,13 @@ class TestPairwiseMatrix:
         def restricted(e):
             return EmbeddingMatrix(shared, e.matrix[[e.index[w] for w in shared]])
 
-        for standardize_inputs in (True, False):
-            result = rpd_pairwise_matrix(embs, standardize_inputs, common_vocab=True)
-            for i, (_, a) in enumerate(embs):
-                for j, (_, b) in enumerate(embs):
-                    if i == j:
-                        continue
-                    pair = align_vocabularies(restricted(a), restricted(b))
-                    expected = rpd(pair, standardize_inputs).rpd
-                    assert abs(result.values[i, j] - expected) <= 1e-12
+        result = rpd_pairwise_matrix(embs, common_vocab=True)
+        for i, (_, a) in enumerate(embs):
+            for j, (_, b) in enumerate(embs):
+                if i == j:
+                    continue
+                pair = align_vocabularies(restricted(a), restricted(b))
+                assert abs(result.values[i, j] - rpd(pair).rpd) <= 1e-12
 
     def test_common_vocab_zero_row_names_embedding(self, rng):
         vocab = ("a", "b", "c", "d")
@@ -276,8 +266,7 @@ class TestDecomposePerWord:
         cosines = [p.cos_theta_i for p in report.per_word]
         assert cosines == sorted(cosines)
 
-    @pytest.mark.parametrize("standardize_inputs", [True, False])
-    def test_order_breaks_ties_by_word(self, rng, standardize_inputs):
+    def test_order_breaks_ties_by_word(self, rng):
         # Undefined entries tie at the front and repeated rows tie on their
         # cosine; each tie is broken by Python string order, in which "a"
         # sorts before "a\x00" (numpy's fixed-width strings drop the NUL).
@@ -286,7 +275,7 @@ class TestDecomposePerWord:
         a[[5, 6, 7]], b[[5, 6, 7]] = a[4], b[4]
         vocab = ("a\x00", "q", "a", "\x00", "m", "b\x00", "b", "B", "z", "y", "x", "c")
         pair = AlignedPair(EmbeddingMatrix(vocab, a), EmbeddingMatrix(vocab, b), vocab)
-        entries = decompose_per_word(pair, standardize_inputs).per_word
+        entries = decompose_per_word(pair).per_word
         assert [e.word for e in entries[:3]] == ["\x00", "a", "a\x00"]
         assert entries == tuple(sorted(entries, key=lambda e: (
             -np.inf if e.cos_theta_i is None else e.cos_theta_i, e.word)))
@@ -296,7 +285,7 @@ class TestDecomposePerWord:
         a = EmbeddingMatrix(("u", "v"), [[0.0, 0.0], [1.0, 2.0]])
         b = EmbeddingMatrix(("u", "v"), [[1.0, 1.0], [2.0, 1.0]])
         pair = AlignedPair(a, b, ("u", "v"))
-        report = decompose_per_word(pair, standardize_inputs=False)
+        report = decompose_per_word(pair)
         by_word = {p.word: p for p in report.per_word}
         assert by_word["u"].cos_theta_i is None
         assert by_word["u"].w_i == 0.0
@@ -324,11 +313,3 @@ class TestUpperBound:
             pair = pair_of(rng.standard_normal((40, 6)), rng.standard_normal((40, 3)))
             report = rpd(pair)
             assert report.rpd <= report.ratio_term + 1e-12
-
-    def test_scaled_pair_without_standardization(self, rng):
-        m = rng.standard_normal((25, 4))
-        # ||(sqrt(2) m)(sqrt(2) m)^T|| = 2 ||m m^T||, so the bound is
-        # (2 + 1/2) / 2 = 1.25.
-        pair = pair_of(np.sqrt(2.0) * m, m)
-        report = rpd(pair, standardize_inputs=False)
-        assert report.ratio_term == pytest.approx(1.25, rel=1e-12)
