@@ -54,7 +54,7 @@ dim = 10
 embeddings = {}
 for name, signal in (("pmi", pmi_matrix(counts)), ("logcount", log_count_matrix(counts))):
     factors = truncated_svd(signal, dim)
-    embeddings[name] = svd_embedding(factors)
+    embeddings[name] = svd_embedding(factors, counts.vocab)
     print(f"{name:>8}: top singular values {np.round(factors.S[:4], 2)}")
 
 # --- round-trip through the text format ---

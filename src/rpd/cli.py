@@ -12,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .errors import RpdError
 from .evaluation import (
@@ -46,8 +47,14 @@ def _emit_json(payload: dict, output: str | None) -> None:
 
 
 def _provenance(pair) -> dict:
-    """What a pair report was computed on: the vocabulary coverage of each side."""
-    return {"coverage_left": pair.coverage_left, "coverage_right": pair.coverage_right}
+    """What a pair report was computed on: each side's coverage and all-zero rows."""
+    return {"coverage_left": pair.coverage_left, "coverage_right": pair.coverage_right,
+            "zero_rows_left": _zero_rows(pair.left.matrix),
+            "zero_rows_right": _zero_rows(pair.right.matrix)}
+
+
+def _zero_rows(matrix: np.ndarray) -> int:
+    return int(np.count_nonzero(~np.any(matrix, axis=1)))
 
 
 def _load_datasets(

@@ -10,9 +10,7 @@ matrices enter only through two trace identities,
 
 so the cost is O(n·d²) time and O(d²) extra space. Standardizing E to unit
 mean square entry only rescales G by ``s² = tr(G)/(n·d)``, so no
-standardized n-by-d copy is ever built. The only code that materializes an
-n-by-n Gram matrix is :func:`naive_gram_oracle`, a guarded reference
-implementation kept for testing.
+standardized n-by-d copy is ever built.
 """
 
 from __future__ import annotations
@@ -21,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, PreconditionError
-from .store import EmbeddingMatrix, _unit_exponent
-
-NAIVE_GUARD_LIMIT = 2000
+from .errors import DegenerateInputError
+from .store import _unit_exponent
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,31 +60,3 @@ def gram_side(matrix: np.ndarray, *, owned: bool = False) -> GramSide:
     n, d = rows.shape
     divisor = float(np.trace(gram)) / (n * d)
     return GramSide(rows, gram, float(np.sqrt(np.sum(gram * gram))), divisor)
-
-
-@dataclass(frozen=True)
-class GramOracleResult:
-    norm_a: float
-    norm_b: float
-    inner: float
-
-
-def naive_gram_oracle(a: EmbeddingMatrix, b: EmbeddingMatrix) -> GramOracleResult:
-    """Direct computation from materialized n-by-n Gram matrices.
-
-    Test oracle only: refuses n > NAIVE_GUARD_LIMIT to prevent accidental
-    multi-gigabyte allocations.
-    """
-    if a.n != b.n:
-        raise DimensionError(f"row counts differ: {a.n} vs {b.n}")
-    if a.n > NAIVE_GUARD_LIMIT:
-        raise PreconditionError(
-            f"naive oracle refuses n={a.n} > {NAIVE_GUARD_LIMIT}"
-        )
-    ga = a.matrix @ a.matrix.T
-    gb = b.matrix @ b.matrix.T
-    return GramOracleResult(
-        norm_a=float(np.linalg.norm(ga)),
-        norm_b=float(np.linalg.norm(gb)),
-        inner=float(np.sum(ga * gb)),
-    )

@@ -122,9 +122,10 @@ def decompose_per_word(pair: AlignedPair) -> RpdReport:
 
     Each word i contributes weight ``w_i = ||ĝ⁽¹⁾ᵢ|| ||ĝ⁽²⁾ᵢ|| / (a·b)`` and
     cosine ``cos θᵢ`` between its two Gram rows; the identity
-    ``Σ w_i cos θᵢ = cosine_term`` holds exactly. Words whose Gram row norm
-    vanishes get ``cos_theta_i=None`` and weight 0. Entries are sorted by
-    ascending cosine, most divergent words first, ties by word.
+    ``Σ w_i cos θᵢ = cosine_term`` holds exactly. Entries are sorted by
+    ascending cosine, most divergent words first, ties by word. Words whose
+    Gram row norm vanishes, such as all-zero padding rows, get
+    ``cos_theta_i=None`` and weight 0, and sort last.
 
     Row i of E·Eᵀ is vᵢ·Eᵀ, so with the d-by-d blocks G₁₁ = E₁ᵀE₁,
     G₂₂ = E₂ᵀE₂ and G₁₂ = E₁ᵀE₂ no n-length row is ever formed:
@@ -141,14 +142,14 @@ def decompose_per_word(pair: AlignedPair) -> RpdReport:
     norm_prod = _row_norms(a, left.gram) * _row_norms(b, right.gram)
     weights = norm_prod / (left.norm * right.norm)
     defined = norm_prod != 0.0
-    cosines = np.full(len(dot), -np.inf)
+    cosines = np.full(len(dot), np.inf)
     cosines[defined] = np.clip(dot[defined] / norm_prod[defined], -1.0, 1.0)
 
     vocab = pair.shared_vocab
     by_word = _word_order(vocab)
     order = by_word[np.argsort(cosines[by_word], kind="stable")]
     per_word = tuple(
-        PerWordDivergence(vocab[i], cos if cos > -np.inf else None, weight)
+        PerWordDivergence(vocab[i], cos if cos < np.inf else None, weight)
         for i, cos, weight in zip(
             order.tolist(), cosines[order].tolist(), weights[order].tolist()
         )
@@ -189,9 +190,7 @@ def rpd_pairwise_matrix(
     ``EᵀE`` is computed once for the whole matrix.
 
     Raises:
-        AlignmentError: an empty intersection, with the offending pair named,
-            or an all-zero row in the common vocabulary, with its embedding
-            named.
+        AlignmentError: an empty intersection, with the offending pair named.
         DegenerateInputError: a constant embedding, with its embedding
             (common vocabulary) or pair named.
     """
@@ -212,13 +211,8 @@ def rpd_pairwise_matrix(
         shared = tuple(sorted(shared_set))
         if not shared:
             raise AlignmentError("global vocabulary intersection is empty")
-        sides = []
-        for name, m in zip(names, matrices):
-            try:
-                rows = _restricted_rows(m, shared)
-            except AlignmentError as exc:
-                raise AlignmentError(f"{name}: {exc}") from None
-            sides.append(_named_side(name, rows, owned=True))
+        sides = [_named_side(name, _restricted_rows(m, shared), owned=True)
+                 for name, m in zip(names, matrices)]
         for i, j in cells:
             values[i, j] = values[j, i] = rpd_from_sides(sides[i], sides[j]).rpd
     else:

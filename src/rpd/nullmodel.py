@@ -29,8 +29,6 @@ from .gram import gram_side
 from .metric import rpd_from_sides
 
 ALPHA = 0.01  # significance level of ``reject_at_0_01`` and ``nulltest``'s decision
-_SKEW_THRESHOLD = 0.3
-_EXCESS_KURTOSIS_THRESHOLD = 0.6
 
 
 def _sample_moments(samples: np.ndarray) -> tuple[float, float, float, float]:
@@ -161,17 +159,6 @@ def monte_carlo_null(
     return NullDistribution(n, d_left, d_right, seed, [draw(r) for r in range(replicates)])
 
 
-def analytic_null_mean(n: int, d: int) -> float:
-    """Leading-order expected RPD of independent isotropic embeddings: 1 - d/n.
-
-    First-order approximation used for sanity checks, not hypothesis tests;
-    the Monte Carlo estimate carries the finite-n corrections.
-    """
-    if d < 1 or n <= d:
-        raise PreconditionError(f"need n > d >= 1, got n={n}, d={d}")
-    return 1.0 - d / n
-
-
 @dataclass(frozen=True)
 class ZTestResult:
     """Dependence z-test outcome. ``reject_at_0_01`` uses the two-sided p.
@@ -216,37 +203,4 @@ def z_test(observed_rpd: float, null: NullDistribution) -> ZTestResult:
         p_two_sided=float(p_two),
         p_one_sided=float(p_one),
         reject_at_0_01=bool(p_two < ALPHA),
-    )
-
-
-@dataclass(frozen=True)
-class NormalityDiagnostics:
-    skewness: float
-    excess_kurtosis: float
-    normal_plausible: bool
-
-
-def normality_diagnostics(null: NullDistribution) -> NormalityDiagnostics:
-    """Moment-based normality check of the stored draws.
-
-    ``normal_plausible`` is true when |skewness| < 0.3 and
-    |excess kurtosis| < 0.6, heuristic thresholds sized for a few hundred
-    draws.
-
-    Raises:
-        PreconditionError: fewer than 100 replicates.
-        DegenerateInputError: all samples identical (moments undefined).
-    """
-    if null.replicates < 100:
-        raise PreconditionError(
-            f"need >= 100 replicates for diagnostics, got {null.replicates}"
-        )
-    skew, exkurt = null.skewness, null.excess_kurtosis
-    if math.isnan(skew):
-        raise DegenerateInputError("all samples identical; skewness undefined")
-    plausible = abs(skew) < _SKEW_THRESHOLD and abs(exkurt) < _EXCESS_KURTOSIS_THRESHOLD
-    return NormalityDiagnostics(
-        skewness=skew,
-        excess_kurtosis=exkurt,
-        normal_plausible=plausible,
     )

@@ -58,14 +58,6 @@ class CooccurrenceCounts:
 
 
 @dataclass(frozen=True, eq=False)
-class SignalMatrix:
-    """A sparse signal matrix over ``vocab``, derived from co-occurrence counts."""
-
-    matrix: sparse.csr_array
-    vocab: tuple[str, ...]
-
-
-@dataclass(frozen=True, eq=False)
 class SvdFactors:
     """Truncated SVD factors; U has orthonormal columns, S is descending.
 
@@ -76,7 +68,6 @@ class SvdFactors:
     U: np.ndarray
     S: np.ndarray
     Vt: np.ndarray
-    vocab: tuple[str, ...]
 
 
 def tokenize_corpus_text(text: str, lowercase: bool = True) -> list[list[str]]:
@@ -164,7 +155,7 @@ def count_cooccurrences(
     return CooccurrenceCounts(vocab=vocab, counts=counts, window=window, min_count=min_count)
 
 
-def pmi_matrix(counts: CooccurrenceCounts) -> SignalMatrix:
+def pmi_matrix(counts: CooccurrenceCounts) -> sparse.csr_array:
     """Positive pointwise mutual information of the counts.
 
     ``PMI(i, j) = log(count(i, j) * total / (rowsum(i) * rowsum(j)))`` for
@@ -179,21 +170,20 @@ def pmi_matrix(counts: CooccurrenceCounts) -> SignalMatrix:
     # eliminate_zeros works in place: the counts keep their own index arrays.
     matrix = sparse.csr_array((values, c.indices.copy(), c.indptr.copy()), shape=c.shape)
     matrix.eliminate_zeros()
-    return SignalMatrix(matrix, counts.vocab)
+    return matrix
 
 
-def log_count_matrix(counts: CooccurrenceCounts) -> SignalMatrix:
+def log_count_matrix(counts: CooccurrenceCounts) -> sparse.csr_array:
     """log(1 + count) signal; zero counts stay zero, preserving sparsity."""
     c = counts.counts
-    matrix = sparse.csr_array((np.log1p(c.data), c.indices.copy(), c.indptr.copy()),
-                              shape=c.shape)
-    return SignalMatrix(matrix, counts.vocab)
+    return sparse.csr_array((np.log1p(c.data), c.indices.copy(), c.indptr.copy()),
+                            shape=c.shape)
 
 
 SIGNALS = {"pmi": pmi_matrix, "logcount": log_count_matrix}
 
 
-def truncated_svd(signal: SignalMatrix, d: int) -> SvdFactors:
+def truncated_svd(matrix: sparse.csr_array, d: int) -> SvdFactors:
     """The top ``d`` singular triplets of a sparse signal matrix, descending.
 
     ARPACK (``scipy.sparse.linalg.svds``) solves them to working precision
@@ -212,7 +202,6 @@ def truncated_svd(signal: SignalMatrix, d: int) -> SvdFactors:
     # Imported on use: every CLI call imports the package, few of them solve.
     from scipy.sparse.linalg import svds
 
-    matrix = signal.matrix
     n = min(matrix.shape)
     if not 1 <= d <= n:
         raise DimensionError(f"need 1 <= dim <= vocabulary size {n}, got dim={d}")
@@ -229,10 +218,10 @@ def truncated_svd(signal: SignalMatrix, d: int) -> SvdFactors:
         order = np.argsort(s)[::-1]
         u, s, vt = u[:, order], s[order], vt[order]
     signs = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(d)] < 0, -1.0, 1.0)
-    return SvdFactors(U=u * signs, S=s, Vt=vt * signs[:, None], vocab=signal.vocab)
+    return SvdFactors(U=u * signs, S=s, Vt=vt * signs[:, None])
 
 
-def svd_embedding(factors: SvdFactors) -> EmbeddingMatrix:
+def svd_embedding(factors: SvdFactors, vocab: Sequence[str]) -> EmbeddingMatrix:
     """Embedding rows U scaled columnwise by sqrt(S), one per word of ``vocab``.
 
     Tiny negative singular values (numerical artifacts) are clamped to zero
@@ -242,7 +231,7 @@ def svd_embedding(factors: SvdFactors) -> EmbeddingMatrix:
     if np.any(s < 0):
         warnings.warn("negative singular values clamped to zero", stacklevel=2)
         s = np.maximum(s, 0.0)
-    return EmbeddingMatrix(factors.vocab, factors.U * np.sqrt(s))
+    return EmbeddingMatrix(vocab, factors.U * np.sqrt(s))
 
 
 def train_spectral_embedding(
@@ -260,7 +249,7 @@ def train_spectral_embedding(
     """
     if signal not in SIGNALS:
         raise PreconditionError(f"signal must be one of {tuple(SIGNALS)}, got {signal!r}")
-    return svd_embedding(truncated_svd(SIGNALS[signal](counts), dim))
+    return svd_embedding(truncated_svd(SIGNALS[signal](counts), dim), counts.vocab)
 
 
 def save_counts(counts: CooccurrenceCounts, path: str | Path) -> None:

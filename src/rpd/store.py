@@ -335,18 +335,9 @@ def _unit_exponent(high, low) -> np.ndarray:
 
 
 def _restricted_rows(emb: EmbeddingMatrix, words: Sequence[str]) -> np.ndarray:
-    """A new array of the rows of ``words``, in that order.
-
-    Raises:
-        AlignmentError: one of the rows is all zero.
-    """
+    """A new array of the rows of ``words``, in that order."""
     idx = emb.index
-    sub = emb.matrix[[idx[w] for w in words]]
-    zero = ~np.any(sub, axis=1)
-    if np.any(zero):
-        bad = words[int(np.argmax(zero))]
-        raise AlignmentError(f"all-zero vector for word {bad!r} in aligned vocabulary")
-    return sub
+    return emb.matrix[[idx[w] for w in words]]
 
 
 def _aligned_rows(
@@ -355,7 +346,7 @@ def _aligned_rows(
     """The shared vocabulary of two embeddings and each side's rows for it.
 
     Raises:
-        AlignmentError: empty intersection, or an all-zero aligned row.
+        AlignmentError: empty intersection.
     """
     shared = tuple(sorted(set(a.vocab) & set(b.vocab)))
     if not shared:
@@ -368,11 +359,9 @@ def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
 
     The shared vocabulary is the set intersection ordered lexicographically by
     code point, so the result does not depend on either input's row order.
-    Rows that are exactly zero (typical out-of-vocabulary padding) are
-    rejected rather than silently kept.
 
     Raises:
-        AlignmentError: empty intersection, or an all-zero aligned row.
+        AlignmentError: empty intersection.
     """
     shared, left, right = _aligned_rows(a, b)
     return AlignedPair(

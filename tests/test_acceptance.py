@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from _corpus import synthetic_corpus_text
+from _oracle import naive_gram_oracle
 from conftest import random_embedding, random_orthogonal, reference_null
 from rpd import (
     AlignedPair,
@@ -24,7 +25,6 @@ from rpd import (
     layout_from_distances,
     log_count_matrix,
     monte_carlo_null,
-    naive_gram_oracle,
     perf_vs_rpd_study,
     pmi_matrix,
     random_gaussian_embedding,
@@ -162,15 +162,15 @@ def test_criterion_7_spectral_trainer_correctness(tmp_path):
     d = 32
     factors = truncated_svd(signal, d)
 
-    dense_s = np.linalg.svd(signal.matrix.toarray(), compute_uv=False)[:d]
+    dense_s = np.linalg.svd(signal.toarray(), compute_uv=False)[:d]
     np.testing.assert_allclose(factors.S, dense_s, rtol=1e-6)
 
-    emb = svd_embedding(factors)
+    emb = svd_embedding(factors, counts.vocab)
     gram_d = emb.matrix.T @ emb.matrix
     np.testing.assert_allclose(gram_d, np.diag(factors.S), atol=1e-8)
 
     rerun = truncated_svd(signal, d)
-    emb2 = svd_embedding(rerun)
+    emb2 = svd_embedding(rerun, counts.vocab)
     assert emb.vocab == emb2.vocab
     assert np.array_equal(emb.matrix, emb2.matrix)
     _ok(7, "singular values at oracle accuracy, diagonal Gram, bit-identical reruns")
@@ -186,8 +186,8 @@ def test_criterion_8_trained_spaces_are_dependent():
     d = 100
     factors_pmi = truncated_svd(pmi_matrix(counts), d)
     factors_lc = truncated_svd(log_count_matrix(counts), d)
-    emb_pmi = svd_embedding(factors_pmi)
-    emb_lc = svd_embedding(factors_lc)
+    emb_pmi = svd_embedding(factors_pmi, counts.vocab)
+    emb_lc = svd_embedding(factors_lc, counts.vocab)
 
     pair = align_vocabularies(emb_pmi, emb_lc)
     observed = rpd(pair).rpd

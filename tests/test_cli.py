@@ -28,6 +28,17 @@ def save(tmp_path, name, emb, fmt="word2vec_text"):
     return str(path)
 
 
+def pad_files(tmp_path, rng):
+    """Two 4×2 files sharing the words w0-w2 and an all-zero padding row ``pad``."""
+    vocab = ("w0", "w1", "pad", "w2")
+    paths = []
+    for name in ("a.txt", "b.txt"):
+        m = rng.standard_normal((4, 2))
+        m[2] = 0.0
+        paths.append(save(tmp_path, name, EmbeddingMatrix(vocab, m)))
+    return paths
+
+
 class TestPair:
     def test_same_file_twice(self, runner, tmp_path, rng):
         path = save(tmp_path, "e.txt", random_embedding(rng, 30, 5))
@@ -85,6 +96,26 @@ class TestPair:
         assert payload["n"] == 20
         assert payload["coverage_left"] == pytest.approx(20 / 30, rel=1e-15)
         assert payload["coverage_right"] == pytest.approx(20 / 40, rel=1e-15)
+        assert payload["zero_rows_left"] == payload["zero_rows_right"] == 0
+
+    def test_shared_zero_row_is_a_word(self, runner, tmp_path, rng):
+        a, b = pad_files(tmp_path, rng)
+        result = runner.invoke(main, ["pair", "--left", a, "--right", b])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["n"] == 4
+        assert payload["zero_rows_left"] == payload["zero_rows_right"] == 1
+
+    def test_zero_row_sorts_last(self, runner, tmp_path, rng):
+        a, b = pad_files(tmp_path, rng)
+        top = runner.invoke(main, ["pair", "--left", a, "--right", b, "--top-k", "1"])
+        assert top.exit_code == 0, top.output
+        [first] = json.loads(top.output)["per_word"]
+        assert first["word"] in {"w0", "w1", "w2"}
+        full = runner.invoke(main, ["pair", "--left", a, "--right", b, "--decompose"])
+        per_word = json.loads(full.output)["per_word"]
+        assert per_word[-1] == {"word": "pad", "cos_theta_i": None, "w_i": 0.0}
+        assert all(e["cos_theta_i"] is not None for e in per_word[:-1])
 
     @pytest.mark.parametrize("k", ["-1", "-2"])
     def test_negative_top_k_exits_2(self, runner, tmp_path, rng, k):
@@ -112,7 +143,7 @@ class TestPair:
 
 
 REPORT_KEYS = ["rpd", "ratio_term", "cosine_term", "n", "d_left", "d_right"]
-PROVENANCE_KEYS = ["coverage_left", "coverage_right"]
+PROVENANCE_KEYS = ["coverage_left", "coverage_right", "zero_rows_left", "zero_rows_right"]
 
 
 def test_json_key_order(runner, tmp_path, rng):
@@ -203,6 +234,15 @@ class TestMatrix:
             assert result.stderr == (
                 f"error: {offender}: matrix is constant: zero standard deviation\n")
 
+    @pytest.mark.parametrize("flags", [[], ["--common-vocab"]])
+    def test_shared_zero_row_is_a_word(self, runner, tmp_path, rng, flags):
+        a, b = pad_files(tmp_path, rng)
+        result = runner.invoke(main, ["matrix", "--emb", f"a={a}", "--emb", f"b={b}", *flags])
+        assert result.exit_code == 0, result.output
+        pair = runner.invoke(main, ["pair", "--left", a, "--right", b])
+        value = float(result.output.splitlines()[1].split("\t")[2])
+        assert value == pytest.approx(json.loads(pair.output)["rpd"], rel=1e-11)
+
 
 class TestNulltest:
     def test_independent_files_fail_to_reject(self, runner, tmp_path):
@@ -247,6 +287,24 @@ class TestNulltest:
         payload = json.loads(result.output)
         assert payload["coverage_left"] == pytest.approx(40 / 60, rel=1e-15)
         assert payload["coverage_right"] == pytest.approx(40 / 50, rel=1e-15)
+        assert payload["zero_rows_left"] == payload["zero_rows_right"] == 0
+        assert payload["null"]["n"] == 40
+
+    def test_zero_rows_reported(self, runner, tmp_path, rng):
+        # 2 of the 40 shared words are all zero on the left, 1 on the right;
+        # the null is drawn at the pair's n with them.
+        vocab = tuple(f"w{i}" for i in range(40))
+        left, right = rng.standard_normal((40, 4)), rng.standard_normal((40, 3))
+        left[[3, 17]] = 0.0
+        right[17] = 0.0
+        result = runner.invoke(main, [
+            "nulltest", "--left", save(tmp_path, "a.txt", EmbeddingMatrix(vocab, left)),
+            "--right", save(tmp_path, "b.txt", EmbeddingMatrix(vocab, right)),
+            "--replicates", "30",
+        ])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert (payload["zero_rows_left"], payload["zero_rows_right"]) == (2, 1)
         assert payload["null"]["n"] == 40
 
     def test_zero_replicates_exits_2(self, runner, tmp_path, rng):

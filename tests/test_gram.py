@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracle import naive_gram_oracle
 from conftest import random_embedding, random_orthogonal
 from rpd import (
     AlignedPair,
@@ -8,7 +9,6 @@ from rpd import (
     EmbeddingMatrix,
     PreconditionError,
     decompose_per_word,
-    naive_gram_oracle,
     standardize,
 )
 from rpd.gram import gram_side

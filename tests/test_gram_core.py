@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracle import naive_gram_oracle
 from conftest import random_orthogonal
 from rpd import (
     AlignedPair,
     EmbeddingMatrix,
     decompose_per_word,
-    naive_gram_oracle,
     rpd,
     rpd_pairwise_matrix,
     standardize,

@@ -12,9 +12,7 @@ from rpd import (
     EmbeddingMatrix,
     NullDistribution,
     PreconditionError,
-    analytic_null_mean,
     monte_carlo_null,
-    normality_diagnostics,
     random_gaussian_embedding,
     rpd,
     z_test,
@@ -66,7 +64,8 @@ class TestMonteCarloNull:
     def test_consistency_with_analytic_mean(self):
         for n, d, seed in ((1000, 100, 1), (1500, 50, 2), (1200, 30, 3)):
             null = monte_carlo_null(n, d, d, replicates=60, seed=seed)
-            assert abs(null.mu - analytic_null_mean(n, d)) < 5 * max(null.sigma, 0.002)
+            # Leading order of the isotropic null mean: 1 - d/n.
+            assert abs(null.mu - (1.0 - d / n)) < 5 * max(null.sigma, 0.002)
 
     def test_convergence_with_replicates(self):
         # Doubling the replicate count moves the mean by less than three
@@ -186,23 +185,6 @@ class TestMonteCarloError:
         assert math.isnan(null.sigma_se)
 
 
-class TestAnalyticNullMean:
-    def test_basic_value(self):
-        assert analytic_null_mean(1000, 100) == pytest.approx(0.900, abs=1e-12)
-
-    def test_boundary(self):
-        assert analytic_null_mean(50, 49) == pytest.approx(1.0 / 50, abs=1e-12)
-
-    def test_large_vocabulary(self):
-        assert analytic_null_mean(25097, 300) == pytest.approx(0.9880464, abs=1e-6)
-
-    def test_preconditions(self):
-        with pytest.raises(PreconditionError):
-            analytic_null_mean(100, 100)
-        with pytest.raises(PreconditionError):
-            analytic_null_mean(100, 0)
-
-
 class TestZTest:
     def test_reported_example(self):
         result = z_test(0.511, reference_null())
@@ -239,30 +221,24 @@ class TestZTest:
 
 
 class TestNormalityDiagnostics:
+    """The skewness and excess kurtosis a null reports, which show how normal it is."""
+
     def test_simulated_null_is_plausible(self):
         null = monte_carlo_null(1000, 100, 100, replicates=300, seed=17)
-        diag = normality_diagnostics(null)
-        assert diag.normal_plausible
-        assert abs(diag.skewness) < 0.3
-        assert abs(diag.excess_kurtosis) < 0.6
+        assert abs(null.skewness) < 0.3
+        assert abs(null.excess_kurtosis) < 0.6
 
     def test_identical_samples_degenerate(self):
         null = NullDistribution(100, 10, 10, 0, [0.5] * 200)
-        with pytest.raises(DegenerateInputError):
-            normality_diagnostics(null)
+        assert math.isnan(null.skewness)
+        assert math.isnan(null.excess_kurtosis)
 
     def test_exponential_shape_rejected(self):
         rng = np.random.default_rng(0)
         samples = rng.exponential(scale=1.0, size=400)
         null = NullDistribution(100, 10, 10, 0, samples)
-        diag = normality_diagnostics(null)
-        assert not diag.normal_plausible
-        assert diag.skewness > 1.0
-
-    def test_requires_samples_and_replicates(self):
-        small = monte_carlo_null(60, 4, 4, replicates=50, seed=1)
-        with pytest.raises(PreconditionError):
-            normality_diagnostics(small)
+        assert null.skewness > 1.0
+        assert null.excess_kurtosis > 0.6
 
 
 class TestNullDistributionType:

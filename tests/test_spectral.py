@@ -11,7 +11,6 @@ from rpd import (
     DimensionError,
     ParseError,
     PreconditionError,
-    SignalMatrix,
     SvdFactors,
     count_cooccurrences,
     load_counts,
@@ -38,8 +37,7 @@ def dense_counts(array, vocab=None, window=1, min_count=1):
 
 
 def signal_of(array):
-    array = np.asarray(array, dtype=np.float64)
-    return SignalMatrix(sparse.csr_array(array), tuple(f"t{i}" for i in range(array.shape[0])))
+    return sparse.csr_array(np.asarray(array, dtype=np.float64))
 
 
 class TestCountCooccurrences:
@@ -183,12 +181,12 @@ class TestSignalMatrices:
     def test_pmi_hand_value(self):
         counts = dense_counts([[0.0, 1.0], [1.0, 0.0]])
         pmi = pmi_matrix(counts)
-        dense = pmi.matrix.toarray()
+        dense = pmi.toarray()
         assert dense[0, 1] == pytest.approx(np.log(2.0), rel=1e-15)
 
     def test_pmi_zero_cells_stay_zero(self):
         counts = dense_counts([[0.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        dense = pmi_matrix(counts).matrix.toarray()
+        dense = pmi_matrix(counts).toarray()
         assert dense[0, 2] == 0.0
 
     def test_pmi_matches_dense_formula(self, rng):
@@ -196,7 +194,7 @@ class TestSignalMatrices:
         raw = raw + raw.T
         np.fill_diagonal(raw, 0.0)
         counts = dense_counts(raw)
-        dense = pmi_matrix(counts).matrix.toarray()
+        dense = pmi_matrix(counts).toarray()
 
         total = raw.sum()
         rowsums = raw.sum(axis=1)
@@ -210,13 +208,13 @@ class TestSignalMatrices:
         raw = rng.integers(0, 5, size=(8, 8)).astype(float)
         raw = raw + raw.T
         counts = dense_counts(raw)
-        dense = log_count_matrix(counts).matrix.toarray()
+        dense = log_count_matrix(counts).toarray()
         np.testing.assert_allclose(dense, np.log1p(raw), rtol=0, atol=1e-15)
 
     def test_log_count_fractional(self):
         value = np.e - 1.0
         counts = dense_counts([[0.0, value], [value, 0.0]])
-        dense = log_count_matrix(counts).matrix.toarray()
+        dense = log_count_matrix(counts).toarray()
         assert dense[0, 1] == pytest.approx(1.0, rel=1e-15)
 
     def test_signals_preserve_symmetry_and_sign(self, rng):
@@ -224,7 +222,7 @@ class TestSignalMatrices:
         raw = raw + raw.T
         counts = dense_counts(raw)
         for sig in (pmi_matrix(counts), log_count_matrix(counts)):
-            dense = sig.matrix.toarray()
+            dense = sig.toarray()
             np.testing.assert_allclose(dense, dense.T, atol=0)
             assert np.all(dense >= 0.0)
 
@@ -283,8 +281,8 @@ class TestTruncatedSvd:
         # is no entry either.
         docs = tokenize_corpus_text("a b\nb a\na a\nb b\n")
         empty = pmi_matrix(count_cooccurrences(docs, window=1, min_count=1))
-        stored_zeros = SignalMatrix(sparse.csr_array((np.zeros(2), ([0, 1], [1, 0]))), ("a", "b"))
-        assert stored_zeros.matrix.nnz == 2
+        stored_zeros = sparse.csr_array((np.zeros(2), ([0, 1], [1, 0])))
+        assert stored_zeros.nnz == 2
         for signal in (empty, stored_zeros):
             with pytest.raises(DegenerateInputError, match="no non-zero entry"):
                 truncated_svd(signal, d)
@@ -317,10 +315,10 @@ class TestTruncatedSvd:
         signal = pmi_matrix(counts)
         d = 40
         factors = truncated_svd(signal, d)
-        av = signal.matrix @ factors.Vt.T
+        av = signal @ factors.Vt.T
         residuals = np.linalg.norm(av - factors.U * factors.S, axis=0) / factors.S
         assert np.max(residuals) <= 1e-10
-        dense_s = np.linalg.svd(signal.matrix.toarray(), compute_uv=False)
+        dense_s = np.linalg.svd(signal.toarray(), compute_uv=False)
         np.testing.assert_allclose(factors.S[-10:], dense_s[d - 10:d], rtol=1e-10)
 
     def test_truncation_error_is_optimal(self, rng):
@@ -339,9 +337,8 @@ class TestTruncatedSvd:
 
 class TestSvdEmbedding:
     def test_hand_example(self):
-        factors = SvdFactors(U=np.eye(3)[:, :2], S=np.array([4.0, 1.0]),
-                             Vt=np.eye(3)[:2], vocab=("a", "b", "c"))
-        emb = svd_embedding(factors)
+        factors = SvdFactors(U=np.eye(3)[:, :2], S=np.array([4.0, 1.0]), Vt=np.eye(3)[:2])
+        emb = svd_embedding(factors, ("a", "b", "c"))
         np.testing.assert_allclose(emb.matrix, [[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
                                    atol=0)
         assert emb.vocab == ("a", "b", "c")
@@ -350,14 +347,14 @@ class TestSvdEmbedding:
         m = rng.standard_normal((30, 30))
         sig = signal_of((m + m.T) / 2.0)
         factors = truncated_svd(sig, 6)
-        emb = svd_embedding(factors)
+        emb = svd_embedding(factors, tuple(f"t{i}" for i in range(30)))
         np.testing.assert_allclose(emb.matrix.T @ emb.matrix, np.diag(factors.S),
                                    atol=1e-8)
 
     def test_negative_singular_value_clamped(self):
         with pytest.warns(UserWarning):
             emb = svd_embedding(SvdFactors(U=np.eye(2), S=np.array([1.0, -1e-12]),
-                                           Vt=np.eye(2), vocab=("a", "b")))
+                                           Vt=np.eye(2)), ("a", "b"))
         assert emb.matrix[1, 1] == 0.0
 
     def test_end_to_end_best_rank_d(self):
@@ -365,7 +362,7 @@ class TestSvdEmbedding:
         counts = count_cooccurrences(tokenize_corpus_text(text), window=5, min_count=3)
         signal = pmi_matrix(counts)
         d = 6
-        dense = signal.matrix.toarray()
+        dense = signal.toarray()
         # The identity below requires the d largest-magnitude eigenvalues of
         # this corpus's signal to be positive; verify before relying on it.
         eigenvalues = np.linalg.eigvalsh(dense)
@@ -373,7 +370,7 @@ class TestSvdEmbedding:
         assert np.all(by_magnitude[:d] > 0)
 
         factors = truncated_svd(signal, d)
-        emb = svd_embedding(factors)
+        emb = svd_embedding(factors, counts.vocab)
         gram = emb.matrix @ emb.matrix.T
 
         u, s, vt = np.linalg.svd(dense)
@@ -411,11 +408,11 @@ class TestTrainPipeline:
         text = synthetic_corpus_text(15000, vocab_size=150, seed=11)
         counts = count_cooccurrences(tokenize_corpus_text(text), window=5, min_count=3)
         signal = pmi_matrix(counts)
-        nudged = signal.matrix.copy()
+        nudged = signal.copy()
         hit = np.random.default_rng(0).random(nudged.nnz) < 0.05
         nudged.data[hit] = np.nextafter(nudged.data[hit], np.inf)
-        a = svd_embedding(truncated_svd(signal, 20)).matrix
-        b = svd_embedding(truncated_svd(SignalMatrix(nudged, signal.vocab), 20)).matrix
+        a = svd_embedding(truncated_svd(signal, 20), counts.vocab).matrix
+        b = svd_embedding(truncated_svd(nudged, 20), counts.vocab).matrix
         assert np.all(np.sum(a * b, axis=0) > 0)
         assert np.max(np.abs(a - b)) <= 1e-10
 

@@ -183,12 +183,13 @@ class TestAlign:
         with pytest.raises(AlignmentError):
             align_vocabularies(a, b)
 
-    def test_zero_row_rejected(self, rng):
+    def test_zero_row_kept(self, rng):
         a = self.make(["a", "b"], [[0.0, 0.0], [1.0, 2.0]])
         b = self.make(["a", "b"], rng.standard_normal((2, 2)))
-        with pytest.raises(AlignmentError) as exc:
-            align_vocabularies(a, b)
-        assert "a" in str(exc.value)
+        pair = align_vocabularies(a, b)
+        assert pair.shared_vocab == ("a", "b")
+        np.testing.assert_array_equal(pair.left.matrix, a.matrix)
+        np.testing.assert_array_equal(pair.right.matrix, b.matrix)
 
     def test_mixed_dimensions_allowed(self, rng):
         a = self.make(["a", "b"], rng.standard_normal((2, 3)))
