@@ -46,15 +46,20 @@ def _emit_json(payload: dict, output: str | None) -> None:
     _emit(json.dumps(payload, indent=2), output)
 
 
-def _provenance(pair) -> dict:
-    """What a pair report was computed on: each side's coverage and all-zero rows."""
+def _zero_rows(pair) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the shared words whose vector is all zero, left and right."""
+    return ~np.any(pair.left.matrix, axis=1), ~np.any(pair.right.matrix, axis=1)
+
+
+def _provenance(pair, zero_left: np.ndarray, zero_right: np.ndarray) -> dict:
+    """What a pair report was computed on: each side's coverage and all-zero rows.
+
+    Coverage counts a padded word as shared; the zero-row counts say how many
+    of the shared words carry no vector on that side.
+    """
     return {"coverage_left": pair.coverage_left, "coverage_right": pair.coverage_right,
-            "zero_rows_left": _zero_rows(pair.left.matrix),
-            "zero_rows_right": _zero_rows(pair.right.matrix)}
-
-
-def _zero_rows(matrix: np.ndarray) -> int:
-    return int(np.count_nonzero(~np.any(matrix, axis=1)))
+            "zero_rows_left": int(np.count_nonzero(zero_left)),
+            "zero_rows_right": int(np.count_nonzero(zero_right))}
 
 
 def _load_datasets(
@@ -108,7 +113,7 @@ def cmd_pair(left, right, fmt, decompose, top_k, output):
         report = replace(report, per_word=report.per_word[:top_k])  # None keeps all
     else:
         report = rpd(pair)
-    _emit_json({**report.to_dict(), **_provenance(pair)}, output)
+    _emit_json({**report.to_dict(), **_provenance(pair, *_zero_rows(pair))}, output)
 
 
 @main.command("matrix")
@@ -141,19 +146,23 @@ def cmd_nulltest(left, right, fmt, replicates, seed, one_sided, samples_out, out
     Each replicate is the RPD of two independent Gaussian spaces of the aligned
     pair's shape, drawn exactly through the Bartlett factor of their joint Gram
     matrix: O(min(n, d1+d2)·(d1+d2)²) per replicate, independent of the
-    vocabulary size n beyond d1+d2. The JSON reports the Monte Carlo standard
-    errors of the null's mu and sigma and of z.
+    vocabulary size n beyond d1+d2. A word that is all zero on both sides adds
+    nothing to any Gram block, so the observed RPD is that of the other words
+    and the null is drawn at their count. The JSON reports the Monte Carlo
+    standard errors of the null's mu and sigma and of z.
     """
     pair = align_vocabularies(load_embeddings(left, fmt), load_embeddings(right, fmt))
     observed = rpd(pair).rpd
-    null = monte_carlo_null(pair.n, pair.left.dim, pair.right.dim, replicates, seed)
+    zero_left, zero_right = _zero_rows(pair)
+    n = pair.n - int(np.count_nonzero(zero_left & zero_right))
+    null = monte_carlo_null(n, pair.left.dim, pair.right.dim, replicates, seed)
     result = z_test(observed, null)
     if samples_out is not None:
         null.save_samples(samples_out)
     p_for_decision = result.p_one_sided if one_sided else result.p_two_sided
     payload = {
         "observed_rpd": observed,
-        **_provenance(pair),
+        **_provenance(pair, zero_left, zero_right),
         "null": null.to_dict(),
         **result.to_dict(),
         "alpha": ALPHA,

@@ -292,7 +292,7 @@ class TestNulltest:
 
     def test_zero_rows_reported(self, runner, tmp_path, rng):
         # 2 of the 40 shared words are all zero on the left, 1 on the right;
-        # the null is drawn at the pair's n with them.
+        # w17, zero on both sides, leaves the null drawn at the other 39.
         vocab = tuple(f"w{i}" for i in range(40))
         left, right = rng.standard_normal((40, 4)), rng.standard_normal((40, 3))
         left[[3, 17]] = 0.0
@@ -305,7 +305,31 @@ class TestNulltest:
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output)
         assert (payload["zero_rows_left"], payload["zero_rows_right"]) == (2, 1)
-        assert payload["null"]["n"] == 40
+        assert payload["null"]["n"] == 39
+
+    def test_shared_zero_rows_leave_the_test_unchanged(self, runner, tmp_path):
+        # Two independent 20-dim spaces over 200 words, then the same files with
+        # 200 more words that are zero on both sides: both test the 200 words.
+        real = [random_gaussian_embedding(200, 20, seed=s) for s in (300, 400)]
+        pad = tuple(f"pad{i}" for i in range(200))
+        padded = [EmbeddingMatrix(e.vocab + pad, np.vstack([e.matrix, np.zeros((200, 20))]))
+                  for e in real]
+        payloads = []
+        for tag, (a, b) in (("real", real), ("padded", padded)):
+            result = runner.invoke(main, [
+                "nulltest", "--left", save(tmp_path, f"a_{tag}.txt", a),
+                "--right", save(tmp_path, f"b_{tag}.txt", b), "--replicates", "300",
+            ])
+            assert result.exit_code == 0, result.output
+            payloads.append(json.loads(result.output))
+        plain, padded_payload = payloads
+        assert padded_payload["zero_rows_left"] == padded_payload["zero_rows_right"] == 200
+        assert padded_payload["null"] == plain["null"]
+        assert plain["null"]["n"] == 200
+        assert padded_payload["observed_rpd"] == pytest.approx(plain["observed_rpd"], rel=1e-14)
+        assert padded_payload["z"] == pytest.approx(plain["z"], rel=1e-10, abs=1e-10)
+        assert padded_payload["decision"] == "fail_to_reject"
+        assert padded_payload["reject_at_0_01"] is False
 
     def test_zero_replicates_exits_2(self, runner, tmp_path, rng):
         path = save(tmp_path, "e.txt", random_embedding(rng, 20, 4))
