@@ -60,8 +60,8 @@ for name, signal in (("pmi", pmi_matrix(counts)), ("logcount", log_count_matrix(
 # --- round-trip through the text format ---
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "pmi.txt"
-    save_embeddings(embeddings["pmi"], path, "word2vec_text")
-    reloaded = load_embeddings(path, "word2vec_text")
+    save_embeddings(embeddings["pmi"], path)
+    reloaded = load_embeddings(path)
     print(f"\nround trip through {path.name}: vocab preserved = "
           f"{reloaded.vocab == embeddings['pmi'].vocab}, "
           f"max entry error = {np.max(np.abs(reloaded.matrix - embeddings['pmi'].matrix)):.1e}")

@@ -30,8 +30,6 @@ from .spectral import (SIGNALS, WEIGHTINGS, count_cooccurrences, read_corpus, sa
                        train_spectral_embedding)
 from .store import EmbeddingMatrix, align_vocabularies, load_embeddings, save_embeddings
 
-_FORMAT_CHOICE = click.Choice(["word2vec", "glove"])
-
 
 def _emit(text: str, output: str | None) -> None:
     if output is None:
@@ -72,13 +70,13 @@ def _load_datasets(
             load_analogy_dataset(analogy) if analogy else None)
 
 
-def _parse_named(specs: tuple[str, ...], fmt: str) -> list[tuple[str, EmbeddingMatrix]]:
+def _parse_named(specs: tuple[str, ...]) -> list[tuple[str, EmbeddingMatrix]]:
     """The ``--emb NAME=PATH`` embeddings, loaded once every spec is checked."""
     named = [spec.partition("=") for spec in specs]
     for spec, (name, sep, path) in zip(specs, named):
         if not sep or not name or not path:
             raise click.UsageError(f"--emb expects NAME=PATH, got {spec!r}")
-    return [(name, load_embeddings(path, fmt)) for name, _, path in named]
+    return [(name, load_embeddings(path)) for name, _, path in named]
 
 
 class _Commands(click.Group):
@@ -94,20 +92,23 @@ class _Commands(click.Group):
 
 @click.group(cls=_Commands)
 def main() -> None:
-    """Distances, dependence tests, and spectral trainers for embedding spaces."""
+    """Distances, dependence tests, and spectral trainers for embedding spaces.
+
+    An embedding file is word2vec text when its first line is two integers,
+    the header "n d", and GloVe text (no header) otherwise.
+    """
 
 
 @main.command("pair")
 @click.option("--left", required=True, type=click.Path())
 @click.option("--right", required=True, type=click.Path())
-@click.option("--format", "fmt", type=_FORMAT_CHOICE, default="word2vec", show_default=True)
 @click.option("--decompose", is_flag=True, help="Include the per-word breakdown.")
 @click.option("--top-k", type=click.IntRange(min=0), default=None,
               help="Keep only the K most divergent words (implies --decompose).")
 @click.option("--output", type=click.Path(), default=None)
-def cmd_pair(left, right, fmt, decompose, top_k, output):
+def cmd_pair(left, right, decompose, top_k, output):
     """Distance between two embedding files, as a JSON report."""
-    pair = align_vocabularies(load_embeddings(left, fmt), load_embeddings(right, fmt))
+    pair = align_vocabularies(load_embeddings(left), load_embeddings(right))
     if decompose or top_k is not None:
         report = decompose_per_word(pair)
         report = replace(report, per_word=report.per_word[:top_k])  # None keeps all
@@ -118,20 +119,18 @@ def cmd_pair(left, right, fmt, decompose, top_k, output):
 
 @main.command("matrix")
 @click.option("--emb", "embs", multiple=True, required=True, metavar="NAME=PATH")
-@click.option("--format", "fmt", type=_FORMAT_CHOICE, default="word2vec", show_default=True)
 @click.option("--common-vocab", is_flag=True,
               help="Restrict every embedding to the global vocabulary intersection.")
 @click.option("--output", type=click.Path(), default=None)
-def cmd_matrix(embs, fmt, common_vocab, output):
+def cmd_matrix(embs, common_vocab, output):
     """Pairwise distance matrix over named embeddings, as TSV."""
-    result = rpd_pairwise_matrix(_parse_named(embs, fmt), common_vocab=common_vocab)
+    result = rpd_pairwise_matrix(_parse_named(embs), common_vocab=common_vocab)
     _emit(result.to_tsv(), output)
 
 
 @main.command("nulltest")
 @click.option("--left", required=True, type=click.Path())
 @click.option("--right", required=True, type=click.Path())
-@click.option("--format", "fmt", type=_FORMAT_CHOICE, default="word2vec", show_default=True)
 @click.option("--replicates", type=click.IntRange(min=2), default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--one-sided", is_flag=True,
@@ -140,7 +139,7 @@ def cmd_matrix(embs, fmt, common_vocab, output):
 @click.option("--samples-out", type=click.Path(), default=None,
               help="Write the raw null draws, one per line.")
 @click.option("--output", type=click.Path(), default=None)
-def cmd_nulltest(left, right, fmt, replicates, seed, one_sided, samples_out, output):
+def cmd_nulltest(left, right, replicates, seed, one_sided, samples_out, output):
     """Dependence z-test of two embedding files against the Monte Carlo null.
 
     Each replicate is the RPD of two independent Gaussian spaces of the aligned
@@ -151,7 +150,7 @@ def cmd_nulltest(left, right, fmt, replicates, seed, one_sided, samples_out, out
     and the null is drawn at their count. The JSON reports the Monte Carlo
     standard errors of the null's mu and sigma and of z.
     """
-    pair = align_vocabularies(load_embeddings(left, fmt), load_embeddings(right, fmt))
+    pair = align_vocabularies(load_embeddings(left), load_embeddings(right))
     observed = rpd(pair).rpd
     zero_left, zero_right = _zero_rows(pair)
     n = pair.n - int(np.count_nonzero(zero_left & zero_right))
@@ -192,51 +191,48 @@ def cmd_train_svd(corpus, signal, dim, window, min_count, weighting, no_lowercas
     if counts_out is not None:
         save_counts(counts, counts_out)
     emb = train_spectral_embedding(counts, signal, dim)
-    save_embeddings(emb, output, "word2vec_text")
+    save_embeddings(emb, output)
     click.echo(f"wrote {emb.n} x {emb.dim} embedding to {output}", err=True)
 
 
 @main.command("eval")
 @click.option("--emb", "emb_path", required=True, type=click.Path())
-@click.option("--format", "fmt", type=_FORMAT_CHOICE, default="word2vec", show_default=True)
 @click.option("--similarity", type=click.Path(), default=None)
 @click.option("--analogy", type=click.Path(), default=None)
 @click.option("--output", type=click.Path(), default=None)
-def cmd_eval(emb_path, fmt, similarity, analogy, output):
+def cmd_eval(emb_path, similarity, analogy, output):
     """Score an embedding on similarity and/or analogy datasets (JSON)."""
     sim_ds, ana_ds = _load_datasets(similarity, analogy)
-    emb = load_embeddings(emb_path, fmt)
+    emb = load_embeddings(emb_path)
     _emit_json(evaluate(emb, sim_ds, ana_ds).to_dict(), output)
 
 
 @main.command("study")
 @click.option("--baseline", required=True, type=click.Path())
 @click.option("--emb", "embs", multiple=True, required=True, metavar="NAME=PATH")
-@click.option("--format", "fmt", type=_FORMAT_CHOICE, default="word2vec", show_default=True)
 @click.option("--similarity", type=click.Path(), default=None)
 @click.option("--analogy", type=click.Path(), default=None)
 @click.option("--output", type=click.Path(), default=None)
-def cmd_study(baseline, embs, fmt, similarity, analogy, output):
+def cmd_study(baseline, embs, similarity, analogy, output):
     """Distance-vs-performance study against a baseline embedding (TSV)."""
     sim_ds, ana_ds = _load_datasets(similarity, analogy)
-    base = load_embeddings(baseline, fmt)
-    result = perf_vs_rpd_study(base, _parse_named(embs, fmt), sim_ds, ana_ds)
+    base = load_embeddings(baseline)
+    result = perf_vs_rpd_study(base, _parse_named(embs), sim_ds, ana_ds)
     _emit(result.to_tsv(), output)
 
 
 @main.command("map")
 @click.option("--emb", "embs", multiple=True, required=True, metavar="NAME=PATH")
-@click.option("--format", "fmt", type=_FORMAT_CHOICE, default="word2vec", show_default=True)
 @click.option("--anchors", required=True, metavar="NAME,NAME",
               help="Two embedding names fixed to the origin and positive x-axis.")
 @click.option("--common-vocab", is_flag=True)
 @click.option("--output", type=click.Path(), default=None)
-def cmd_map(embs, fmt, anchors, common_vocab, output):
+def cmd_map(embs, anchors, common_vocab, output):
     """2D layout of embedding spaces from their pairwise distances (TSV)."""
     parts = [p.strip() for p in anchors.split(",")]
     if len(parts) != 2 or not all(parts):
         raise click.UsageError(f"--anchors expects NAME,NAME, got {anchors!r}")
-    matrix = rpd_pairwise_matrix(_parse_named(embs, fmt), common_vocab=common_vocab)
+    matrix = rpd_pairwise_matrix(_parse_named(embs), common_vocab=common_vocab)
     result = layout_from_distances(matrix.values, matrix.names, parts[0], parts[1])
     _emit(result.to_tsv(), output)
 

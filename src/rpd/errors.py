@@ -14,7 +14,7 @@ class ParseError(RpdError):
 
 
 class FormatError(RpdError):
-    """File structure inconsistent with the declared format."""
+    """An embedding file that is empty or unlike its own "n d" header."""
 
 
 class DuplicateWordError(RpdError):

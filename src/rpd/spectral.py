@@ -116,6 +116,8 @@ def count_cooccurrences(
             (neighbor at distance k counts 1/k).
 
     Raises:
+        PreconditionError: a document that is a ``str`` (its characters would
+            count as tokens).
         CorpusError: empty vocabulary after filtering, or no pairs at all.
     """
     if window < 1:
@@ -125,7 +127,11 @@ def count_cooccurrences(
     if weighting not in WEIGHTINGS:
         raise PreconditionError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
 
-    docs = [list(doc) for doc in documents]
+    docs = []
+    for doc in documents:
+        if isinstance(doc, str):
+            raise PreconditionError("a document must be a sequence of tokens, not a str")
+        docs.append(list(doc))
     freq = Counter(chain.from_iterable(docs))
     vocab = tuple(sorted((w for w, c in freq.items() if c >= min_count),
                          key=lambda w: (-freq[w], w)))
@@ -277,7 +283,9 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
 
     Raises:
         ParseError: a bad line in either file (at ``path:line``; a cell listed
-            a second time is bad there) or no counts.
+            a second time is bad there, and so is a ``window`` or ``min_count``
+            that is not an integer >= 1), a missing ``# window N`` or
+            ``# min_count N`` line (at ``path``), or no counts.
     """
     path = Path(path)
     vocab_path = path.with_name(path.name + ".vocab")
@@ -293,7 +301,7 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
         raise ParseError(f"{vocab_path}: empty vocabulary sidecar")
     n = len(vocab)
 
-    header = {"window": 0, "min_count": 0}
+    header: dict[str, int | None] = {"window": None, "min_count": None}
     rows: list[int] = []
     cols: list[int] = []
     data: list[float] = []
@@ -304,10 +312,13 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
             fields = line[1:].split()
             if len(fields) == 2 and fields[0] in header:
                 try:
-                    header[fields[0]] = int(fields[1])
+                    value = int(fields[1])
                 except ValueError:
+                    value = 0
+                if value < 1:
                     raise ParseError(f"{path}:{lineno}: {fields[0]} must be an "
-                                     f"integer, got {fields[1]!r}") from None
+                                     f"integer >= 1, got {fields[1]!r}")
+                header[fields[0]] = value
             continue
         fields = line.split()
         if len(fields) != 3:
@@ -333,6 +344,9 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
         first = int(repeats.min())
         raise ParseError(f"{path}:{linenos[first]}: cell {rows[first]} {cols[first]} "
                          f"listed twice")
+    for name, value in header.items():
+        if value is None:
+            raise ParseError(f"{path}: no '# {name} N' line")
     upper = sparse.coo_array((np.array(data), (row_ids, col_ids)), shape=(n, n)).tocsr()
     strict = sparse.triu(upper, k=1)
     try:

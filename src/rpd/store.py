@@ -1,11 +1,13 @@
 """Embedding matrices: loading, saving, normalization, and vocabulary alignment.
 
-Two text formats are supported:
+An embedding file is word2vec or GloVe text, and the file says which:
 
-* ``word2vec_text``: a header line ``"n d"`` followed by n lines
-  ``"word v1 ... vd"``, UTF-8 words.
-* ``glove_text``: the same data lines with no header; d is inferred from the
-  first line and n from the line count.
+* word2vec text: a header line ``"n d"``, then n lines ``"word v1 ... vd"``.
+* GloVe text: the same data lines with no header; d is read from the first line.
+
+The first non-blank line is the header exactly when it is two fields that both
+parse as ``int``, so a headerless 1-dimensional file whose first line is two
+integers (``2019 1``) needs a header. The writer always writes one.
 
 Every text input of the package goes through one reader, ``_text_lines``:
 UTF-8, a leading byte-order mark ignored, and a byte that is not valid UTF-8
@@ -41,15 +43,6 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-
-FORMATS = ("word2vec_text", "glove_text")
-
-_FORMAT_ALIASES = {
-    "word2vec": "word2vec_text",
-    "word2vec_text": "word2vec_text",
-    "glove": "glove_text",
-    "glove_text": "glove_text",
-}
 
 _FLOAT_FMT = "%.9e"  # ten significant digits
 
@@ -149,22 +142,10 @@ class AlignedPair:
         return len(self.shared_vocab)
 
 
-def _resolve_format(format: str) -> str:
-    try:
-        return _FORMAT_ALIASES[format]
-    except KeyError:
-        raise PreconditionError(
-            f"unknown embedding format {format!r}; expected one of {FORMATS}"
-        ) from None
+def load_embeddings(path: str | Path) -> EmbeddingMatrix:
+    """Load an embedding matrix from a word2vec or GloVe text file.
 
-
-def load_embeddings(path: str | Path, format: str) -> EmbeddingMatrix:
-    """Load an embedding matrix from a text file.
-
-    Args:
-        path: File to read.
-        format: ``"word2vec_text"`` or ``"glove_text"`` (short aliases
-            ``"word2vec"`` / ``"glove"`` accepted).
+    The format is read from the file; see the module docstring.
 
     Returns:
         An :class:`EmbeddingMatrix` with rows in file order.
@@ -176,7 +157,7 @@ def load_embeddings(path: str | Path, format: str) -> EmbeddingMatrix:
         DuplicateWordError: a word occurs twice.
     """
     path = Path(path)
-    lines, start, dim = _read_lines(path, _resolve_format(format))
+    lines, start, dim = _read_lines(path)
     emb = _parse_bulk(lines[start:], dim)
     if emb is None:
         emb = _parse_per_line(lines, start, dim, path)
@@ -206,25 +187,22 @@ def _text_lines(path: Path) -> list[tuple[int, str]]:
     raise ParseError(f"{path}: not valid UTF-8")  # the file changed between the reads
 
 
-def _read_lines(path: Path, fmt: str) -> tuple[list[tuple[int, str]], int, int | None]:
+def _read_lines(path: Path) -> tuple[list[tuple[int, str]], int, int | None]:
     """The non-blank lines as (line number, text), the first data line's index, and d.
 
-    d is None unless a header declares it.
+    The first line is a header when it is two integers; d is None without one.
 
     Raises:
-        FormatError: empty file, bad header, or a row count unlike the header's.
+        FormatError: empty file, a header size below 1, or a row count unlike the header's.
     """
     lines = _text_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty embedding file")
-
-    if fmt != "word2vec_text":
-        return lines, 0, None
     lineno, text = lines[0]
     try:
         declared_n, dim = map(int, text.split())
     except ValueError:
-        raise FormatError(f"{path}:{lineno}: header must be 'n d', got {text!r}") from None
+        return lines, 0, None
     if declared_n < 1 or dim < 1:
         raise FormatError(f"{path}:{lineno}: header sizes must be positive")
     if len(lines) - 1 != declared_n:
@@ -286,16 +264,13 @@ def _parse_per_line(
     return EmbeddingMatrix(tuple(rows), np.array(list(rows.values()), dtype=np.float64))
 
 
-def save_embeddings(emb: EmbeddingMatrix, path: str | Path, format: str) -> None:
-    """Write an embedding matrix as text; see module docstring for the formats.
+def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
+    """Write an embedding matrix as word2vec text, header line first.
 
     I/O failures propagate as OSError with the path in the message.
     """
-    fmt = _resolve_format(format)
-    path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        if fmt == "word2vec_text":
-            fh.write(f"{emb.n} {emb.dim}\n")
+        fh.write(f"{emb.n} {emb.dim}\n")
         row_fmt = " ".join([_FLOAT_FMT] * emb.dim) + "\n"
         for word, row in zip(emb.vocab, emb.matrix.tolist()):
             fh.write(word + " " + row_fmt % tuple(row))

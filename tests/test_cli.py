@@ -23,8 +23,11 @@ def runner():
 
 
 def save(tmp_path, name, emb, fmt="word2vec_text"):
+    """Write ``emb`` as word2vec text, or as GloVe text (the same without its header)."""
     path = tmp_path / name
-    save_embeddings(emb, path, fmt)
+    save_embeddings(emb, path)
+    if fmt == "glove_text":
+        path.write_text(path.read_text(encoding="utf-8").split("\n", 1)[1], encoding="utf-8")
     return str(path)
 
 
@@ -68,12 +71,16 @@ class TestPair:
         assert "no.txt" in result.output
 
     def test_glove_format(self, runner, tmp_path, rng):
-        emb = random_embedding(rng, 10, 3)
-        path = save(tmp_path, "e.glove", emb, fmt="glove_text")
-        result = runner.invoke(
-            main, ["pair", "--left", path, "--right", path, "--format", "glove"]
-        )
-        assert result.exit_code == 0
+        # A word2vec file beside a GloVe file: each file's first line says its format.
+        left = save(tmp_path, "e.txt", random_embedding(rng, 12, 3))
+        right = save(tmp_path, "e.glove", random_embedding(rng, 10, 2), fmt="glove_text")
+        result = runner.invoke(main, ["pair", "--left", left, "--right", right, "--decompose"])
+        assert result.exit_code == 0, result.output
+        pair = rpd.align_vocabularies(rpd.load_embeddings(left), rpd.load_embeddings(right))
+        expected = json.loads(json.dumps(rpd.decompose_per_word(pair).to_dict()))
+        payload = json.loads(result.output)
+        assert {key: payload[key] for key in expected} == expected
+        assert (payload["n"], payload["d_left"], payload["d_right"]) == (10, 3, 2)
 
     def test_output_file(self, runner, tmp_path, rng):
         path = save(tmp_path, "e.txt", random_embedding(rng, 10, 3))
@@ -140,6 +147,7 @@ class TestPair:
         for cmd in ("pair", "matrix", "nulltest", "train-svd", "eval", "study", "map"):
             result = runner.invoke(main, [cmd, "--help"])
             assert result.exit_code == 0
+            assert "--format" not in result.output
 
 
 REPORT_KEYS = ["rpd", "ratio_term", "cosine_term", "n", "d_left", "d_right"]
@@ -341,8 +349,7 @@ class TestNulltest:
     def test_one_sided_decision(self, runner, tmp_path, rng, monkeypatch):
         a = save(tmp_path, "a.txt", random_embedding(rng, 50, 6))
         b = save(tmp_path, "b.txt", random_embedding(rng, 50, 6))
-        pair = rpd.align_vocabularies(rpd.load_embeddings(a, "word2vec"),
-                                      rpd.load_embeddings(b, "word2vec"))
+        pair = rpd.align_vocabularies(rpd.load_embeddings(a), rpd.load_embeddings(b))
         observed = rpd.rpd(pair).rpd
         # Draws with mean observed + 2.4 sigma put z at -2.4, where
         # p_one_sided (0.008) < 0.01 < p_two_sided (0.016).
@@ -439,9 +446,28 @@ class TestTrainSvd:
         assert runner.invoke(main, args + ["--seed", "3"]).exit_code == 2
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
-        matrix = load_embeddings(out, "word2vec").matrix
+        matrix = load_embeddings(out).matrix
         # U·sqrt(S) keeps the sign of each column's largest-magnitude entry of U.
         assert np.all(matrix[np.argmax(np.abs(matrix), axis=0), np.arange(10)] > 0)
+
+    def test_no_lowercase_keeps_case_apart(self, runner, tmp_path):
+        from rpd import load_embeddings
+
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("The cat sat on the mat\nthe dog sat on The rug\n" * 20,
+                          encoding="utf-8")
+        vocab = {}
+        for flags in ([], ["--no-lowercase"]):
+            out = tmp_path / "e.txt"
+            result = runner.invoke(main, [
+                "train-svd", "--corpus", str(corpus), "--dim", "2", "--window", "2",
+                "--min-count", "1", *flags, "--output", str(out),
+            ])
+            assert result.exit_code == 0, result.output
+            vocab[tuple(flags)] = set(load_embeddings(out).vocab)
+        assert {"The", "the"} <= vocab[("--no-lowercase",)]
+        assert "the" in vocab[()] and "The" not in vocab[()]
+        assert vocab[()] == {w.lower() for w in vocab[("--no-lowercase",)]}
 
     def test_save_counts_round_trip(self, runner, tmp_path):
         from rpd import load_counts
@@ -613,6 +639,38 @@ class TestEvalStudyMap:
         assert result.exit_code == 2
 
 
+class TestMixedFormats:
+    """``matrix`` and ``map`` over word2vec and GloVe files together, as the library gives."""
+
+    def files(self, tmp_path, rng):
+        specs = [("a", "a.txt", random_embedding(rng, 30, 4), "word2vec_text"),
+                 ("b", "b.glove", random_embedding(rng, 25, 3), "glove_text"),
+                 ("c", "c.txt", random_embedding(rng, 28, 5), "word2vec_text")]
+        paths = {name: save(tmp_path, file, emb, fmt) for name, file, emb, fmt in specs}
+        embs = [(name, rpd.load_embeddings(path)) for name, path in paths.items()]
+        return [f"{name}={path}" for name, path in paths.items()], embs
+
+    @pytest.mark.parametrize("common_vocab", [False, True])
+    def test_matrix(self, runner, tmp_path, rng, common_vocab):
+        specs, embs = self.files(tmp_path, rng)
+        flags = ["--common-vocab"] if common_vocab else []
+        args = [arg for spec in specs for arg in ("--emb", spec)]
+        result = runner.invoke(main, ["matrix", *args, *flags])
+        assert result.exit_code == 0, result.output
+        assert result.output == rpd.rpd_pairwise_matrix(embs, common_vocab=common_vocab).to_tsv()
+
+    @pytest.mark.parametrize("common_vocab", [False, True])
+    def test_map(self, runner, tmp_path, rng, common_vocab):
+        specs, embs = self.files(tmp_path, rng)
+        flags = ["--common-vocab"] if common_vocab else []
+        args = [arg for spec in specs for arg in ("--emb", spec)]
+        result = runner.invoke(main, ["map", *args, "--anchors", "a,b", *flags])
+        assert result.exit_code == 0, result.output
+        matrix = rpd.rpd_pairwise_matrix(embs, common_vocab=common_vocab)
+        layout = rpd.layout_from_distances(matrix.values, matrix.names, "a", "b")
+        assert result.output == layout.to_tsv()
+
+
 # Arguments naming a missing input file (``{}``) for each command.
 MISSING_INPUT_ARGS = {
     "pair": ["--left", "{}", "--right", "{}"],
@@ -661,11 +719,10 @@ class TestTextInput:
         right = save(tmp_path, "right.txt", random_embedding(rng, 20, 3), fmt)
         bom = tmp_path / "bom.txt"
         bom.write_bytes(b"\xef\xbb\xbf" + Path(left).read_bytes())
-        flag = "word2vec" if fmt == "word2vec_text" else "glove"
         reports = []
         for path in (left, str(bom)):
             result = runner.invoke(main, ["pair", "--left", path, "--right", right,
-                                          "--format", flag, "--decompose"])
+                                          "--decompose"])
             assert result.exit_code == 0, result.output
             reports.append(result.output)
         assert reports[0] == reports[1]

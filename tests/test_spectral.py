@@ -119,6 +119,17 @@ class TestCountCooccurrences:
         with pytest.raises(PreconditionError):
             count_cooccurrences([["a", "b"]], window=1, min_count=1, weighting="gauss")
 
+    @pytest.mark.parametrize("docs", [["the cat sat on the mat", "the dog sat"],
+                                      [["the", "cat"], "the dog"]])
+    def test_str_document_rejected(self, docs):
+        # A str is a sequence too: counted as given, its characters would be the tokens.
+        with pytest.raises(PreconditionError, match="not a str"):
+            count_cooccurrences(docs, window=2, min_count=1)
+
+    def test_one_pass_over_documents(self):
+        docs = iter([["a", "b"], ["b", "a"]])
+        assert count_cooccurrences(docs, window=1, min_count=1).vocab == ("a", "b")
+
 
 def brute_force_counts(docs, window, min_count, weighting):
     """Vocabulary and dense counts from a scan of every position's window."""
@@ -473,6 +484,35 @@ class TestLoadCountsErrors:
         path = self.write_counts(tmp_path, "# window x\n# min_count 1\n0 1 2\n")
         with pytest.raises(ParseError, match=r"counts\.txt:1: window must be an integer"):
             load_counts(path)
+
+    @pytest.mark.parametrize("body, where", [
+        ("# window -3\n# min_count 1\n0 1 2\n", ":1: window must be an integer >= 1, got '-3'"),
+        ("# window 2\n\n# min_count 0\n0 1 2\n", ":3: min_count must be an integer >= 1"),
+        ("# window 2\n# min_count 1.5\n0 1 2\n", ":2: min_count must be an integer >= 1"),
+    ], ids=["negative_window", "zero_min_count", "fractional_min_count"])
+    def test_header_value_below_one(self, tmp_path, body, where):
+        path = self.write_counts(tmp_path, body)
+        with pytest.raises(ParseError, match=rf"counts\.txt{where}"):
+            load_counts(path)
+
+    @pytest.mark.parametrize("body, missing", [
+        ("0 1 2\n", "window"),
+        ("# min_count 1\n0 1 2\n", "window"),
+        ("# window 2\n0 1 2\n", "min_count"),
+    ], ids=["neither", "no_window", "no_min_count"])
+    def test_missing_header_line(self, tmp_path, body, missing):
+        path = self.write_counts(tmp_path, body)
+        with pytest.raises(ParseError, match=rf"counts\.txt: no '# {missing} N' line"):
+            load_counts(path)
+
+    def test_saved_file_bytes_and_header(self, tmp_path):
+        counts = count_cooccurrences([["a", "b", "a"]], window=2, min_count=1)
+        path = tmp_path / "counts.txt"
+        save_counts(counts, path)
+        assert path.read_text(encoding="utf-8") == (
+            "# window 2\n# min_count 1\n0 0 2\n0 1 2\n")
+        back = load_counts(path)
+        assert (back.window, back.min_count) == (2, 1)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-2"])
     def test_non_finite_or_negative_count(self, tmp_path, value):

@@ -55,65 +55,71 @@ class TestEmbeddingMatrix:
 class TestLoadSave:
     def test_glove_three_lines(self, tmp_path):
         path = write(tmp_path / "e.txt", "ant 1.0 2.0\nbee 3.0 4.0\ncat 5.0 6.0\n")
-        emb = load_embeddings(path, "glove_text")
+        emb = load_embeddings(path)
         assert emb.n == 3 and emb.dim == 2
         assert emb.vocab == ("ant", "bee", "cat")
 
     def test_word2vec_header_mismatch(self, tmp_path):
         path = write(tmp_path / "e.txt", "2 4\na 1 2 3 4\nb 1 2 3 4\nc 1 2 3 4\n")
         with pytest.raises(FormatError):
-            load_embeddings(path, "word2vec_text")
+            load_embeddings(path)
 
     def test_duplicate_word(self, tmp_path):
         path = write(tmp_path / "e.txt", "king 1.0\nqueen 2.0\nking 3.0\n")
         with pytest.raises(DuplicateWordError) as exc:
-            load_embeddings(path, "glove_text")
+            load_embeddings(path)
         assert "king" in str(exc.value)
 
     def test_non_numeric_value_has_line_number(self, tmp_path):
         path = write(tmp_path / "e.txt", "a 1.0\nb oops\n")
         with pytest.raises(ParseError) as exc:
-            load_embeddings(path, "glove_text")
+            load_embeddings(path)
         assert ":2:" in str(exc.value)
 
     def test_wrong_field_count(self, tmp_path):
         path = write(tmp_path / "e.txt", "a 1.0 2.0\nb 3.0\n")
         with pytest.raises(ParseError):
-            load_embeddings(path, "glove_text")
+            load_embeddings(path)
 
     def test_word2vec_round_trip(self, tmp_path, rng):
         emb = EmbeddingMatrix(
             ("alpha", "beta", "gamma"), rng.standard_normal((3, 5)) * 100
         )
         path = tmp_path / "rt.txt"
-        save_embeddings(emb, path, "word2vec_text")
-        back = load_embeddings(path, "word2vec_text")
+        save_embeddings(emb, path)
+        back = load_embeddings(path)
         assert back.vocab == emb.vocab
         np.testing.assert_allclose(back.matrix, emb.matrix, rtol=1e-8, atol=1e-8)
 
     def test_cross_format_round_trip(self, tmp_path, rng):
         emb = EmbeddingMatrix(("x", "y"), rng.standard_normal((2, 3)))
-        p1 = tmp_path / "a.txt"
+        p1 = write(tmp_path / "a.txt", "".join(
+            word + " " + " ".join(repr(v) for v in row) + "\n"
+            for word, row in zip(emb.vocab, emb.matrix.tolist())))
+        mid = load_embeddings(p1)
+        np.testing.assert_array_equal(mid.matrix, emb.matrix)
         p2 = tmp_path / "b.txt"
-        save_embeddings(emb, p1, "glove_text")
-        mid = load_embeddings(p1, "glove_text")
-        save_embeddings(mid, p2, "word2vec_text")
-        back = load_embeddings(p2, "word2vec_text")
+        save_embeddings(mid, p2)
+        back = load_embeddings(p2)
         assert back.vocab == emb.vocab
         np.testing.assert_allclose(back.matrix, emb.matrix, rtol=1e-8, atol=1e-8)
+
+    def test_headerless_one_dim_file_of_integers_reads_as_header(self, tmp_path):
+        # The one ambiguous input: "2019 1" is both a header and a 1-dim row.
+        path = write(tmp_path / "e.txt", "2019 1\n2020 2\n")
+        with pytest.raises(FormatError, match="declares 2019 rows but file has 1"):
+            load_embeddings(path)
+        emb = load_embeddings(write(tmp_path / "h.txt", "2 1\n2019 1\n2020 2\n"))
+        assert emb.vocab == ("2019", "2020")
 
     def test_unwritable_directory(self, tmp_path):
         emb = EmbeddingMatrix(("a",), [[1.0]])
         with pytest.raises(OSError):
-            save_embeddings(emb, tmp_path / "missing" / "e.txt", "glove_text")
+            save_embeddings(emb, tmp_path / "missing" / "e.txt")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
-            load_embeddings(tmp_path / "nope.txt", "glove_text")
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(PreconditionError):
-            load_embeddings(tmp_path / "any.txt", "binary")
+            load_embeddings(tmp_path / "nope.txt")
 
 
 class TestStandardize:

@@ -34,17 +34,15 @@ def counts_with_sidecar(sidecar):
 def counts_of_sidecar(path):
     """load_counts on valid triples whose vocabulary sidecar is ``path``."""
     triples = path.with_suffix("")
-    triples.write_bytes(b"# window 2\n0 1 2\n")
+    triples.write_bytes(b"# window 2\n# min_count 1\n0 1 2\n")
     return load_counts(triples)
 
 
 # name: (loader, file name, lines 1 and 2, line 3 with a {} slot for a byte).
 # The line endings vary so that line numbers are checked under each of them.
-W2V = lambda p: load_embeddings(p, "word2vec")  # noqa: E731
-GLOVE = lambda p: load_embeddings(p, "glove")  # noqa: E731
 FILES = {
-    "word2vec": (W2V, "e.txt", b"2 2\nthe 1 2\n", b"of{} 3 4\n"),
-    "glove": (GLOVE, "e.txt", b"the 1 2\r\n\r\n", b"of{} 3 4\r\n"),
+    "word2vec": (load_embeddings, "e.txt", b"2 2\nthe 1 2\n", b"of{} 3 4\n"),
+    "glove": (load_embeddings, "e.txt", b"the 1 2\r\n\r\n", b"of{} 3 4\r\n"),
     "similarity": (load_similarity_dataset, "sim.tsv", b"cat\tdog\t1\r\r", b"sun{}\tmoon\t2\r"),
     "analogy": (load_analogy_dataset, "ana.txt", b": family\nboy girl man woman\n",
                 b"a b{} c d\n"),
@@ -120,7 +118,7 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=fuzz_bytes, sidecar=st.one_of(st.just(SIDECAR), fuzz_bytes))
 def test_loaders_raise_only_rpd_errors(fuzz_dir, data, sidecar):
-    loaders = [W2V, GLOVE, load_similarity_dataset, load_analogy_dataset, read_corpus,
+    loaders = [load_embeddings, load_similarity_dataset, load_analogy_dataset, read_corpus,
                counts_with_sidecar(sidecar)]
     path = fuzz_dir / "input.txt"
     for load in loaders:
