@@ -28,7 +28,8 @@ from .metric import decompose_per_word, rpd, rpd_pairwise_matrix
 from .nullmodel import ALPHA, monte_carlo_null, z_test
 from .spectral import (SIGNALS, WEIGHTINGS, count_cooccurrences, read_corpus, save_counts,
                        train_spectral_embedding)
-from .store import EmbeddingMatrix, align_vocabularies, load_embeddings, save_embeddings
+from .store import (EmbeddingMatrix, _is_word, align_vocabularies, load_embeddings,
+                    save_embeddings)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -76,6 +77,8 @@ def _parse_named(specs: tuple[str, ...]) -> list[tuple[str, EmbeddingMatrix]]:
     for spec, (name, sep, path) in zip(specs, named):
         if not sep or not name or not path:
             raise click.UsageError(f"--emb expects NAME=PATH, got {spec!r}")
+        if not _is_word(name):
+            raise click.UsageError(f"--emb NAME must be a word without whitespace, got {name!r}")
     return [(name, load_embeddings(path)) for name, _, path in named]
 
 

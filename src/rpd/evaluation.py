@@ -18,9 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ParseError, PreconditionError, RpdError
-from .metric import rpd as _rpd
-from .store import (EmbeddingMatrix, _is_word, _text_lines, _unit_exponent, _word_order,
-                    align_vocabularies)
+from .metric import _unit_exponent, rpd as _rpd
+from .store import EmbeddingMatrix, _is_word, _text_lines, _word_order, align_vocabularies
 
 _BLOCK_SCORES = 1 << 20  # analogy scores per matrix product: 8 MB of float64
 
@@ -184,7 +183,7 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     """Scale ``rows`` in place to unit L2 norm and return it; zero rows stay zero.
 
     Each row is first multiplied by the power of two nearest 1/max|row|, the
-    prescale of :func:`rpd.gram.gram_side`: exact, and no square overflows or
+    prescale of :func:`rpd.metric.gram_side`: exact, and no square overflows or
     underflows.
     """
     np.ldexp(rows, _unit_exponent(rows.max(axis=1, keepdims=True),

@@ -9,6 +9,18 @@ which expands into a ratio term ½(a/b + b/a) minus a cosine-like term
 both inputs, so the value is invariant to rotation, row permutation and
 scaling of either input, and for large vocabularies independent random
 spaces concentrate near 1 - d/n.
+
+Every distance-type result reads from :class:`GramSide`, one summary per
+aligned side: its rows, ``G = EᵀE`` and the scalar that standardization
+divides G by. The n-by-n Gram matrices enter only through two trace
+identities,
+
+    ||E Eᵀ||_F²          = ||Eᵀ E||_F²
+    <E₁E₁ᵀ, E₂E₂ᵀ>_F     = ||E₁ᵀ E₂||_F²
+
+so the cost is O(n·d²) time and O(d²) extra space. Standardizing E to unit
+mean square entry only rescales G by ``s² = tr(G)/(n·d)``, so no
+standardized n-by-d copy is ever built.
 """
 
 from __future__ import annotations
@@ -19,7 +31,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlignmentError, DegenerateInputError, PreconditionError
-from .gram import GramSide, gram_side
 from .store import AlignedPair, EmbeddingMatrix, _aligned_rows, _restricted_rows, _word_order
 
 
@@ -66,16 +77,54 @@ class RpdReport:
         return out
 
 
-def _named_side(name: str, matrix: np.ndarray, *, owned: bool = False) -> GramSide:
-    """:func:`gram_side`, with ``name`` leading its degenerate-input message."""
-    try:
-        return gram_side(matrix, owned=owned)
-    except DegenerateInputError as exc:
-        raise DegenerateInputError(f"{name}: {exc}") from None
+def _unit_exponent(high, low) -> np.ndarray:
+    """Elementwise, the k for which ``2**k`` times the peak magnitude is nearest 1 (0 for 0)."""
+    peak = np.maximum(high, -low)
+    # int32, not int64: numpy's ldexp loop for int64 exponents is about ten times slower.
+    return -np.rint(np.log2(peak, out=np.zeros_like(peak), where=peak > 0.0)).astype(np.int32)
+
+
+@dataclass(frozen=True, eq=False)
+class GramSide:
+    """One aligned side of a comparison, summarized for the d-space identities.
+
+    ``rows`` is the input times ``2**k``, the power of two nearest 1/max|E|.
+    That scaling is exact in floating point, so an input and its power-of-two
+    multiples give the same statistics bit for bit, while inputs of extreme
+    finite magnitude form their products without overflow or underflow.
+    ``gram`` is ``rowsᵀ·rows``, ``norm`` its Frobenius norm, and ``divisor``
+    maps ``gram`` to the Gram matrix of the standardized input, the one the
+    metric compares: ``s² = tr(gram)/(n·d)``.
+    """
+
+    rows: np.ndarray
+    gram: np.ndarray
+    norm: float
+    divisor: float
+
+
+def gram_side(matrix: np.ndarray, name: str, *, owned: bool = False) -> GramSide:
+    """Summarize an aligned side; ``owned=True`` lets the prescale reuse ``matrix``.
+
+    Raises:
+        DegenerateInputError: a constant matrix (zero standard deviation),
+            with ``name`` leading the message.
+    """
+    high, low = float(matrix.max()), float(matrix.min())
+    if high == low:
+        raise DegenerateInputError(f"{name}: matrix is constant: zero standard deviation")
+    exponent = _unit_exponent(high, low)
+    rows = matrix
+    if exponent:
+        rows = np.ldexp(matrix, exponent, out=matrix if owned else None)
+    gram = rows.T @ rows
+    n, d = rows.shape
+    divisor = float(np.trace(gram)) / (n * d)
+    return GramSide(rows, gram, float(np.sqrt(np.sum(gram * gram))), divisor)
 
 
 def _sides(pair: AlignedPair) -> tuple[GramSide, GramSide]:
-    return _named_side("left", pair.left.matrix), _named_side("right", pair.right.matrix)
+    return gram_side(pair.left.matrix, "left"), gram_side(pair.right.matrix, "right")
 
 
 def rpd_from_sides(
@@ -106,9 +155,10 @@ def rpd(pair: AlignedPair) -> RpdReport:
     """RPD of an aligned pair, via the d-space Gram identities.
 
     Both sides are standardized to unit entry standard deviation (the
-    metric's definition, :func:`rpd.store.standardize`). The rescaling is
-    applied to the d-by-d statistics; no standardized copy of either side is
-    made. Dimensions may differ.
+    metric's definition, a division of every entry by their root mean
+    square). The rescaling is applied to the d-by-d statistics, through
+    :func:`gram_side`; no standardized copy of either side is made.
+    Dimensions may differ.
 
     Raises:
         DegenerateInputError: a side has zero Gram norm, or zero variance
@@ -205,13 +255,11 @@ def rpd_pairwise_matrix(
     values = np.zeros((k, k), dtype=np.float64)
 
     if common_vocab:
-        shared_set = set(matrices[0].vocab)
-        for m in matrices[1:]:
-            shared_set &= set(m.vocab)
-        shared = tuple(sorted(shared_set))
+        first, *rest = (m.vocab for m in matrices)
+        shared = tuple(sorted(set(first).intersection(*rest)))
         if not shared:
             raise AlignmentError("global vocabulary intersection is empty")
-        sides = [_named_side(name, _restricted_rows(m, shared), owned=True)
+        sides = [gram_side(_restricted_rows(m, shared), name, owned=True)
                  for name, m in zip(names, matrices)]
         for i, j in cells:
             values[i, j] = values[j, i] = rpd_from_sides(sides[i], sides[j]).rpd
@@ -223,7 +271,7 @@ def rpd_pairwise_matrix(
             except AlignmentError as exc:
                 raise AlignmentError(f"{pair_name}: {exc}") from None
             values[i, j] = values[j, i] = rpd_from_sides(
-                _named_side(pair_name, left, owned=True),
-                _named_side(pair_name, right, owned=True),
+                gram_side(left, pair_name, owned=True),
+                gram_side(right, pair_name, owned=True),
             ).rpd
     return PairwiseRpd(names=names, values=values)

@@ -25,8 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateInputError, PreconditionError
-from .gram import gram_side
-from .metric import rpd_from_sides
+from .metric import gram_side, rpd_from_sides
 
 ALPHA = 0.01  # significance level of ``reject_at_0_01`` and ``nulltest``'s decision
 
@@ -153,8 +152,8 @@ def monte_carlo_null(
         factor = np.triu(rng.standard_normal((k, p)), 1)
         np.fill_diagonal(factor, np.sqrt(rng.chisquare(n - np.arange(k))))
         # Standardization's n cancels in the ratio term, so k rows give the same RPD.
-        return rpd_from_sides(gram_side(factor[:, :d_left]),
-                              gram_side(factor[:, d_left:])).rpd
+        return rpd_from_sides(gram_side(factor[:, :d_left], "left"),
+                              gram_side(factor[:, d_left:], "right")).rpd
 
     return NullDistribution(n, d_left, d_right, seed, [draw(r) for r in range(replicates)])
 

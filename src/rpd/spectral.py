@@ -271,7 +271,8 @@ def save_counts(counts: CooccurrenceCounts, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# window {counts.window}\n")
         fh.write(f"# min_count {counts.min_count}\n")
-        for i, j, v in zip(coo.row[keep], coo.col[keep], coo.data[keep]):
+        # A memoryview yields Python ints and floats, which format faster than numpy scalars.
+        for i, j, v in zip(*(memoryview(a[keep]) for a in (coo.row, coo.col, coo.data))):
             fh.write("%d %d %.17g\n" % (i, j, v))
     with open(path.with_name(path.name + ".vocab"), "w", encoding="utf-8") as fh:
         for word in counts.vocab:
@@ -284,8 +285,8 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
     Raises:
         ParseError: a bad line in either file (at ``path:line``; a cell listed
             a second time is bad there, and so is a ``window`` or ``min_count``
-            that is not an integer >= 1), a missing ``# window N`` or
-            ``# min_count N`` line (at ``path``), or no counts.
+            that is not an integer >= 1 or given a second time), a missing
+            ``# window N`` or ``# min_count N`` line (at ``path``), or no counts.
     """
     path = Path(path)
     vocab_path = path.with_name(path.name + ".vocab")
@@ -311,6 +312,8 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
         if line.startswith("#"):
             fields = line[1:].split()
             if len(fields) == 2 and fields[0] in header:
+                if header[fields[0]] is not None:
+                    raise ParseError(f"{path}:{lineno}: {fields[0]} listed twice")
                 try:
                     value = int(fields[1])
                 except ValueError:

@@ -1,4 +1,4 @@
-"""Embedding matrices: loading, saving, normalization, and vocabulary alignment.
+"""Embedding matrices: loading, saving, and vocabulary alignment.
 
 An embedding file is word2vec or GloVe text, and the file says which:
 
@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import (
     AlignmentError,
-    DegenerateInputError,
     DimensionError,
     DuplicateWordError,
     FormatError,
@@ -274,39 +273,6 @@ def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
         row_fmt = " ".join([_FLOAT_FMT] * emb.dim) + "\n"
         for word, row in zip(emb.vocab, emb.matrix.tolist()):
             fh.write(word + " " + row_fmt % tuple(row))
-
-
-def standardize(emb: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Rescale so the entries have unit root-mean-square magnitude.
-
-    Every entry is divided by one scalar, the entrywise second moment about
-    zero (the population standard deviation of the zero-mean entry model; no
-    mean is subtracted). The pure rescaling is idempotent, invariant to prior
-    nonzero scaling, and, because the scalar depends only on the Frobenius
-    norm, exactly invariant under rotation of the matrix. The latter is what
-    keeps the distance metric's unitary invariance at machine precision.
-    The entries are scaled by a power of two (exact) before they are squared,
-    so finite inputs of any magnitude neither overflow nor underflow.
-
-    Raises:
-        DegenerateInputError: fewer than two entries, or a constant matrix
-            (zero standard deviation).
-    """
-    if emb.matrix.size < 2:
-        raise DegenerateInputError("standardize needs at least 2 entries")
-    high, low = float(emb.matrix.max()), float(emb.matrix.min())
-    if high == low:
-        raise DegenerateInputError("matrix is constant: zero standard deviation")
-    rows = np.ldexp(emb.matrix, _unit_exponent(high, low))
-    rows /= np.sqrt(np.mean(rows * rows))
-    return EmbeddingMatrix(emb.vocab, rows)
-
-
-def _unit_exponent(high, low) -> np.ndarray:
-    """Elementwise, the k for which ``2**k`` times the peak magnitude is nearest 1 (0 for 0)."""
-    peak = np.maximum(high, -low)
-    # int32, not int64: numpy's ldexp loop for int64 exponents is about ten times slower.
-    return -np.rint(np.log2(peak, out=np.zeros_like(peak), where=peak > 0.0)).astype(np.int32)
 
 
 def _restricted_rows(emb: EmbeddingMatrix, words: Sequence[str]) -> np.ndarray:

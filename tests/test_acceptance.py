@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from _corpus import synthetic_corpus_text
-from _oracle import naive_gram_oracle
+from _oracle import naive_gram_oracle, standardize
 from conftest import random_embedding, random_orthogonal, reference_null
 from rpd import (
     AlignedPair,
@@ -30,13 +30,12 @@ from rpd import (
     random_gaussian_embedding,
     rpd,
     spearman,
-    standardize,
     svd_embedding,
     tokenize_corpus_text,
     truncated_svd,
     z_test,
 )
-from rpd.gram import gram_side
+from rpd.metric import gram_side
 
 
 def _ok(number: int, label: str) -> None:
@@ -106,7 +105,7 @@ def test_criterion_2_metric_sanity():
 def test_criterion_3_norm_asymptotics():
     start = time.perf_counter()
     n, d = 5000, 100
-    side = gram_side(random_gaussian_embedding(n, d, seed=303).matrix)
+    side = gram_side(random_gaussian_embedding(n, d, seed=303).matrix, "left")
     ratio = side.norm / side.divisor / (n * np.sqrt(d))
     assert 0.99 <= ratio <= 1.03
     elapsed = time.perf_counter() - start

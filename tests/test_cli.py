@@ -220,6 +220,23 @@ class TestMatrix:
         assert result.exit_code == 2
         assert "--emb expects NAME=PATH, got 'b='" in result.output
 
+    @pytest.mark.parametrize("command", ["matrix", "study", "map"])
+    @pytest.mark.parametrize("name", ["a\tb", "a b", " a", "a\n"])
+    def test_name_with_whitespace_exits_2(self, runner, tmp_path, rng, command, name):
+        # A whitespace NAME would add a column to the TSV header.
+        emb = EmbeddingMatrix(("aa", "bb", "cc"), rng.standard_normal((3, 2)))
+        pa = save(tmp_path, "a.txt", emb)
+        args = [command, "--emb", f"{name}={pa}", "--emb", f"c={pa}"]
+        if command == "study":
+            sim = tmp_path / "sim.tsv"
+            sim.write_text("aa\tbb\t1\naa\tcc\t2\n", encoding="utf-8")
+            args += ["--baseline", pa, "--similarity", str(sim)]
+        if command == "map":
+            args += ["--anchors", "a,c"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert f"--emb NAME must be a word without whitespace, got {name!r}" in result.output
+
     def test_disjoint_pair_named(self, runner, tmp_path, rng):
         a = EmbeddingMatrix(("aa", "bb"), rng.standard_normal((2, 3)))
         b = EmbeddingMatrix(("cc", "dd"), rng.standard_normal((2, 3)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracle import naive_gram_oracle
+from _oracle import naive_gram_oracle, standardize
 from conftest import random_embedding, random_orthogonal
 from rpd import (
     AlignedPair,
@@ -9,21 +9,19 @@ from rpd import (
     EmbeddingMatrix,
     PreconditionError,
     decompose_per_word,
-    standardize,
 )
-from rpd.gram import gram_side
-from rpd.metric import rpd_from_sides
+from rpd.metric import gram_side, rpd_from_sides
 
 
 def gram_norm(emb):
     """||Ẽ Ẽᵀ||_F of the standardized Ẽ from the core: a side's norm over its divisor."""
-    side = gram_side(emb.matrix)
+    side = gram_side(emb.matrix, "left")
     return side.norm / side.divisor
 
 
 def cross_inner(a, b):
     """||Ẽ₁ᵀẼ₂||_F² of the standardized inputs: the cosine term times both Gram norms."""
-    left, right = gram_side(a.matrix), gram_side(b.matrix)
+    left, right = gram_side(a.matrix, "left"), gram_side(b.matrix, "right")
     cosine = rpd_from_sides(left, right).cosine_term
     return cosine * (left.norm / left.divisor) * (right.norm / right.divisor)
 

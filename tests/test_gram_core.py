@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracle import naive_gram_oracle
+from _oracle import naive_gram_oracle, standardize
 from conftest import random_orthogonal
 from rpd import (
     AlignedPair,
@@ -12,9 +12,8 @@ from rpd import (
     decompose_per_word,
     rpd,
     rpd_pairwise_matrix,
-    standardize,
 )
-from rpd.gram import gram_side
+from rpd.metric import gram_side
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -96,8 +95,8 @@ def test_standardized_inputs_give_the_same_rpd(seed, n, d1, d2, left_decade, rig
 @given(seeds, rows, dims, dims, st.integers(-400, 400), st.integers(-400, 400))
 def test_power_of_two_scaling_is_exact(seed, n, d1, d2, exponent, right_exponent):
     _, a, b = draw(seed, n, d1, d2)
-    base = gram_side(a)
-    scaled = gram_side(np.ldexp(a, exponent))
+    base = gram_side(a, "left")
+    scaled = gram_side(np.ldexp(a, exponent), "left")
     np.testing.assert_array_equal(scaled.gram, base.gram)
     assert scaled.divisor == base.divisor
     assert rpd(pair_of(np.ldexp(a, exponent), b)) == rpd(pair_of(a, b))
@@ -110,7 +109,7 @@ def test_power_of_two_scaling_is_exact(seed, n, d1, d2, exponent, right_exponent
 @given(seeds, rows, dims)
 def test_divisor_standardizes_the_block(seed, n, d):
     _, a, _ = draw(seed, n, d, 1)
-    side = gram_side(a)
+    side = gram_side(a, "left")
     s = standardize(EmbeddingMatrix(tuple(f"w{i}" for i in range(n)), a)).matrix
     np.testing.assert_allclose(side.gram / side.divisor, s.T @ s, rtol=1e-12, atol=1e-12 * n)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from _oracle import naive_gram_oracle
+from _oracle import naive_gram_oracle, standardize
 from conftest import random_embedding, random_orthogonal
 from rpd import (
     AlignedPair,
@@ -16,7 +16,6 @@ from rpd import (
     random_gaussian_embedding,
     rpd,
     rpd_pairwise_matrix,
-    standardize,
 )
 
 

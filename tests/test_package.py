@@ -1,10 +1,13 @@
-"""The public API list itself: sorted, unique and importable; one version."""
+"""The public API list itself: sorted, unique and importable; one version; one module table."""
 
+import re
 from pathlib import Path
 
 import pytest
 
 import rpd
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_all_is_sorted_and_unique():
@@ -18,6 +21,13 @@ def test_every_exported_name_resolves():
 
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    pyproject = ROOT / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert rpd.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+def test_readme_module_table_names_every_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"^\| `rpd\.(\w+)` \|", readme, flags=re.MULTILINE)
+    modules = [p.stem for p in (ROOT / "src" / "rpd").glob("*.py") if p.stem != "__init__"]
+    assert sorted(listed) == sorted(modules)

