@@ -191,9 +191,9 @@ def cmd_train_svd(corpus, signal, dim, window, min_count, weighting, no_lowercas
     documents = read_corpus(corpus, lowercase=not no_lowercase)
     counts = count_cooccurrences(documents, window=window, min_count=min_count,
                                  weighting=weighting)
+    emb = train_spectral_embedding(counts, signal, dim)
     if counts_out is not None:
         save_counts(counts, counts_out)
-    emb = train_spectral_embedding(counts, signal, dim)
     save_embeddings(emb, output)
     click.echo(f"wrote {emb.n} x {emb.dim} embedding to {output}", err=True)
 

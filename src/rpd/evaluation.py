@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParseError, PreconditionError, RpdError
 from .metric import _unit_exponent, rpd as _rpd
-from .store import EmbeddingMatrix, _is_word, _text_lines, _word_order, align_vocabularies
+from .store import (EmbeddingMatrix, _check_names, _is_word, _text_lines, _word_order,
+                    align_vocabularies)
 
 _BLOCK_SCORES = 1 << 20  # analogy scores per matrix product: 8 MB of float64
 
@@ -323,9 +324,7 @@ def perf_vs_rpd_study(
     """
     if not others:
         raise PreconditionError("need at least one embedding to compare")
-    names = [name for name, _ in others]
-    if len(set(names)) != len(names):
-        raise PreconditionError("embedding names must be unique")
+    _check_names([name for name, _ in others], "embedding")
     base_eval = evaluate(baseline, sim_ds, ana_ds)
 
     entries: list[StudyEntry] = []

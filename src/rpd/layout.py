@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
+from .store import _check_names
 
 REFINE_ITERATIONS = 500
 _BACKTRACK_LIMIT = 60
@@ -144,8 +145,7 @@ def layout_from_distances(
     n = len(names)
     if n < 2:
         raise PreconditionError("need at least 2 points")
-    if len(set(names)) != n:
-        raise PreconditionError("point names must be unique")
+    _check_names(names, "point")
     if anchor_a not in names or anchor_b not in names:
         raise PreconditionError("anchors must be among the point names")
     if anchor_a == anchor_b:

@@ -31,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlignmentError, DegenerateInputError, PreconditionError
-from .store import AlignedPair, EmbeddingMatrix, _aligned_rows, _restricted_rows, _word_order
+from .store import (AlignedPair, EmbeddingMatrix, _aligned_rows, _check_names, _restricted_rows,
+                    _word_order)
 
 
 @dataclass(frozen=True)
@@ -240,6 +241,8 @@ def rpd_pairwise_matrix(
     ``EᵀE`` is computed once for the whole matrix.
 
     Raises:
+        PreconditionError: fewer than 2 embeddings, or a name that repeats or
+            holds whitespace (it would break the TSV).
         AlignmentError: an empty intersection, with the offending pair named.
         DegenerateInputError: a constant embedding, with its embedding
             (common vocabulary) or pair named.
@@ -247,8 +250,7 @@ def rpd_pairwise_matrix(
     if len(embs) < 2:
         raise PreconditionError("need at least 2 embeddings")
     names = tuple(name for name, _ in embs)
-    if len(set(names)) != len(names):
-        raise PreconditionError("embedding names must be unique")
+    _check_names(names, "embedding")
     matrices = [emb for _, emb in embs]
     k = len(matrices)
     cells = [(i, j) for i in range(k) for j in range(i + 1, k)]

@@ -11,6 +11,8 @@ their total is the sum of their cells. ``SIGNALS`` names the two signals:
 positive PMI ("pmi") and log(1 + count) ("logcount"), both zero where the
 count is. A trained embedding is a function of the corpus and the options
 alone: the SVD starts from a fixed vector and fixes the sign of each component.
+``save_counts`` exports the counts as text for other tools; rpd does not read
+them back.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import (CorpusError, DegenerateInputError, DimensionError, ParseError,
-                     PreconditionError)
-from .store import EmbeddingMatrix, _is_word, _text_lines
+from .errors import CorpusError, DegenerateInputError, DimensionError, PreconditionError
+from .store import EmbeddingMatrix, _text_lines
 
 WEIGHTINGS = ("flat", "harmonic")
 
@@ -62,12 +63,12 @@ class SvdFactors:
     """Truncated SVD factors; U has orthonormal columns, S is descending.
 
     The largest-magnitude entry of each column of U is positive (the first
-    such row on a tie); the matching row of Vt carries the same sign.
+    such row on a tie). No right singular vectors are kept: the embedding
+    U·sqrt(S) needs none.
     """
 
     U: np.ndarray
     S: np.ndarray
-    Vt: np.ndarray
 
 
 def tokenize_corpus_text(text: str, lowercase: bool = True) -> list[list[str]]:
@@ -190,11 +191,13 @@ SIGNALS = {"pmi": pmi_matrix, "logcount": log_count_matrix}
 
 
 def truncated_svd(matrix: sparse.csr_array, d: int) -> SvdFactors:
-    """The top ``d`` singular triplets of a sparse signal matrix, descending.
+    """The top ``d`` singular values of a sparse signal matrix, descending, and
+    their left singular vectors.
 
     ARPACK (``scipy.sparse.linalg.svds``) solves them to working precision
-    from a fixed standard-normal start vector. ARPACK needs ``d < min(shape)``;
-    a full-rank request takes a dense SVD instead. On both paths each
+    from a fixed standard-normal start vector and returns no right vectors.
+    ARPACK needs ``d < min(shape)``; a full-rank request takes a dense SVD
+    instead. On both paths each
     component is signed so that the largest-magnitude entry of its column of
     U is positive (scikit-learn's ``svd_flip``), so the factors depend on the
     matrix and ``d`` alone, not on roundoff that flips a component. Only this
@@ -217,14 +220,14 @@ def truncated_svd(matrix: sparse.csr_array, d: int) -> SvdFactors:
         raise DegenerateInputError("signal matrix has no non-zero entry: nothing to factorize")
 
     if d == n:
-        u, s, vt = np.linalg.svd(matrix.toarray(), full_matrices=False)
+        u, s, _ = np.linalg.svd(matrix.toarray(), full_matrices=False)
     else:
         v0 = np.random.default_rng(0).standard_normal(n)
-        u, s, vt = svds(matrix, k=d, v0=v0)
+        u, s, _ = svds(matrix, k=d, v0=v0, return_singular_vectors="u")
         order = np.argsort(s)[::-1]
-        u, s, vt = u[:, order], s[order], vt[order]
+        u, s = u[:, order], s[order]
     signs = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(d)] < 0, -1.0, 1.0)
-    return SvdFactors(U=u * signs, S=s, Vt=vt * signs[:, None])
+    return SvdFactors(U=u * signs, S=s)
 
 
 def svd_embedding(factors: SvdFactors, vocab: Sequence[str]) -> EmbeddingMatrix:
@@ -248,7 +251,7 @@ def train_spectral_embedding(
     """Spectral embedding of co-occurrence counts: signal, truncated SVD, U·sqrt(S).
 
     Args:
-        counts: Output of :func:`count_cooccurrences` or :func:`load_counts`.
+        counts: Output of :func:`count_cooccurrences`.
         signal: A key of :data:`SIGNALS`: "pmi" (positive PMI) or "logcount"
             (log(1 + count)).
         dim: Embedding dimension, at most the vocabulary size.
@@ -259,11 +262,11 @@ def train_spectral_embedding(
 
 
 def save_counts(counts: CooccurrenceCounts, path: str | Path) -> None:
-    """Persist counts as an ``i j count`` triple file plus a vocab sidecar.
+    """Export counts as an ``i j count`` triple file plus a vocab sidecar.
 
-    Only the upper triangle (i <= j) is written; symmetry is restored on
-    load. The sidecar at ``<path>.vocab`` lists one word per line in index
-    order.
+    Only the upper triangle (i <= j) is written; the lower half is its
+    mirror. The sidecar at ``<path>.vocab`` lists one word per line in index
+    order. rpd writes this file for other tools and does not read it back.
     """
     path = Path(path)
     coo = counts.counts.tocoo()
@@ -278,82 +281,3 @@ def save_counts(counts: CooccurrenceCounts, path: str | Path) -> None:
         for word in counts.vocab:
             fh.write(word + "\n")
 
-
-def load_counts(path: str | Path) -> CooccurrenceCounts:
-    """Load counts written by :func:`save_counts`.
-
-    Raises:
-        ParseError: a bad line in either file (at ``path:line``; a cell listed
-            a second time is bad there, and so is a ``window`` or ``min_count``
-            that is not an integer >= 1 or given a second time), a missing
-            ``# window N`` or ``# min_count N`` line (at ``path``), or no counts.
-    """
-    path = Path(path)
-    vocab_path = path.with_name(path.name + ".vocab")
-    words: dict[str, None] = {}
-    for lineno, word in _text_lines(vocab_path):
-        if not _is_word(word):
-            raise ParseError(f"{vocab_path}:{lineno}: word contains whitespace: {word!r}")
-        if word in words:
-            raise ParseError(f"{vocab_path}:{lineno}: duplicate word {word!r}")
-        words[word] = None
-    vocab = tuple(words)
-    if not vocab:
-        raise ParseError(f"{vocab_path}: empty vocabulary sidecar")
-    n = len(vocab)
-
-    header: dict[str, int | None] = {"window": None, "min_count": None}
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    linenos: list[int] = []
-    for lineno, line in _text_lines(path):
-        line = line.strip()
-        if line.startswith("#"):
-            fields = line[1:].split()
-            if len(fields) == 2 and fields[0] in header:
-                if header[fields[0]] is not None:
-                    raise ParseError(f"{path}:{lineno}: {fields[0]} listed twice")
-                try:
-                    value = int(fields[1])
-                except ValueError:
-                    value = 0
-                if value < 1:
-                    raise ParseError(f"{path}:{lineno}: {fields[0]} must be an "
-                                     f"integer >= 1, got {fields[1]!r}")
-                header[fields[0]] = value
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 'i j count'")
-        try:
-            i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-        if not (0 <= i < n and 0 <= j < n) or i > j:
-            raise ParseError(f"{path}:{lineno}: invalid indices {i}, {j}")
-        if not 0.0 <= v < np.inf:
-            raise ParseError(f"{path}:{lineno}: count must be finite and >= 0")
-        rows.append(i)
-        cols.append(j)
-        data.append(v)
-        linenos.append(lineno)
-
-    row_ids, col_ids = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
-    keys = row_ids * n + col_ids
-    order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
-    if repeats.size:
-        first = int(repeats.min())
-        raise ParseError(f"{path}:{linenos[first]}: cell {rows[first]} {cols[first]} "
-                         f"listed twice")
-    for name, value in header.items():
-        if value is None:
-            raise ParseError(f"{path}: no '# {name} N' line")
-    upper = sparse.coo_array((np.array(data), (row_ids, col_ids)), shape=(n, n)).tocsr()
-    strict = sparse.triu(upper, k=1)
-    try:
-        return CooccurrenceCounts(vocab, (upper + strict.T).tocsr(),
-                                  header["window"], header["min_count"])
-    except PreconditionError:
-        raise ParseError(f"{path}: no counts") from None

@@ -51,6 +51,16 @@ def _is_word(word: object) -> bool:
     return isinstance(word, str) and word.split() == [word]
 
 
+def _check_names(names: Sequence[str], kind: str) -> None:
+    """Require distinct ``names`` that are words, so each labels one TSV field."""
+    if len(set(names)) != len(names):
+        raise PreconditionError(f"{kind} names must be unique")
+    for name in names:
+        if not _is_word(name):
+            raise PreconditionError(f"{kind} name must be a word without whitespace, "
+                                    f"got {name!r}")
+
+
 def _word_order(words: Sequence[str]) -> np.ndarray:
     """The indices of ``words`` in Python code-point order, the order word ties break in.
 

@@ -1,12 +1,16 @@
 """The slow paths the d-space identities are tested against.
 
-``naive_gram_oracle`` materializes the n-by-n Gram matrices, and
-``standardize`` builds the standardized n-by-d copy the metric never makes.
+``naive_gram_oracle`` materializes the n-by-n Gram matrices,
+``standardize`` builds the standardized n-by-d copy the metric never makes, and
+``read_saved_counts`` parses the counts file that rpd only writes, for
+``assert_saved_exactly``.
 """
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from rpd import DegenerateInputError, DimensionError, EmbeddingMatrix, PreconditionError
 from rpd.metric import _unit_exponent
@@ -66,3 +70,26 @@ def standardize(emb: EmbeddingMatrix) -> EmbeddingMatrix:
     rows = np.ldexp(emb.matrix, _unit_exponent(high, low))
     rows /= np.sqrt(np.mean(rows * rows))
     return EmbeddingMatrix(emb.vocab, rows)
+
+
+def read_saved_counts(path: Path) -> tuple[dict[str, int], sparse.csr_array, tuple[str, ...]]:
+    """The header, the upper-triangle counts and the vocabulary of a ``save_counts`` file."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = {key: int(value) for key, value in
+              (line[1:].split() for line in lines if line.startswith("#"))}
+    cells = [line.split() for line in lines if not line.startswith("#")]
+    vocab = tuple(path.with_name(path.name + ".vocab").read_text(encoding="utf-8").splitlines())
+    rows, cols = (np.array([int(c[k]) for c in cells], dtype=np.int64) for k in (0, 1))
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(cells), "a cell listed twice"
+    upper = sparse.coo_array(([float(c[2]) for c in cells], (rows, cols)),
+                             shape=(len(vocab), len(vocab)))
+    return header, upper.tocsr(), vocab
+
+
+def assert_saved_exactly(path: Path, counts) -> None:
+    """The file at ``path`` holds the upper triangle of ``counts`` exactly, with its
+    window, min_count and vocabulary."""
+    header, upper, vocab = read_saved_counts(path)
+    assert header == {"window": counts.window, "min_count": counts.min_count}
+    assert vocab == counts.vocab
+    assert (upper != sparse.triu(counts.counts)).nnz == 0

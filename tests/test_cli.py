@@ -487,19 +487,33 @@ class TestTrainSvd:
         assert vocab[()] == {w.lower() for w in vocab[("--no-lowercase",)]}
 
     def test_save_counts_round_trip(self, runner, tmp_path):
-        from rpd import load_counts
+        from _oracle import assert_saved_exactly
+        from rpd import count_cooccurrences, read_corpus
 
         corpus = self.corpus(tmp_path)
         counts_path = tmp_path / "counts.txt"
         result = runner.invoke(main, [
             "train-svd", "--corpus", corpus, "--dim", "8", "--window", "4",
-            "--min-count", "3", "--save-counts", str(counts_path),
+            "--min-count", "3", "--weighting", "harmonic", "--save-counts", str(counts_path),
             "--output", str(tmp_path / "e.txt"),
         ])
         assert result.exit_code == 0
-        counts = load_counts(counts_path)
-        assert counts.window == 4
+        counts = count_cooccurrences(read_corpus(corpus), window=4, min_count=3,
+                                     weighting="harmonic")
         assert len(counts.vocab) >= 8
+        assert_saved_exactly(counts_path, counts)
+
+    def test_failed_training_writes_no_counts(self, runner, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b c\nc b a\n", encoding="utf-8")
+        counts_path = tmp_path / "cnt.txt"
+        result = runner.invoke(main, [
+            "train-svd", "--corpus", str(corpus), "--dim", "50", "--min-count", "1",
+            "--save-counts", str(counts_path), "--output", str(tmp_path / "e.txt"),
+        ])
+        assert result.exit_code == 2
+        assert "need 1 <= dim <= vocabulary size 3" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt"]
 
 
 class TestEvalStudyMap:

@@ -480,6 +480,12 @@ class TestStudy:
         with pytest.raises(PreconditionError, match="embedding names must be unique"):
             perf_vs_rpd_study(a, [("b", b), ("b", a)], sim, ana)
 
+    def test_name_must_be_a_word(self, rng):
+        a = random_embedding(rng, 20, 4)
+        sim, ana = self.make_datasets(a, rng, n_pairs=10, n_questions=5)
+        with pytest.raises(PreconditionError, match=r"got 'p\\tq'$"):
+            perf_vs_rpd_study(a, [("p\tq", a)], sim, ana)
+
     def test_tsv_output(self, rng):
         base = random_embedding(rng, 20, 4)
         sim, ana = self.make_datasets(base, rng, n_pairs=10, n_questions=5)

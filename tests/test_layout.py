@@ -120,6 +120,12 @@ class TestValidation:
         with pytest.raises(PreconditionError):
             layout_from_distances(dist, ["a", "b"], "a", "a")
 
+    def test_names_must_be_words(self):
+        dist = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(PreconditionError,
+                           match="point name must be a word without whitespace, got 'a b'"):
+            layout_from_distances(dist, ["a b", "c"], "a b", "c")
+
     def test_zero_anchor_distance(self):
         dist = np.zeros((2, 2))
         with pytest.raises(PreconditionError):

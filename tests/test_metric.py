@@ -244,6 +244,14 @@ class TestPairwiseMatrix:
         with pytest.raises(PreconditionError):
             rpd_pairwise_matrix([("only", random_embedding(rng, 5, 2))])
 
+    @pytest.mark.parametrize("name", ["a\tb", "a b", "", 7])
+    def test_name_must_be_a_word(self, rng, name):
+        # A name with whitespace would split its TSV header field in two.
+        e = random_embedding(rng, 10, 2)
+        with pytest.raises(PreconditionError,
+                           match="embedding name must be a word without whitespace"):
+            rpd_pairwise_matrix([(name, e), ("c", e)])
+
     def test_tsv_round_shape(self, rng):
         embs = [(f"e{i}", random_embedding(rng, 20, 3)) for i in range(3)]
         text = rpd_pairwise_matrix(embs).to_tsv()

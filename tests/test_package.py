@@ -1,4 +1,5 @@
-"""The public API list itself: sorted, unique and importable; one version; one module table."""
+"""The public API list itself: sorted, unique and importable; one version; one module table;
+README options that the CLI has."""
 
 import re
 from pathlib import Path
@@ -31,3 +32,14 @@ def test_readme_module_table_names_every_module():
     listed = re.findall(r"^\| `rpd\.(\w+)` \|", readme, flags=re.MULTILINE)
     modules = [p.stem for p in (ROOT / "src" / "rpd").glob("*.py") if p.stem != "__init__"]
     assert sorted(listed) == sorted(modules)
+
+
+def test_readme_options_are_cli_options():
+    from rpd.cli import main
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = {option for line in readme.splitlines() if not line.startswith("pip install")
+             for option in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)}
+    options = {option for command in main.commands.values() for param in command.params
+               for option in (*param.opts, *param.secondary_opts)}
+    assert named and sorted(named - options) == []

@@ -4,16 +4,15 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 from _corpus import synthetic_corpus_text
+from _oracle import assert_saved_exactly, read_saved_counts
 from rpd import (
     CooccurrenceCounts,
     CorpusError,
     DegenerateInputError,
     DimensionError,
-    ParseError,
     PreconditionError,
     SvdFactors,
     count_cooccurrences,
-    load_counts,
     log_count_matrix,
     pmi_matrix,
     save_counts,
@@ -38,6 +37,11 @@ def dense_counts(array, vocab=None, window=1, min_count=1):
 
 def signal_of(array):
     return sparse.csr_array(np.asarray(array, dtype=np.float64))
+
+
+def right_vectors(signal, factors):
+    """The right singular vectors of ``factors``, as rows: Uᵀ·A / S."""
+    return (signal.T @ factors.U).T / factors.S[:, None]
 
 
 class TestCountCooccurrences:
@@ -245,7 +249,9 @@ class TestTruncatedSvd:
         np.testing.assert_allclose(factors.S, [3.0, 2.0], atol=1e-12)
         # U columns are coordinate axes, each signed positive
         np.testing.assert_allclose(factors.U, [[1, 0], [0, 1], [0, 0]], atol=1e-10)
-        np.testing.assert_allclose(factors.Vt, [[1, 0, 0], [0, 1, 0]], atol=1e-10)
+        # The right singular vectors are the rows of Uᵀ·A / S.
+        np.testing.assert_allclose(right_vectors(sig, factors), [[1, 0, 0], [0, 1, 0]],
+                                   atol=1e-10)
 
     def test_random_symmetric_matches_dense(self, rng):
         a = rng.standard_normal((200, 200))
@@ -259,8 +265,10 @@ class TestTruncatedSvd:
         m = rng.standard_normal((40, 40))
         sig = signal_of(m)
         factors = truncated_svd(sig, 40)
-        recon = factors.U * factors.S @ factors.Vt
+        recon = factors.U @ (factors.U.T @ m)
         assert np.linalg.norm(recon - m) / np.linalg.norm(m) < 1e-8
+        vt = right_vectors(sig, factors)
+        np.testing.assert_allclose(vt @ vt.T, np.eye(40), atol=1e-8)
 
     def test_orthonormal_columns(self, rng):
         m = rng.standard_normal((60, 60))
@@ -273,16 +281,17 @@ class TestTruncatedSvd:
 
     @pytest.mark.parametrize("d", [12, 40], ids=["arpack", "dense"])
     def test_sign_convention(self, rng, d):
-        # The largest-magnitude entry of each column of U is positive, and
-        # Vt carries the same signs, so A·vₖ = sₖ·uₖ and U·diag(S)·Vt is
-        # the signal's best rank-d approximation.
+        # The largest-magnitude entry of each column of U is positive. The
+        # signed columns are still singular vectors: the rows of Uᵀ·A / S are
+        # orthonormal, and U·Uᵀ·A is the signal's best rank-d approximation.
         m = rng.standard_normal((40, 40))
         factors = truncated_svd(signal_of(m), d)
         columns = np.arange(d)
         assert np.all(factors.U[np.argmax(np.abs(factors.U), axis=0), columns] > 0)
-        np.testing.assert_allclose(m @ factors.Vt.T, factors.U * factors.S, atol=1e-10)
+        vt = right_vectors(m, factors)
+        np.testing.assert_allclose(vt @ vt.T, np.eye(d), atol=1e-10)
         u, s, vt = np.linalg.svd(m)
-        np.testing.assert_allclose((factors.U * factors.S) @ factors.Vt,
+        np.testing.assert_allclose(factors.U @ (factors.U.T @ m),
                                    (u[:, :d] * s[:d]) @ vt[:d], atol=1e-10)
 
     @pytest.mark.parametrize("d", [1, 2], ids=["arpack", "dense"])
@@ -326,7 +335,9 @@ class TestTruncatedSvd:
         signal = pmi_matrix(counts)
         d = 40
         factors = truncated_svd(signal, d)
-        av = signal @ factors.Vt.T
+        # With vₖ = Aᵀuₖ / sₖ, ‖A·vₖ − sₖ·uₖ‖ is uₖ's residual as an
+        # eigenvector of A·Aᵀ, scaled by 1/sₖ.
+        av = signal @ right_vectors(signal, factors).T
         residuals = np.linalg.norm(av - factors.U * factors.S, axis=0) / factors.S
         assert np.max(residuals) <= 1e-10
         dense_s = np.linalg.svd(signal.toarray(), compute_uv=False)
@@ -340,7 +351,7 @@ class TestTruncatedSvd:
         sig = signal_of(m)
         d = 10
         factors = truncated_svd(sig, d)
-        residual = np.linalg.norm(m - (factors.U * factors.S) @ factors.Vt)
+        residual = np.linalg.norm(m - factors.U @ (factors.U.T @ m))
         dense_s = np.linalg.svd(m, compute_uv=False)
         optimal = np.linalg.norm(dense_s[d:])
         assert residual == pytest.approx(optimal, rel=1e-6)
@@ -348,7 +359,7 @@ class TestTruncatedSvd:
 
 class TestSvdEmbedding:
     def test_hand_example(self):
-        factors = SvdFactors(U=np.eye(3)[:, :2], S=np.array([4.0, 1.0]), Vt=np.eye(3)[:2])
+        factors = SvdFactors(U=np.eye(3)[:, :2], S=np.array([4.0, 1.0]))
         emb = svd_embedding(factors, ("a", "b", "c"))
         np.testing.assert_allclose(emb.matrix, [[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
                                    atol=0)
@@ -364,8 +375,8 @@ class TestSvdEmbedding:
 
     def test_negative_singular_value_clamped(self):
         with pytest.warns(UserWarning):
-            emb = svd_embedding(SvdFactors(U=np.eye(2), S=np.array([1.0, -1e-12]),
-                                           Vt=np.eye(2)), ("a", "b"))
+            emb = svd_embedding(SvdFactors(U=np.eye(2), S=np.array([1.0, -1e-12])),
+                                ("a", "b"))
         assert emb.matrix[1, 1] == 0.0
 
     def test_end_to_end_best_rank_d(self):
@@ -435,22 +446,34 @@ class TestCountsPersistence:
         path = tmp_path / "counts.txt"
         save_counts(counts, path)
         assert (tmp_path / "counts.txt.vocab").exists()
-
-        back = load_counts(path)
-        assert back.vocab == counts.vocab
-        assert back.window == counts.window
-        assert back.min_count == counts.min_count
-        assert back.total == pytest.approx(counts.total, rel=1e-12)
-        assert (back.counts != counts.counts).nnz == 0
+        assert_saved_exactly(path, counts)
 
     def test_round_trip_harmonic(self, tmp_path):
         counts = count_cooccurrences([["a", "b", "c", "a"]], window=3, min_count=1,
                                      weighting="harmonic")
         path = tmp_path / "counts.txt"
         save_counts(counts, path)
-        back = load_counts(path)
-        np.testing.assert_allclose(back.counts.toarray(), counts.counts.toarray(),
-                                   rtol=0, atol=0)
+        assert_saved_exactly(path, counts)
+
+    def test_saved_file_bytes_and_header(self, tmp_path):
+        counts = count_cooccurrences([["a", "b", "a"]], window=2, min_count=1)
+        path = tmp_path / "counts.txt"
+        save_counts(counts, path)
+        assert path.read_text(encoding="utf-8") == (
+            "# window 2\n# min_count 1\n0 0 2\n0 1 2\n")
+        assert read_saved_counts(path)[0] == {"window": 2, "min_count": 1}
+
+    def test_harmonic_file_bytes(self, tmp_path):
+        # Fractional counts print with 17 significant digits, so they parse back exactly.
+        counts = count_cooccurrences([["a", "b", "c", "a", "d"]], window=3, min_count=1,
+                                     weighting="harmonic")
+        path = tmp_path / "counts.txt"
+        save_counts(counts, path)
+        assert path.read_bytes() == (
+            b"# window 3\n# min_count 1\n"
+            b"0 0 0.66666666666666663\n0 1 1.5\n0 2 1.5\n0 3 1\n"
+            b"1 2 1\n1 3 0.33333333333333331\n2 3 0.5\n")
+        assert (tmp_path / "counts.txt.vocab").read_bytes() == b"a\nb\nc\nd\n"
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -464,104 +487,8 @@ def test_counts_survive_save_and_load(tmp_path_factory, docs, window, weighting)
         return
     path = tmp_path_factory.mktemp("counts") / "counts.txt"
     save_counts(counts, path)
-    back = load_counts(path)
-    assert (back.vocab, back.window, back.min_count) == (counts.vocab, window, 1)
-    np.testing.assert_array_equal(back.counts.indptr, counts.counts.indptr)
-    np.testing.assert_array_equal(back.counts.indices, counts.counts.indices)
-    # The file holds the upper triangle, so this holds only for exactly symmetric counts.
-    np.testing.assert_array_equal(back.counts.data, counts.counts.data)
-    assert back.total == counts.total
-
-
-class TestLoadCountsErrors:
-    def write_counts(self, tmp_path, body):
-        path = tmp_path / "counts.txt"
-        path.write_text(body, encoding="utf-8")
-        (tmp_path / "counts.txt.vocab").write_text("a\nb\n", encoding="utf-8")
-        return path
-
-    def test_non_integer_header(self, tmp_path):
-        path = self.write_counts(tmp_path, "# window x\n# min_count 1\n0 1 2\n")
-        with pytest.raises(ParseError, match=r"counts\.txt:1: window must be an integer"):
-            load_counts(path)
-
-    @pytest.mark.parametrize("body, where", [
-        ("# window -3\n# min_count 1\n0 1 2\n", ":1: window must be an integer >= 1, got '-3'"),
-        ("# window 2\n\n# min_count 0\n0 1 2\n", ":3: min_count must be an integer >= 1"),
-        ("# window 2\n# min_count 1.5\n0 1 2\n", ":2: min_count must be an integer >= 1"),
-    ], ids=["negative_window", "zero_min_count", "fractional_min_count"])
-    def test_header_value_below_one(self, tmp_path, body, where):
-        path = self.write_counts(tmp_path, body)
-        with pytest.raises(ParseError, match=rf"counts\.txt{where}"):
-            load_counts(path)
-
-    @pytest.mark.parametrize("body, missing", [
-        ("0 1 2\n", "window"),
-        ("# min_count 1\n0 1 2\n", "window"),
-        ("# window 2\n0 1 2\n", "min_count"),
-    ], ids=["neither", "no_window", "no_min_count"])
-    def test_missing_header_line(self, tmp_path, body, missing):
-        path = self.write_counts(tmp_path, body)
-        with pytest.raises(ParseError, match=rf"counts\.txt: no '# {missing} N' line"):
-            load_counts(path)
-
-    def test_saved_file_bytes_and_header(self, tmp_path):
-        counts = count_cooccurrences([["a", "b", "a"]], window=2, min_count=1)
-        path = tmp_path / "counts.txt"
-        save_counts(counts, path)
-        assert path.read_text(encoding="utf-8") == (
-            "# window 2\n# min_count 1\n0 0 2\n0 1 2\n")
-        back = load_counts(path)
-        assert (back.window, back.min_count) == (2, 1)
-
-    def test_harmonic_file_bytes(self, tmp_path):
-        # Fractional counts print with 17 significant digits, so they load back exactly.
-        counts = count_cooccurrences([["a", "b", "c", "a", "d"]], window=3, min_count=1,
-                                     weighting="harmonic")
-        path = tmp_path / "counts.txt"
-        save_counts(counts, path)
-        assert path.read_bytes() == (
-            b"# window 3\n# min_count 1\n"
-            b"0 0 0.66666666666666663\n0 1 1.5\n0 2 1.5\n0 3 1\n"
-            b"1 2 1\n1 3 0.33333333333333331\n2 3 0.5\n")
-        assert (tmp_path / "counts.txt.vocab").read_bytes() == b"a\nb\nc\nd\n"
-
-    @pytest.mark.parametrize("body, where", [
-        ("# window 2\n# min_count 1\n# window 9\n0 1 2\n", ":3: window listed twice"),
-        ("# min_count 1\n# window 2\n\n# min_count 1\n0 1 2\n", ":4: min_count listed twice"),
-    ], ids=["window", "min_count_same_value"])
-    def test_repeated_header_line(self, tmp_path, body, where):
-        path = self.write_counts(tmp_path, body)
-        with pytest.raises(ParseError, match=rf"counts\.txt{where}$"):
-            load_counts(path)
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-2"])
-    def test_non_finite_or_negative_count(self, tmp_path, value):
-        path = self.write_counts(tmp_path, f"# window 2\n0 1 2\n1 1 {value}\n")
-        with pytest.raises(ParseError, match=r"counts\.txt:3: count must be finite and >= 0"):
-            load_counts(path)
-
-    @pytest.mark.parametrize("body, where", [
-        ("0 1 2\n0 1 2\n", "2: cell 0 1"),
-        ("# window 2\n0 1 2\n1 1 3\n\n0 0 1\n1 1 0.5\n0 1 2\n", "6: cell 1 1"),
-    ], ids=["adjacent", "first_repeat_in_file_order"])
-    def test_repeated_cell(self, tmp_path, body, where):
-        path = self.write_counts(tmp_path, body)
-        with pytest.raises(ParseError, match=rf"counts\.txt:{where} listed twice"):
-            load_counts(path)
-
-    @pytest.mark.parametrize("sidecar, lineno", [("a\nb\na\n", 3), ("a\n\nb\na\n", 4)])
-    def test_duplicate_vocab_word(self, tmp_path, sidecar, lineno):
-        path = self.write_counts(tmp_path, "0 1 2\n")
-        (tmp_path / "counts.txt.vocab").write_text(sidecar, encoding="utf-8")
-        with pytest.raises(ParseError,
-                           match=rf"counts\.txt\.vocab:{lineno}: duplicate word 'a'"):
-            load_counts(path)
-
-    @pytest.mark.parametrize("word", ["a b", "a\t", "a\x0cb"])
-    def test_vocab_word_with_whitespace(self, tmp_path, word):
-        path = self.write_counts(tmp_path, "0 1 2\n")
-        (tmp_path / "counts.txt.vocab").write_text(f"a\n\n{word}\n", encoding="utf-8")
-        with pytest.raises(ParseError,
-                           match=r"counts\.txt\.vocab:3: word contains whitespace"):
-            load_counts(path)
+    assert_saved_exactly(path, counts)
+    # The file holds the upper triangle, so its mirror gives back the counts
+    # only because they are exactly symmetric.
+    upper = read_saved_counts(path)[1]
+    assert ((upper + sparse.triu(upper, k=1).T) != counts.counts).nnz == 0
