@@ -1,11 +1,12 @@
 """Planar layout of named points from a pairwise distance matrix.
 
-Two anchor points are fixed (the first at the origin, the second on the
-positive x-axis at their mutual distance); the first free point is placed by
-circle intersection with nonnegative y, later points by least-squares
-trilateration against everything already placed, and a fixed number of
-backtracking gradient-descent steps on the squared distance residuals
-polishes the configuration with the anchors held fixed.
+Classical-MDS start, anchored stress descent. The points are taken in name
+order, so the layout does not depend on the order they are given in. The
+start is Torgerson's classical MDS (the top two eigenpairs of the
+double-centered squared distances), moved so that one anchor sits at the
+origin and the other on the positive x-axis at their mutual distance. A fixed
+number of backtracking gradient-descent steps on the squared distance
+residuals then polishes the configuration with the anchors held fixed.
 
 The reported stress is sqrt(sum (realized - target)^2 / sum target^2), the
 root-mean-square distance error relative to the root-mean-square target
@@ -94,10 +95,17 @@ class LayoutMap:
     names: tuple[str, ...]
     coords: np.ndarray
     stress: float
-    fallback_used: bool = False
 
     def position(self, name: str) -> tuple[float, float]:
-        i = self.names.index(name)
+        """The coordinates of point ``name``.
+
+        Raises:
+            PreconditionError: no point has that name.
+        """
+        try:
+            i = self.names.index(name)
+        except ValueError:
+            raise PreconditionError(f"no point named {name!r}") from None
         return float(self.coords[i, 0]), float(self.coords[i, 1])
 
     def to_tsv(self) -> str:
@@ -123,6 +131,26 @@ def _validate_distances(dist: np.ndarray, n: int) -> np.ndarray:
     return (dist + dist.T) / 2.0
 
 
+def _start(dist: np.ndarray, ia: int, ib: int) -> np.ndarray:
+    """Classical-MDS coordinates, framed with ``ia`` at the origin and ``ib`` on +x.
+
+    The top two eigenpairs of ``-½·J·D²·J``, negative eigenvalues clamped at
+    0; the two anchors are then set exactly to ``(0, 0)`` and ``(d_ab, 0)``.
+    """
+    n = len(dist)
+    centering = np.eye(n) - 1.0 / n
+    eigenvalues, eigenvectors = np.linalg.eigh(-0.5 * centering @ (dist * dist) @ centering)
+    coords = eigenvectors[:, -1:-3:-1] * np.sqrt(np.maximum(eigenvalues[-1:-3:-1], 0.0))
+    coords -= coords[ia]
+    radius = float(np.hypot(*coords[ib]))
+    if radius > 0.0:
+        cos, sin = coords[ib] / radius
+        coords = coords @ np.array([[cos, -sin], [sin, cos]])
+    coords[ia] = (0.0, 0.0)
+    coords[ib] = (dist[ia, ib], 0.0)
+    return coords
+
+
 def layout_from_distances(
     dist: np.ndarray,
     names: list[str] | tuple[str, ...],
@@ -131,69 +159,40 @@ def layout_from_distances(
 ) -> LayoutMap:
     """Place points in 2D so pairwise distances approximate ``dist``.
 
-    ``anchor_a`` sits at the origin and ``anchor_b`` on the positive x-axis;
-    the remaining points are placed in input order (circle intersection for
-    the first, least-squares trilateration afterwards) and then refined by
-    ``REFINE_ITERATIONS`` descent steps. The mirror ambiguity is resolved by
-    giving the first free point nonnegative y.
+    ``anchor_a`` sits at the origin and ``anchor_b`` on the positive x-axis at
+    their input distance. The points are laid out in name order from a
+    classical-MDS start, refined by ``REFINE_ITERATIONS`` descent steps with
+    the anchors fixed, and the mirror ambiguity is resolved by giving the
+    first free point in name order nonnegative y. Each point's coordinates
+    are therefore the same, bit for bit, whatever the input order.
 
-    Inconsistent distances never raise: an empty circle intersection falls
-    back to the closest point on the anchor axis (``fallback_used`` is set)
-    and the residual error is absorbed into the reported stress.
+    Inconsistent distances never raise; the residual error is absorbed into
+    the reported stress.
     """
     names = tuple(names)
     n = len(names)
     if n < 2:
         raise PreconditionError("need at least 2 points")
     _check_names(names, "point")
-    if anchor_a not in names or anchor_b not in names:
-        raise PreconditionError("anchors must be among the point names")
+    for anchor in (anchor_a, anchor_b):
+        if anchor not in names:
+            raise PreconditionError(f"anchor {anchor!r} is not among the point names")
     if anchor_a == anchor_b:
         raise PreconditionError("anchors must be distinct")
     dist = _validate_distances(dist, n)
 
-    ia, ib = names.index(anchor_a), names.index(anchor_b)
-    d_ab = dist[ia, ib]
-    if d_ab <= 0.0:
+    order = sorted(range(n), key=names.__getitem__)
+    dist = dist[np.ix_(order, order)]
+    ia, ib = (sorted(names).index(anchor) for anchor in (anchor_a, anchor_b))
+    if dist[ia, ib] <= 0.0:
         raise PreconditionError("anchor distance must be positive")
-
-    coords = np.zeros((n, 2), dtype=np.float64)
-    placed = [ia, ib]
-    coords[ia] = (0.0, 0.0)
-    coords[ib] = (d_ab, 0.0)
-    fallback = False
-
-    remaining = [i for i in range(n) if i not in (ia, ib)]
-    for count, i in enumerate(remaining):
-        if count == 0:
-            # Circle intersection against the two anchors, nonnegative y.
-            ra, rb = dist[i, ia], dist[i, ib]
-            x = (ra * ra - rb * rb + d_ab * d_ab) / (2.0 * d_ab)
-            y_sq = ra * ra - x * x
-            if y_sq < 0.0:
-                fallback = True
-                y_sq = 0.0
-            coords[i] = (x, np.sqrt(y_sq))
-        else:
-            # Linearized trilateration against all placed points.
-            ref = placed[0]
-            rows = []
-            rhs = []
-            for k in placed[1:]:
-                rows.append(2.0 * (coords[k] - coords[ref]))
-                rhs.append(
-                    dist[i, ref] ** 2
-                    - dist[i, k] ** 2
-                    + np.sum(coords[k] ** 2)
-                    - np.sum(coords[ref] ** 2)
-                )
-            solution, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-            coords[i] = solution
-        placed.append(i)
 
     free = np.ones(n, dtype=bool)
     free[[ia, ib]] = False
-    coords, _ = _refine(coords, dist, free, REFINE_ITERATIONS)
+    coords, _ = _refine(_start(dist, ia, ib), dist, free, REFINE_ITERATIONS)
+    if free.any() and coords[free][0, 1] < 0.0:
+        coords[free, 1] *= -1.0
+    coords += 0.0  # -0.0 + 0.0 is +0.0, so no coordinate prints as -0
 
     realized = _pairwise(coords)[1]
     iu = np.triu_indices(n, k=1)
@@ -201,4 +200,6 @@ def layout_from_distances(
     residual_sq = float(np.sum((realized[iu] - dist[iu]) ** 2))
     stress = float(np.sqrt(residual_sq / target_sq))
 
-    return LayoutMap(names=names, coords=coords, stress=stress, fallback_used=fallback)
+    in_input_order = np.empty_like(coords)
+    in_input_order[order] = coords
+    return LayoutMap(names=names, coords=in_input_order, stress=stress)

@@ -31,8 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlignmentError, DegenerateInputError, PreconditionError
-from .store import (AlignedPair, EmbeddingMatrix, _aligned_rows, _check_names, _restricted_rows,
-                    _word_order)
+from .store import AlignedPair, EmbeddingMatrix, _check_names, _restricted_rows, _word_order
 
 
 @dataclass(frozen=True)
@@ -236,16 +235,19 @@ def rpd_pairwise_matrix(
     """All pairwise RPD values between named embeddings.
 
     By default each pair is compared on its own vocabulary intersection; with
-    ``common_vocab=True`` every embedding is first restricted to the global
-    intersection so all cells share one vocabulary, and each embedding's
-    ``EᵀE`` is computed once for the whole matrix.
+    ``common_vocab=True`` every cell is compared on the global intersection.
+    Either way the cells are grouped by the vocabulary they compare, and each
+    embedding's side (``EᵀE`` over that vocabulary) is built once per group.
+    When all pairs share one intersection, both modes give the same matrix
+    from the same arithmetic. One group's sides are held at a time. A cell
+    takes its two sides in name order, so permuting the inputs permutes the
+    matrix exactly.
 
     Raises:
         PreconditionError: fewer than 2 embeddings, or a name that repeats or
             holds whitespace (it would break the TSV).
         AlignmentError: an empty intersection, with the offending pair named.
-        DegenerateInputError: a constant embedding, with its embedding
-            (common vocabulary) or pair named.
+        DegenerateInputError: a constant embedding, with its name.
     """
     if len(embs) < 2:
         raise PreconditionError("need at least 2 embeddings")
@@ -253,27 +255,29 @@ def rpd_pairwise_matrix(
     _check_names(names, "embedding")
     matrices = [emb for _, emb in embs]
     k = len(matrices)
-    cells = [(i, j) for i in range(k) for j in range(i + 1, k)]
     values = np.zeros((k, k), dtype=np.float64)
 
-    if common_vocab:
-        first, *rest = (m.vocab for m in matrices)
-        shared = tuple(sorted(set(first).intersection(*rest)))
-        if not shared:
-            raise AlignmentError("global vocabulary intersection is empty")
-        sides = [gram_side(_restricted_rows(m, shared), name, owned=True)
-                 for name, m in zip(names, matrices)]
+    vocabs = [frozenset(m.vocab) for m in matrices]
+    everyone = frozenset.intersection(*vocabs)
+    if common_vocab and not everyone:
+        raise AlignmentError("global vocabulary intersection is empty")
+    # A frozenset caches its hash, so each key is hashed once, not per cell.
+    groups: dict[frozenset[str], list[tuple[int, int]]] = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            shared = everyone if common_vocab else vocabs[i] & vocabs[j]
+            if not shared:
+                raise AlignmentError(
+                    f"{names[i]} vs {names[j]}: vocabularies have empty intersection")
+            groups.setdefault(shared, []).append((i, j))
+
+    for shared, cells in groups.items():
+        words = sorted(shared)
+        sides = {i: gram_side(_restricted_rows(matrices[i], words), names[i], owned=True)
+                 for i in sorted({i for cell in cells for i in cell})}
         for i, j in cells:
-            values[i, j] = values[j, i] = rpd_from_sides(sides[i], sides[j]).rpd
-    else:
-        for i, j in cells:
-            pair_name = f"{names[i]} vs {names[j]}"
-            try:
-                _, left, right = _aligned_rows(matrices[i], matrices[j])
-            except AlignmentError as exc:
-                raise AlignmentError(f"{pair_name}: {exc}") from None
-            values[i, j] = values[j, i] = rpd_from_sides(
-                gram_side(left, pair_name, owned=True),
-                gram_side(right, pair_name, owned=True),
-            ).rpd
+            # Sides in name order: a cell's bits do not depend on the input order.
+            left, right = sorted((i, j), key=names.__getitem__)
+            values[i, j] = values[j, i] = rpd_from_sides(sides[left], sides[right]).rpd
+        del sides  # before the next group's sides are built
     return PairwiseRpd(names=names, values=values)

@@ -18,7 +18,6 @@ them back.
 from __future__ import annotations
 
 import re
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -233,14 +232,13 @@ def truncated_svd(matrix: sparse.csr_array, d: int) -> SvdFactors:
 def svd_embedding(factors: SvdFactors, vocab: Sequence[str]) -> EmbeddingMatrix:
     """Embedding rows U scaled columnwise by sqrt(S), one per word of ``vocab``.
 
-    Tiny negative singular values (numerical artifacts) are clamped to zero
-    with a warning.
+    Raises:
+        PreconditionError: a negative singular value (``truncated_svd`` never
+            returns one; hand-built factors can).
     """
-    s = factors.S
-    if np.any(s < 0):
-        warnings.warn("negative singular values clamped to zero", stacklevel=2)
-        s = np.maximum(s, 0.0)
-    return EmbeddingMatrix(vocab, factors.U * np.sqrt(s))
+    if np.any(factors.S < 0):
+        raise PreconditionError("singular values must be nonnegative")
+    return EmbeddingMatrix(vocab, factors.U * np.sqrt(factors.S))
 
 
 def train_spectral_embedding(

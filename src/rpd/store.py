@@ -291,20 +291,6 @@ def _restricted_rows(emb: EmbeddingMatrix, words: Sequence[str]) -> np.ndarray:
     return emb.matrix[[idx[w] for w in words]]
 
 
-def _aligned_rows(
-    a: EmbeddingMatrix, b: EmbeddingMatrix
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """The shared vocabulary of two embeddings and each side's rows for it.
-
-    Raises:
-        AlignmentError: empty intersection.
-    """
-    shared = tuple(sorted(set(a.vocab) & set(b.vocab)))
-    if not shared:
-        raise AlignmentError("vocabularies have empty intersection")
-    return shared, _restricted_rows(a, shared), _restricted_rows(b, shared)
-
-
 def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
     """Restrict two embeddings to their shared vocabulary.
 
@@ -314,10 +300,12 @@ def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
     Raises:
         AlignmentError: empty intersection.
     """
-    shared, left, right = _aligned_rows(a, b)
+    shared = tuple(sorted(set(a.vocab) & set(b.vocab)))
+    if not shared:
+        raise AlignmentError("vocabularies have empty intersection")
     return AlignedPair(
-        EmbeddingMatrix(shared, left),
-        EmbeddingMatrix(shared, right),
+        EmbeddingMatrix(shared, _restricted_rows(a, shared)),
+        EmbeddingMatrix(shared, _restricted_rows(b, shared)),
         shared,
         coverage_left=len(shared) / a.n,
         coverage_right=len(shared) / b.n,

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from rpd import DimensionError, PreconditionError, layout_from_distances
-from rpd.layout import _refine
+from rpd.layout import _refine, _start
 
 
 def pairwise(points):
@@ -23,7 +25,6 @@ class TestLayoutRecovery:
         realized = pairwise(result.coords)
         np.testing.assert_allclose(realized, dist, atol=1e-9)
         assert result.stress < 1e-9
-        assert not result.fallback_used
 
     def test_four_planar_points(self):
         rng = np.random.default_rng(3)
@@ -77,12 +78,68 @@ class TestLayoutRecovery:
         np.testing.assert_array_equal(r1.coords, r2.coords)
         assert r1.stress == r2.stress
 
-    def test_inconsistent_distances_fall_back(self):
-        # Triangle inequality violated: no circle intersection exists.
+    def test_inconsistent_distances_finite_stress(self):
+        # Triangle inequality violated: no planar layout fits.
         dist = np.array([[0.0, 10.0, 1.0], [10.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         result = layout_from_distances(dist, ["a", "b", "c"], "a", "b")
-        assert result.fallback_used
         assert np.isfinite(result.stress)
+        assert 0.0 < result.stress < 1.0
+        assert result.position("b") == (10.0, 0.0)
+
+    def test_coincident_points(self):
+        # Points on a line, two pairs of them at distance 0.
+        points = np.array([[1.0, 0.0], [-2.0, 0.0], [5.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
+        dist = pairwise(points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = layout_from_distances(dist, list("abcde"), "a", "c")
+        np.testing.assert_allclose(pairwise(result.coords), dist, atol=1e-6)
+        assert result.position("a") == (0.0, 0.0)
+        assert result.position("c") == (4.0, 0.0)
+        assert "-0\t" not in result.to_tsv() and "-0\n" not in result.to_tsv()
+
+    def test_unknown_point_named(self):
+        dist = np.array([[0.0, 1.0], [1.0, 0.0]])
+        result = layout_from_distances(dist, ["a", "b"], "a", "b")
+        with pytest.raises(PreconditionError, match="no point named 'z'"):
+            result.position("z")
+
+
+def anchors_off_the_plane():
+    # The free points span the plane of the two largest (tied) CMDS
+    # eigenvalues; the anchors differ only along the third axis.
+    points = np.array([[0, 0, 1], [0, 0, -1], [5, 5, 0], [5, -5, 0], [-5, 5, 0],
+                       [-5, -5, 0]], dtype=float)
+    return pairwise(points)
+
+
+ORDER_FIXTURES = {
+    "four_planar": lambda: pairwise(np.random.default_rng(3).standard_normal((4, 2)) * 2.0),
+    "five_from_4d": lambda: pairwise(np.random.default_rng(4).standard_normal((5, 4))),
+    "six_planar": lambda: pairwise(np.random.default_rng(5).standard_normal((6, 2))),
+    "regular_simplex": lambda: 1.0 - np.eye(5),
+    "anchors_off_the_plane": anchors_off_the_plane,
+}
+
+
+class TestOrderFree:
+    @pytest.mark.parametrize("fixture", sorted(ORDER_FIXTURES))
+    def test_same_layout_for_every_input_order(self, fixture):
+        dist = ORDER_FIXTURES[fixture]()
+        n = len(dist)
+        names = [f"p{i}" for i in range(n)]
+        base = layout_from_distances(dist, names, "p0", "p1")
+        assert base.position("p0") == (0.0, 0.0)
+        assert base.position("p1") == (dist[0, 1], 0.0)
+        assert np.isfinite(base.stress)
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            perm = rng.permutation(n)
+            result = layout_from_distances(
+                dist[np.ix_(perm, perm)], [names[i] for i in perm], "p0", "p1")
+            for name in names:
+                assert result.position(name) == base.position(name)
+            assert result.stress == base.stress
 
 
 class TestRefinement:
@@ -90,10 +147,9 @@ class TestRefinement:
         rng = np.random.default_rng(8)
         points = rng.standard_normal((6, 4))
         dist = pairwise(points)
-        start = rng.standard_normal((6, 2))
         free = np.ones(6, dtype=bool)
         free[:2] = False
-        _, history = _refine(start, dist, free, iterations=200)
+        _, history = _refine(_start(dist, 0, 1), dist, free, iterations=200)
         diffs = np.diff(history)
         assert np.all(diffs <= 0.0)
 
@@ -115,7 +171,7 @@ class TestValidation:
 
     def test_anchor_names_checked(self):
         dist = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="anchor 'z' is not among the point names"):
             layout_from_distances(dist, ["a", "b"], "a", "z")
         with pytest.raises(PreconditionError):
             layout_from_distances(dist, ["a", "b"], "a", "a")

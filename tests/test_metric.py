@@ -173,9 +173,7 @@ class TestPairwiseMatrix:
         base = rpd_pairwise_matrix(embs)
         perm = [2, 0, 3, 1]
         permuted = rpd_pairwise_matrix([embs[i] for i in perm])
-        np.testing.assert_allclose(
-            permuted.values, base.values[np.ix_(perm, perm)], atol=1e-12
-        )
+        assert np.array_equal(permuted.values, base.values[np.ix_(perm, perm)])
 
     def test_alignment_error_names_pair(self, rng):
         a = EmbeddingMatrix(("a", "b"), rng.standard_normal((2, 3)))
@@ -211,6 +209,30 @@ class TestPairwiseMatrix:
                 pair = align_vocabularies(restricted(a), restricted(b))
                 assert abs(result.values[i, j] - rpd(pair).rpd) <= 1e-12
 
+    def test_one_shared_vocabulary_modes_agree(self, rng):
+        # Every pair shares the same 40-word core; each space adds its own words.
+        core = [f"w{i}" for i in range(40)]
+        embs = []
+        for k in range(4):
+            vocab = tuple(rng.permutation(core + [f"only{k}_{i}" for i in range(5)]))
+            embs.append((f"e{k}", EmbeddingMatrix(vocab, rng.standard_normal((45, 3 + k)))))
+        per_pair = rpd_pairwise_matrix(embs)
+        common = rpd_pairwise_matrix(embs, common_vocab=True)
+        assert np.array_equal(per_pair.values, common.values)
+
+    def test_per_pair_cells_match_pair_rpd(self, rng):
+        # Each pair has its own intersection, so every cell is its own group.
+        words = [f"w{i}" for i in range(60)]
+        embs = []
+        for k, (lo, hi, d) in enumerate(((0, 50, 4), (5, 60, 6), (10, 55, 5), (0, 45, 3))):
+            vocab = tuple(words[lo + i] for i in rng.permutation(hi - lo))
+            embs.append((f"e{k}", EmbeddingMatrix(vocab, rng.standard_normal((hi - lo, d)))))
+        result = rpd_pairwise_matrix(embs)
+        for i in range(len(embs)):
+            for j in range(i + 1, len(embs)):
+                expected = rpd(align_vocabularies(embs[i][1], embs[j][1])).rpd
+                assert result.values[i, j] == result.values[j, i] == expected
+
     def test_common_vocab_keeps_zero_rows(self, rng):
         vocab = ("a", "b", "c", "d")
         first = EmbeddingMatrix(vocab, rng.standard_normal((4, 3)))
@@ -229,8 +251,7 @@ class TestPairwiseMatrix:
         embs[1] = ("zeroed", EmbeddingMatrix(vocab, m))
         assert rpd_pairwise_matrix(embs, common_vocab=True).values.shape == (3, 3)
 
-    @pytest.mark.parametrize("common_vocab, offender", [(True, "flat: "),
-                                                        (False, "first vs flat: ")])
+    @pytest.mark.parametrize("common_vocab, offender", [(True, "flat: "), (False, "flat: ")])
     def test_constant_embedding_named(self, rng, common_vocab, offender):
         vocab = ("a", "b", "c")
         embs = [("first", EmbeddingMatrix(vocab, rng.standard_normal((3, 2)))),

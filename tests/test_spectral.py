@@ -373,11 +373,9 @@ class TestSvdEmbedding:
         np.testing.assert_allclose(emb.matrix.T @ emb.matrix, np.diag(factors.S),
                                    atol=1e-8)
 
-    def test_negative_singular_value_clamped(self):
-        with pytest.warns(UserWarning):
-            emb = svd_embedding(SvdFactors(U=np.eye(2), S=np.array([1.0, -1e-12])),
-                                ("a", "b"))
-        assert emb.matrix[1, 1] == 0.0
+    def test_negative_singular_value_rejected(self):
+        with pytest.raises(PreconditionError, match="singular values must be nonnegative"):
+            svd_embedding(SvdFactors(U=np.eye(2), S=np.array([1.0, -1e-12])), ("a", "b"))
 
     def test_end_to_end_best_rank_d(self):
         text = synthetic_corpus_text(15000, vocab_size=150, seed=7)
