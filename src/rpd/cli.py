@@ -188,9 +188,9 @@ def cmd_nulltest(left, right, replicates, seed, one_sided, samples_out, output):
 def cmd_train_svd(corpus, signal, dim, window, min_count, weighting, no_lowercase, counts_out,
                   output):
     """Train a spectral embedding from a plain-text corpus."""
-    documents = read_corpus(corpus, lowercase=not no_lowercase)
-    counts = count_cooccurrences(documents, window=window, min_count=min_count,
-                                 weighting=weighting)
+    # The documents are dropped once counted, before the SVD needs the memory.
+    counts = count_cooccurrences(read_corpus(corpus, lowercase=not no_lowercase),
+                                 window=window, min_count=min_count, weighting=weighting)
     emb = train_spectral_embedding(counts, signal, dim)
     if counts_out is not None:
         save_counts(counts, counts_out)

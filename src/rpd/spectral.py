@@ -1,5 +1,5 @@
 """Spectral embedding trainers: co-occurrence counting, PMI / log-count signals,
-an ARPACK truncated SVD, and the U·sqrt(S) embedding extraction.
+a truncated SVD, and the U·sqrt(S) embedding extraction.
 
 The pipeline is:
 
@@ -9,8 +9,10 @@ The pipeline is:
 Counts are symmetric sparse matrices over a frequency-filtered vocabulary;
 their total is the sum of their cells. ``SIGNALS`` names the two signals:
 positive PMI ("pmi") and log(1 + count) ("logcount"), both zero where the
-count is. A trained embedding is a function of the corpus and the options
-alone: the SVD starts from a fixed vector and fixes the sign of each component.
+count is. Both signals are symmetric, so the truncated SVD is a symmetric
+eigensolver: dense tridiagonalization up to ``_DENSE_MAX_N`` words, ``eigsh``
+above. A trained embedding is a function of the corpus and the options alone:
+the solver starts from a fixed vector and fixes the sign of each component.
 ``save_counts`` exports the counts as text for other tools; rpd does not read
 them back.
 """
@@ -22,15 +24,19 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import CorpusError, DegenerateInputError, DimensionError, PreconditionError
 from .store import EmbeddingMatrix, _text_lines
 
+if TYPE_CHECKING:
+    from scipy import sparse
+
 WEIGHTINGS = ("flat", "harmonic")
+# The dense eigensolver holds the n×n signal: at most 128 MiB.
+_DENSE_MAX_N = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +85,10 @@ def tokenize_corpus_text(text: str, lowercase: bool = True) -> list[list[str]]:
     """
     if lowercase:
         text = text.lower()
-    return [tokens for line in re.split(r"\r\n?|\n", text) if (tokens := line.split())]
+    # One str object per distinct token: the documents hold references, not copies.
+    one: dict[str, str] = {}
+    return [[one.setdefault(t, t) for t in tokens]
+            for line in re.split(r"\r\n?|\n", text) if (tokens := line.split())]
 
 
 def read_corpus(path: str | Path, lowercase: bool = True) -> list[list[str]]:
@@ -126,6 +135,8 @@ def count_cooccurrences(
         raise PreconditionError(f"min_count must be >= 1, got {min_count}")
     if weighting not in WEIGHTINGS:
         raise PreconditionError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
+    # scipy is imported on use, here and below: most CLI calls never build a sparse matrix.
+    from scipy import sparse
 
     docs = []
     for doc in documents:
@@ -168,6 +179,8 @@ def pmi_matrix(counts: CooccurrenceCounts) -> sparse.csr_array:
     nonzero cells; zero-count cells and negative values are stored as zero,
     which keeps the matrix sparse and nonnegative.
     """
+    from scipy import sparse
+
     c = counts.counts
     rowsums = np.asarray(c.sum(axis=1)).ravel()
     rows = np.repeat(np.arange(c.shape[0]), np.diff(c.indptr))
@@ -181,6 +194,8 @@ def pmi_matrix(counts: CooccurrenceCounts) -> sparse.csr_array:
 
 def log_count_matrix(counts: CooccurrenceCounts) -> sparse.csr_array:
     """log(1 + count) signal; zero counts stay zero, preserving sparsity."""
+    from scipy import sparse
+
     c = counts.counts
     return sparse.csr_array((np.log1p(c.data), c.indices.copy(), c.indptr.copy()),
                             shape=c.shape)
@@ -190,43 +205,95 @@ SIGNALS = {"pmi": pmi_matrix, "logcount": log_count_matrix}
 
 
 def truncated_svd(matrix: sparse.csr_array, d: int) -> SvdFactors:
-    """The top ``d`` singular values of a sparse signal matrix, descending, and
-    their left singular vectors.
+    """The top ``d`` singular values of a symmetric sparse signal matrix,
+    descending, and their left singular vectors.
 
-    ARPACK (``scipy.sparse.linalg.svds``) solves them to working precision
-    from a fixed standard-normal start vector and returns no right vectors.
-    ARPACK needs ``d < min(shape)``; a full-rank request takes a dense SVD
-    instead. On both paths each
+    A symmetric matrix's singular values are the magnitudes of its
+    eigenvalues, and its eigenvectors are its singular vectors, so this is a
+    symmetric eigensolver for the ``d`` eigenvalues of largest magnitude,
+    negative ones included: dense tridiagonalization up to ``_DENSE_MAX_N``
+    words (or for ``d`` equal to the vocabulary size, which ARPACK cannot
+    solve), ``eigsh`` above, from a fixed standard-normal start vector. Both
+    paths solve to working precision and return no right vectors. Each
     component is signed so that the largest-magnitude entry of its column of
     U is positive (scikit-learn's ``svd_flip``), so the factors depend on the
     matrix and ``d`` alone, not on roundoff that flips a component. Only this
     function checks ``1 <= d <= min(shape)``, the vocabulary size.
 
     Raises:
+        PreconditionError: a non-finite or non-symmetric signal.
         DegenerateInputError: the signal has no non-zero entry (for example a
             positive-PMI signal where every pair co-occurs exactly as often as
             independence predicts).
     """
     # Imported on use: every CLI call imports the package, few of them solve.
-    from scipy.sparse.linalg import svds
+    from scipy.sparse.linalg import eigsh
 
     n = min(matrix.shape)
     if not 1 <= d <= n:
         raise DimensionError(f"need 1 <= dim <= vocabulary size {n}, got dim={d}")
     if not np.all(np.isfinite(matrix.data)):
         raise PreconditionError("signal matrix has non-finite entries")
+    if matrix.shape[0] != matrix.shape[1] or (matrix != matrix.T).nnz:
+        raise PreconditionError("signal matrix is not symmetric")
     if not matrix.count_nonzero():
         raise DegenerateInputError("signal matrix has no non-zero entry: nothing to factorize")
 
-    if d == n:
-        u, s, _ = np.linalg.svd(matrix.toarray(), full_matrices=False)
+    if n <= _DENSE_MAX_N or d == n:
+        lam, u = _dense_eigenpairs(matrix, d)
     else:
         v0 = np.random.default_rng(0).standard_normal(n)
-        u, s, _ = svds(matrix, k=d, v0=v0, return_singular_vectors="u")
-        order = np.argsort(s)[::-1]
-        u, s = u[:, order], s[order]
+        lam, u = eigsh(matrix, k=d, which="LM", v0=v0)
+    order = np.argsort(-np.abs(lam), kind="stable")
+    u = u[:, order]
     signs = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(d)] < 0, -1.0, 1.0)
-    return SvdFactors(U=u * signs, S=s)
+    return SvdFactors(U=u * signs, S=np.abs(lam[order]))
+
+
+def _dense_eigenpairs(matrix: sparse.csr_array, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``d`` eigenvalues of largest magnitude of a symmetric matrix and
+    their eigenvectors, in no set order, from one dense reduction to
+    tridiagonal form ``A = Q·T·Qᵀ``."""
+    from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
+
+    n = matrix.shape[0]
+    # The transpose of the C-ordered array is Fortran-ordered and equals A, so
+    # dsytrd reduces it in place and leaves Q's reflectors below its subdiagonal.
+    a = matrix.toarray().T.astype(np.float64, copy=False)
+    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+    refl, diag, off, tau, info = lapack.dsytrd(a, lower=1, lwork=lwork, overwrite_a=1)
+    assert info == 0 and np.shares_memory(refl, a)
+
+    w = eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
+    # |λ| descends along the negative eigenvalues in ascending order and along
+    # the rest in descending order. The d largest of the two runs are the q
+    # lowest and the d − q highest eigenvalues.
+    neg = int(np.count_nonzero(w < 0))
+    runs = np.concatenate([-w[:neg], w[neg:][::-1]])
+    q = int(np.count_nonzero(np.argsort(-runs, kind="stable")[:d] < neg))
+    if 8 * d <= n:
+        # Inverse iteration needs n×d memory and is fast while d is small.
+        ends = [eigh_tridiagonal(diag, off, select="i", select_range=r, lapack_driver="stebz")
+                for r in ((0, q - 1), (n - d + q, n - 1)) if r[0] <= r[1]]
+        lams, vecs = zip(*ends)
+        lam, z = np.concatenate(lams), np.hstack(vecs)
+    else:
+        # Divide and conquer finds all n vectors faster than inverse iteration
+        # finds many, and to tighter orthogonality than MRRR (stemr).
+        lam, z = eigh_tridiagonal(diag, off, lapack_driver="stevd")
+        keep = np.r_[:q, n - d + q:n]
+        lam, z = lam[keep], z[:, keep]
+
+    if n > 1:
+        # Q leaves row 0 alone; reflector k is column k from row k + 1 down. A
+        # contiguous view from row 1 passes them to dormqr with leading
+        # dimension n; the slice refl[1:, :-1] would be copied.
+        v = refl.ravel(order="F")[1:1 + n * (n - 1)].reshape((n, n - 1), order="F")
+        assert np.shares_memory(v, refl)
+        qwork = int(lapack.dormqr("L", "N", v, tau, z[1:], -1)[1][0])
+        z[1:], _, info = lapack.dormqr("L", "N", v, tau, z[1:], qwork)
+        assert info == 0
+    return lam, z
 
 
 def svd_embedding(factors: SvdFactors, vocab: Sequence[str]) -> EmbeddingMatrix:

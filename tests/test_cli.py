@@ -773,10 +773,12 @@ class TestTextInput:
         assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse.linalg"])
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse.linalg", "scipy.sparse",
+                                    "scipy.linalg"])
 def test_cli_import_leaves_out_scipy_stats(module):
     # scipy.stats takes most of a second to import and no command needs it;
-    # scipy.sparse.linalg (with scipy.linalg) is needed only to solve an SVD.
+    # scipy.sparse is needed only to train, and scipy.linalg and
+    # scipy.sparse.linalg only to solve an SVD.
     code = f"import sys, rpd.cli; print({module!r} in sys.modules)"
     src = str(Path(rpd.__file__).resolve().parents[1])
     result = subprocess.run(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
+import rpd.spectral
 from _corpus import synthetic_corpus_text
 from _oracle import assert_saved_exactly, read_saved_counts
 from rpd import (
@@ -37,6 +38,10 @@ def dense_counts(array, vocab=None, window=1, min_count=1):
 
 def signal_of(array):
     return sparse.csr_array(np.asarray(array, dtype=np.float64))
+
+
+def symmetric(m):
+    return (m + m.T) / 2.0
 
 
 def right_vectors(signal, factors):
@@ -133,6 +138,12 @@ class TestCountCooccurrences:
     def test_one_pass_over_documents(self):
         docs = iter([["a", "b"], ["b", "a"]])
         assert count_cooccurrences(docs, window=1, min_count=1).vocab == ("a", "b")
+
+
+def test_documents_share_one_str_per_word():
+    docs = tokenize_corpus_text("The cat\nthe CAT the\n")
+    assert docs == [["the", "cat"], ["the", "cat", "the"]]
+    assert docs[0][0] is docs[1][0] is docs[1][2] and docs[0][1] is docs[1][1]
 
 
 def brute_force_counts(docs, window, min_count, weighting):
@@ -262,7 +273,7 @@ class TestTruncatedSvd:
         np.testing.assert_allclose(factors.S, dense_s, rtol=1e-6)
 
     def test_full_rank_reconstruction(self, rng):
-        m = rng.standard_normal((40, 40))
+        m = symmetric(rng.standard_normal((40, 40)))
         sig = signal_of(m)
         factors = truncated_svd(sig, 40)
         recon = factors.U @ (factors.U.T @ m)
@@ -279,12 +290,13 @@ class TestTruncatedSvd:
         assert np.all(np.diff(factors.S) <= 1e-12)
         assert np.all(factors.S >= 0.0)
 
-    @pytest.mark.parametrize("d", [12, 40], ids=["arpack", "dense"])
+    @pytest.mark.parametrize("d", [5, 12, 40],
+                             ids=["inverse-iteration", "divide-and-conquer", "full-rank"])
     def test_sign_convention(self, rng, d):
         # The largest-magnitude entry of each column of U is positive. The
         # signed columns are still singular vectors: the rows of Uᵀ·A / S are
         # orthonormal, and U·Uᵀ·A is the signal's best rank-d approximation.
-        m = rng.standard_normal((40, 40))
+        m = symmetric(rng.standard_normal((40, 40)))
         factors = truncated_svd(signal_of(m), d)
         columns = np.arange(d)
         assert np.all(factors.U[np.argmax(np.abs(factors.U), axis=0), columns] > 0)
@@ -294,7 +306,7 @@ class TestTruncatedSvd:
         np.testing.assert_allclose(factors.U @ (factors.U.T @ m),
                                    (u[:, :d] * s[:d]) @ vt[:d], atol=1e-10)
 
-    @pytest.mark.parametrize("d", [1, 2], ids=["arpack", "dense"])
+    @pytest.mark.parametrize("d", [1, 2], ids=["partial", "full-rank"])
     def test_all_zero_signal(self, d):
         # Every pair co-occurs exactly as often as independence predicts, so
         # every PMI is 0 and the positive-PMI signal is empty; a stored zero
@@ -308,7 +320,7 @@ class TestTruncatedSvd:
                 truncated_svd(signal, d)
 
     def test_deterministic(self, rng):
-        m = rng.standard_normal((50, 50))
+        m = symmetric(rng.standard_normal((50, 50)))
         sig = signal_of(m)
         f1 = truncated_svd(sig, 8)
         f2 = truncated_svd(sig, 8)
@@ -339,7 +351,7 @@ class TestTruncatedSvd:
         # eigenvector of A·Aᵀ, scaled by 1/sₖ.
         av = signal @ right_vectors(signal, factors).T
         residuals = np.linalg.norm(av - factors.U * factors.S, axis=0) / factors.S
-        assert np.max(residuals) <= 1e-10
+        assert np.max(residuals) <= 1e-12
         dense_s = np.linalg.svd(signal.toarray(), compute_uv=False)
         np.testing.assert_allclose(factors.S[-10:], dense_s[d - 10:d], rtol=1e-10)
 
@@ -347,7 +359,7 @@ class TestTruncatedSvd:
         # The truncation residual must match the dense oracle's optimal
         # rank-d error, which equals the tail singular values' norm.
         b = rng.standard_normal((120, 15)) * np.linspace(1.0, 0.05, 15)
-        m = b @ b.T + 0.01 * rng.standard_normal((120, 120))
+        m = b @ b.T + 0.01 * symmetric(rng.standard_normal((120, 120)))
         sig = signal_of(m)
         d = 10
         factors = truncated_svd(sig, d)
@@ -355,6 +367,59 @@ class TestTruncatedSvd:
         dense_s = np.linalg.svd(m, compute_uv=False)
         optimal = np.linalg.norm(dense_s[d:])
         assert residual == pytest.approx(optimal, rel=1e-6)
+
+    def test_non_symmetric_signal_rejected(self, rng):
+        m = symmetric(rng.standard_normal((6, 6)))
+        m[0, 1] += 1e-9
+        for bad in (m, m[:, :5]):
+            with pytest.raises(PreconditionError, match="signal matrix is not symmetric"):
+                truncated_svd(signal_of(bad), 3)
+
+    @pytest.mark.parametrize("dense_max_n", [rpd.spectral._DENSE_MAX_N, 0],
+                             ids=["dense", "eigsh"])
+    def test_negative_eigenvalues_selected_by_magnitude(self, monkeypatch, dense_max_n):
+        # A symmetric signal's singular values are its |λ|: the eigenvalue −5
+        # comes first and −2 beats 1. Each axis is signed positive. Integer
+        # cells are solved in float64.
+        monkeypatch.setattr(rpd.spectral, "_DENSE_MAX_N", dense_max_n)
+        sig = sparse.csr_array(np.diag([3, -5, 1, -2]))
+        factors = truncated_svd(sig, 3)
+        np.testing.assert_allclose(factors.S, [5.0, 3.0, 2.0], rtol=1e-14)
+        np.testing.assert_allclose(factors.U, np.eye(4)[:, [1, 0, 3]], atol=1e-14)
+        # ARPACK cannot solve d = n; that request takes the dense path.
+        np.testing.assert_allclose(truncated_svd(sig, 4).S, [5.0, 3.0, 2.0, 1.0], rtol=1e-14)
+        one = truncated_svd(signal_of([[-2.0]]), 1)
+        assert one.S.tolist() == [2.0] and one.U.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("d", [25, 26], ids=["inverse-iteration", "divide-and-conquer"])
+    def test_dense_drivers_match_known_eigenpairs(self, rng, d):
+        # n = 200: inverse iteration up to d = n / 8, divide and conquer above.
+        # The spectrum mixes signs, and its magnitudes are 1/200 apart.
+        n = 200
+        lam = rng.permutation(np.linspace(1.0, 2.0, n)) * rng.choice([-1.0, 1.0], n)
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        factors = truncated_svd(signal_of(symmetric((q * lam) @ q.T)), d)
+        top = np.argsort(-np.abs(lam))[:d]
+        np.testing.assert_allclose(factors.S, np.abs(lam[top]), rtol=1e-13)
+        expected = q[:, top] * np.sign(np.sum(q[:, top] * factors.U, axis=0))
+        np.testing.assert_allclose(factors.U, expected, atol=1e-12)
+        np.testing.assert_allclose(factors.U.T @ factors.U, np.eye(d), rtol=0, atol=1e-13)
+
+    def test_eigsh_path_matches_dense_path(self, monkeypatch):
+        text = synthetic_corpus_text(30000, vocab_size=350, seed=13)
+        counts = count_cooccurrences(tokenize_corpus_text(text), window=5, min_count=3)
+        signal = pmi_matrix(counts)
+        d = 20
+        dense = truncated_svd(signal, d)
+        monkeypatch.setattr(rpd.spectral, "_DENSE_MAX_N", signal.shape[0] - 1)
+        arpack = truncated_svd(signal, d)
+        np.testing.assert_allclose(arpack.S, dense.S, rtol=1e-13)
+        np.testing.assert_allclose(arpack.U, dense.U, rtol=0, atol=1e-11)
+        for factors in (dense, arpack):
+            au = signal @ factors.U
+            lam = np.sum(factors.U * au, axis=0)  # Rayleigh quotients, ±S
+            np.testing.assert_allclose(np.abs(lam), factors.S, rtol=1e-13)
+            assert np.max(np.linalg.norm(au - factors.U * lam, axis=0) / factors.S) <= 1e-12
 
 
 class TestSvdEmbedding:
@@ -431,6 +496,10 @@ class TestTrainPipeline:
         nudged = signal.copy()
         hit = np.random.default_rng(0).random(nudged.nnz) < 0.05
         nudged.data[hit] = np.nextafter(nudged.data[hit], np.inf)
+        # Each nudged cell of the upper triangle takes its mirror along, so the
+        # signal stays symmetric.
+        upper = sparse.triu(nudged)
+        nudged = sparse.csr_array(upper + sparse.triu(upper, k=1).T)
         a = svd_embedding(truncated_svd(signal, 20), counts.vocab).matrix
         b = svd_embedding(truncated_svd(nudged, 20), counts.vocab).matrix
         assert np.all(np.sum(a * b, axis=0) > 0)
