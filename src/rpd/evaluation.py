@@ -333,26 +333,20 @@ def perf_vs_rpd_study(
             pair = align_vocabularies(baseline, emb)
             distance = _rpd(pair).rpd
             ev = evaluate(emb, sim_ds, ana_ds)
-            delta = 0.0
-            have_term = False
-            if base_eval.similarity_spearman is not None and ev.similarity_spearman is not None:
-                delta += abs(ev.similarity_spearman - base_eval.similarity_spearman)
-                have_term = True
-            if base_eval.analogy_accuracy is not None and ev.analogy_accuracy is not None:
-                delta += abs(ev.analogy_accuracy - base_eval.analogy_accuracy)
-                have_term = True
-            if not have_term:
+            deltas = [abs(new - old) for new, old in (
+                (ev.similarity_spearman, base_eval.similarity_spearman),
+                (ev.analogy_accuracy, base_eval.analogy_accuracy),
+            ) if new is not None and old is not None]
+            if not deltas:
                 entries.append(StudyEntry(name, None, None, error="no comparable metrics"))
                 continue
-            entries.append(StudyEntry(name, distance, delta))
+            entries.append(StudyEntry(name, distance, sum(deltas)))
         except RpdError as exc:
             entries.append(StudyEntry(name, None, None, error=str(exc)))
 
-    valid = [(e.rpd, e.delta_perf) for e in entries if e.error is None]
-    correlation: float | None = None
-    if len(valid) >= 2:
-        try:
-            correlation = spearman([v[0] for v in valid], [v[1] for v in valid])
-        except DegenerateInputError:
-            correlation = None
+    valid = [e for e in entries if e.error is None]
+    try:
+        correlation = spearman([e.rpd for e in valid], [e.delta_perf for e in valid])
+    except (PreconditionError, DegenerateInputError):  # fewer than 2 entries, or a constant column
+        correlation = None
     return StudyResult(entries=tuple(entries), rank_correlation=correlation)

@@ -58,7 +58,8 @@ def _refine(
     """Monotone descent on the residual objective; anchors stay fixed.
 
     Returns the refined points and the objective value after every
-    iteration (length iterations + 1, never increasing).
+    iteration (never increasing). A zero gradient is a fixed point, so the
+    descent stops there: the history holds at most iterations + 1 values.
     """
     points = points.copy()
     f_current = _residual_objective(points, dist)
@@ -68,8 +69,7 @@ def _refine(
         grad = _residual_gradient(points, dist, free)
         grad_sq = float(np.sum(grad * grad))
         if grad_sq == 0.0:
-            history.append(f_current)
-            continue
+            break
         t = step
         moved = False
         for _ in range(_BACKTRACK_LIMIT):

@@ -20,7 +20,10 @@ identities,
 
 so the cost is O(n·d²) time and O(d²) extra space. Standardizing E to unit
 mean square entry only rescales G by ``s² = tr(G)/(n·d)``, so no
-standardized n-by-d copy is ever built.
+standardized n-by-d copy is ever built. The cross block E₁ᵀE₂ is always
+multiplied in one orientation, so every distance is symmetric in its two
+arguments bit for bit, and an :func:`rpd_pairwise_matrix` cell equals
+:func:`rpd` of its pair.
 """
 
 from __future__ import annotations
@@ -127,16 +130,30 @@ def _sides(pair: AlignedPair) -> tuple[GramSide, GramSide]:
     return gram_side(pair.left.matrix, "left"), gram_side(pair.right.matrix, "right")
 
 
+def _cross(left: GramSide, right: GramSide) -> np.ndarray:
+    """``left.rowsᵀ·right.rows``, multiplied in one orientation for both argument orders.
+
+    The side with the smaller ``(d, norm)`` goes first, and the other argument
+    order gets the transposed view of that same product, so the bits of a
+    result do not depend on which side is called left. On a tie, as for a
+    copy or a copy with some columns negated, the argument order is kept.
+    """
+    if (right.rows.shape[1], right.norm) < (left.rows.shape[1], left.norm):
+        return (right.rows.T @ left.rows).T
+    return left.rows.T @ right.rows
+
+
 def rpd_from_sides(
     left: GramSide, right: GramSide, cross: np.ndarray | None = None
 ) -> RpdReport:
-    """RPD of two summarized sides; ``cross`` is ``left.rowsᵀ·right.rows`` if known."""
+    """RPD of two summarized sides; ``cross`` is ``left.rowsᵀ·right.rows`` if known.
+
+    Without ``cross`` the result is the same bit for bit with the sides swapped.
+    """
     a = left.norm / left.divisor
     b = right.norm / right.divisor
-    if a == 0.0 or b == 0.0:
-        raise DegenerateInputError("Gram matrix has zero Frobenius norm")
     if cross is None:
-        cross = left.rows.T @ right.rows
+        cross = _cross(left, right)
     ratio = 0.5 * (a / b + b / a)
     # Scale-free, so it is taken on the prescaled blocks directly.
     cosine = float(np.sum(cross * cross)) / (left.norm * right.norm)
@@ -158,11 +175,12 @@ def rpd(pair: AlignedPair) -> RpdReport:
     metric's definition, a division of every entry by their root mean
     square). The rescaling is applied to the d-by-d statistics, through
     :func:`gram_side`; no standardized copy of either side is made.
-    Dimensions may differ.
+    Dimensions may differ. The report is symmetric in the two sides bit for
+    bit: swapping them swaps ``d_left`` and ``d_right`` and nothing else.
 
     Raises:
-        DegenerateInputError: a side has zero Gram norm, or zero variance
-            (that side, ``left`` or ``right``, named).
+        DegenerateInputError: a side has zero variance (that side, ``left``
+            or ``right``, named).
     """
     return rpd_from_sides(*_sides(pair))
 
@@ -184,7 +202,7 @@ def decompose_per_word(pair: AlignedPair) -> RpdReport:
         ||g⁽¹⁾ᵢ||²     = v⁽¹⁾ᵢ G₁₁ v⁽¹⁾ᵢᵀ
     """
     left, right = _sides(pair)
-    cross = left.rows.T @ right.rows
+    cross = _cross(left, right)
     report = rpd_from_sides(left, right, cross)
     # Weights and cosines are scale-free, so the prescaled blocks serve.
     a, b = left.rows, right.rows
@@ -240,8 +258,8 @@ def rpd_pairwise_matrix(
     embedding's side (``EᵀE`` over that vocabulary) is built once per group.
     When all pairs share one intersection, both modes give the same matrix
     from the same arithmetic. One group's sides are held at a time. A cell
-    takes its two sides in name order, so permuting the inputs permutes the
-    matrix exactly.
+    equals :func:`rpd` of the pair aligned in either order, bit for bit, so
+    permuting the inputs permutes the matrix exactly.
 
     Raises:
         PreconditionError: fewer than 2 embeddings, or a name that repeats or
@@ -276,8 +294,6 @@ def rpd_pairwise_matrix(
         sides = {i: gram_side(_restricted_rows(matrices[i], words), names[i], owned=True)
                  for i in sorted({i for cell in cells for i in cell})}
         for i, j in cells:
-            # Sides in name order: a cell's bits do not depend on the input order.
-            left, right = sorted((i, j), key=names.__getitem__)
-            values[i, j] = values[j, i] = rpd_from_sides(sides[left], sides[right]).rpd
+            values[i, j] = values[j, i] = rpd_from_sides(sides[i], sides[j]).rpd
         del sides  # before the next group's sides are built
     return PairwiseRpd(names=names, values=values)

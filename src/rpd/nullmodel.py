@@ -99,10 +99,11 @@ class NullDistribution:
                 fh.write("%.17g\n" % v)
 
 
-def _derived_seed(seed: int, replicate: int, side: int) -> int:
-    # Splittable scheme: every (base seed, replicate, side) triple gets an
-    # independent stream.
-    ss = np.random.SeedSequence([seed, replicate, side])
+def _derived_seed(seed: int, replicate: int) -> int:
+    # Splittable scheme: every (base seed, replicate) pair gets an independent
+    # stream. The trailing 0 is part of the seed entropy: without it every
+    # draw would change.
+    ss = np.random.SeedSequence([seed, replicate, 0])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -115,7 +116,7 @@ def monte_carlo_null(
 ) -> NullDistribution:
     """Estimate the null RPD distribution by repeated independent draws.
 
-    Replicate r samples, from the stream seeded by ``_derived_seed(seed, r, 0)``,
+    Replicate r samples, from the stream seeded by ``_derived_seed(seed, r)``,
     the Bartlett factor of the Gram matrix of an n×(d_left + d_right) Gaussian
     matrix: a k×p upper-trapezoidal R (p = d_left + d_right, k = min(n, p))
     with ``√χ²(n - i)`` in diagonal entry i and N(0, 1) entries above the
@@ -148,7 +149,7 @@ def monte_carlo_null(
     k = min(n, p)
 
     def draw(r: int) -> float:
-        rng = np.random.default_rng(_derived_seed(seed, r, 0))
+        rng = np.random.default_rng(_derived_seed(seed, r))
         factor = np.triu(rng.standard_normal((k, p)), 1)
         np.fill_diagonal(factor, np.sqrt(rng.chisquare(n - np.arange(k))))
         # Standardization's n cancels in the ratio term, so k rows give the same RPD.

@@ -265,12 +265,9 @@ def _dense_eigenpairs(matrix: sparse.csr_array, d: int) -> tuple[np.ndarray, np.
     assert info == 0 and np.shares_memory(refl, a)
 
     w = eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
-    # |λ| descends along the negative eigenvalues in ascending order and along
-    # the rest in descending order. The d largest of the two runs are the q
-    # lowest and the d − q highest eigenvalues.
-    neg = int(np.count_nonzero(w < 0))
-    runs = np.concatenate([-w[:neg], w[neg:][::-1]])
-    q = int(np.count_nonzero(np.argsort(-runs, kind="stable")[:d] < neg))
+    # The d largest |λ|, in the stable order truncated_svd sorts by, are the
+    # q lowest (negative) and the d − q highest eigenvalues.
+    q = int(np.count_nonzero(w[np.argsort(-np.abs(w), kind="stable")[:d]] < 0))
     if 8 * d <= n:
         # Inverse iteration needs n×d memory and is fast while d is small.
         ends = [eigh_tridiagonal(diag, off, select="i", select_range=r, lapack_driver="stebz")

@@ -97,9 +97,8 @@ class EmbeddingMatrix:
         seen = set()
         for word in vocab:
             if not _is_word(word):
-                if isinstance(word, str) and word:
-                    raise PreconditionError(f"vocabulary entry contains whitespace: {word!r}")
-                raise PreconditionError(f"invalid vocabulary entry {word!r}")
+                raise PreconditionError(
+                    f"vocabulary entry must be a word without whitespace, got {word!r}")
             if word in seen:
                 raise DuplicateWordError(f"duplicate word in vocabulary: {word!r}")
             seen.add(word)

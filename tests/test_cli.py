@@ -82,6 +82,23 @@ class TestPair:
         assert {key: payload[key] for key in expected} == expected
         assert (payload["n"], payload["d_left"], payload["d_right"]) == (10, 3, 2)
 
+    @pytest.mark.parametrize("flags", [[], ["--decompose"]])
+    def test_swapped_sides_print_the_same_distance(self, runner, tmp_path, rng, flags):
+        # Word orders and dimensions differ; the cross block rounds the same either way.
+        for k in range(8):
+            a = random_embedding(rng, 60, 5)
+            b = random_embedding(rng, 60, 7)
+            order = rng.permutation(60)
+            b = EmbeddingMatrix(tuple(b.vocab[i] for i in order), 1e3 * b.matrix[order])
+            paths = [save(tmp_path, f"a{k}.txt", a), save(tmp_path, f"b{k}.txt", b)]
+            terms = []
+            for left, right in (paths, paths[::-1]):
+                result = runner.invoke(main, ["pair", "--left", left, "--right", right, *flags])
+                assert result.exit_code == 0, result.output
+                payload = json.loads(result.output)
+                terms.append([payload[key] for key in ("rpd", "ratio_term", "cosine_term")])
+            assert terms[0] == terms[1], k
+
     def test_output_file(self, runner, tmp_path, rng):
         path = save(tmp_path, "e.txt", random_embedding(rng, 10, 3))
         out = tmp_path / "report.json"

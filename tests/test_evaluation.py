@@ -330,6 +330,26 @@ class TestAnalogy:
         with pytest.raises(PreconditionError):
             AnalogyQuestion("a", "b", "c", "a")
 
+    def test_no_answerable_question(self, rng):
+        emb = random_embedding(rng, 4, 3)
+        ds = AnalogyDataset((AnalogyQuestion("w0", "w1", "w2", "absent"),))
+        result = eval_analogy_3cosadd(emb, ds)
+        assert result.analogy_accuracy is None
+        assert result.analogy_coverage == 0.0
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SimilarityDataset(()), "similarity dataset has no pairs"),
+    (lambda: SimilarityDataset((("a", "b", 1.0), ("c", "d", np.inf))),
+     "similarity scores must be finite"),
+    (lambda: AnalogyQuestion("a", "", "c", "d"), "analogy words must be non-empty"),
+    (lambda: AnalogyDataset(()), "analogy dataset has no questions"),
+], ids=["no_pairs", "non_finite_score", "empty_word", "no_questions"])
+def test_dataset_validation(build, message):
+    with pytest.raises(PreconditionError) as exc:
+        build()
+    assert str(exc.value) == message
+
 
 class TestDatasetFiles:
     def test_similarity_file_with_header(self, tmp_path):
@@ -472,6 +492,26 @@ class TestStudy:
         by_name = {e.name: e for e in result.entries}
         assert by_name["bad"].error is not None
         assert by_name["ok"].error is None
+
+    def test_entry_without_comparable_metric(self, rng):
+        # "narrow" shares the words w0-w9 with the base but has none of the scored ones.
+        base = random_embedding(rng, 20, 4)
+        narrow = EmbeddingMatrix(base.vocab[:10], rng.standard_normal((10, 4)))
+        sim = SimilarityDataset((("w10", "w11", 1.0), ("w12", "w13", 2.0), ("w14", "w15", 3.0)))
+        result = perf_vs_rpd_study(base, [("narrow", narrow), ("same", base)], sim)
+        assert result.entries[0] == rpd.evaluation.StudyEntry(
+            "narrow", None, None, error="no comparable metrics")
+        # One comparable entry is too few for a rank correlation.
+        assert result.rank_correlation is None
+        _, narrow_row, same_row, footer = result.to_tsv().splitlines()
+        assert narrow_row == "narrow\tERROR\tno comparable metrics"
+        assert same_row.startswith("same\t") and same_row.endswith("\t0")
+        assert footer == "# rank_correlation\tNA"
+
+    def test_needs_an_embedding(self, rng):
+        sim, _ = self.make_datasets(random_embedding(rng, 20, 4), rng, n_pairs=10, n_questions=5)
+        with pytest.raises(PreconditionError, match="^need at least one embedding to compare$"):
+            perf_vs_rpd_study(random_embedding(rng, 20, 4), [], sim)
 
     def test_repeated_names_rejected(self, rng):
         a = random_embedding(rng, 20, 4)

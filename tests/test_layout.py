@@ -153,6 +153,14 @@ class TestRefinement:
         diffs = np.diff(history)
         assert np.all(diffs <= 0.0)
 
+    def test_stops_at_a_zero_gradient(self):
+        # Two anchors and no free point: the first gradient is zero, and so is every later one.
+        dist = np.array([[0.0, 1.0], [1.0, 0.0]])
+        points = np.array([[0.0, 0.0], [1.0, 0.0]])
+        refined, history = _refine(points, dist, np.zeros(2, dtype=bool), iterations=500)
+        np.testing.assert_array_equal(refined, points)
+        assert history == [0.0]
+
     def test_anchors_do_not_move(self):
         rng = np.random.default_rng(9)
         dist = pairwise(rng.standard_normal((5, 2)))
@@ -191,6 +199,20 @@ class TestValidation:
         dist = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(PreconditionError):
             layout_from_distances(dist, ["a", "b"], "a", "b")
+
+    @pytest.mark.parametrize("cell, message", [
+        ((0, 1, np.nan), "distance matrix has non-finite entries"),
+        ((0, 1, np.inf), "distance matrix has non-finite entries"),
+        ((0, 1, -1.0), "distances must be nonnegative"),
+        ((1, 1, 0.5), "distance matrix diagonal must be zero"),
+    ])
+    def test_bad_distances_rejected(self, cell, message):
+        dist = np.array([[0.0, 1.0], [1.0, 0.0]])
+        i, j, value = cell
+        dist[i, j] = dist[j, i] = value
+        with pytest.raises(PreconditionError) as exc:
+            layout_from_distances(dist, ["a", "b"], "a", "b")
+        assert str(exc.value) == message
 
     def test_wrong_shape(self):
         with pytest.raises(DimensionError):

@@ -8,11 +8,14 @@ from conftest import random_embedding, random_orthogonal
 from rpd import (
     AlignedPair,
     AlignmentError,
+    AnalogyDataset,
+    AnalogyQuestion,
     DegenerateInputError,
     EmbeddingMatrix,
     PreconditionError,
     align_vocabularies,
     decompose_per_word,
+    perf_vs_rpd_study,
     random_gaussian_embedding,
     rpd,
     rpd_pairwise_matrix,
@@ -122,7 +125,7 @@ class TestRpdInvariances:
         b = random_embedding(rng, 70, 11)
         ab = AlignedPair(a, b, a.vocab)
         ba = AlignedPair(b, a, a.vocab)
-        assert rpd(ab).rpd == pytest.approx(rpd(ba).rpd, abs=1e-12)
+        assert rpd(ab).rpd == rpd(ba).rpd
 
     def test_unitary_invariance_both_sides(self, rng):
         a = rng.standard_normal((60, 8))
@@ -188,6 +191,14 @@ class TestPairwiseMatrix:
         c = EmbeddingMatrix(("b", "c", "e"), rng.standard_normal((3, 4)))
         result = rpd_pairwise_matrix([("a", a), ("b", b), ("c", c)], common_vocab=True)
         assert result.values.shape == (3, 3)
+
+    def test_common_vocab_needs_a_word_shared_by_all(self, rng):
+        # Every pair shares a word, but no word is in all three.
+        embs = [(name, EmbeddingMatrix(vocab, rng.standard_normal((2, 3))))
+                for name, vocab in (("a", ("x", "y")), ("b", ("y", "z")), ("c", ("x", "z")))]
+        assert rpd_pairwise_matrix(embs).values.shape == (3, 3)
+        with pytest.raises(AlignmentError, match="^global vocabulary intersection is empty$"):
+            rpd_pairwise_matrix(embs, common_vocab=True)
 
     def test_common_vocab_cells_match_global_alignment(self, rng):
         words = [f"w{i}" for i in range(60)]
@@ -363,3 +374,57 @@ class TestUpperBound:
             pair = pair_of(rng.standard_normal((40, 6)), rng.standard_normal((40, 3)))
             report = rpd(pair)
             assert report.rpd <= report.ratio_term + 1e-12
+
+
+def route_pairs(count, seed):
+    """Seeded embedding pairs that share most words, listed in different orders.
+
+    n runs from 20 to 400 and d from 1 to 40, with equal d in every third
+    pair; entries are scaled by 1e-3 to 1e3; a few shared words are zero on
+    both sides; every fifth right side is the left one with some columns'
+    signs flipped.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(20, 401))
+        d1 = int(rng.integers(1, 41))
+        d2 = d1 if k % 3 == 0 else int(rng.integers(1, 41))
+        m1 = rng.standard_normal((n, d1)) * 10.0 ** rng.uniform(-3, 3)
+        if k % 5 == 0:
+            signs = np.where(rng.random(d1) < 0.5, -1.0, 1.0)
+            signs[0] = -1.0
+            m2 = m1 * signs
+        else:
+            m2 = rng.standard_normal((n, d2)) * 10.0 ** rng.uniform(-3, 3)
+        zero = rng.choice(n, size=k % 4, replace=False)
+        m1[zero] = m2[zero] = 0.0
+        words = [f"w{i}" for i in range(n)]
+        left = EmbeddingMatrix(words + ["only_left"], np.vstack([m1, m1[:1]]))
+        order = rng.permutation(n)
+        right = EmbeddingMatrix([words[i] for i in order] + ["only_right", "also_right"],
+                                np.vstack([m2[order], m2[:2]]))
+        nonzero = [w for i, w in enumerate(words) if i not in zero]
+        yield left, right, nonzero
+
+
+class TestOneDistanceEveryRoute:
+    """One pair, one distance: every route gives the same three terms, bit for bit."""
+
+    def test_routes_agree_bit_for_bit(self):
+        for k, (a, b, nonzero) in enumerate(route_pairs(400, seed=23)):
+            ab = rpd(align_vocabularies(a, b))
+            terms = (ab.rpd, ab.ratio_term, ab.cosine_term)
+            reports = {
+                "pair b, a": rpd(align_vocabularies(b, a)),
+                "decompose a, b": decompose_per_word(align_vocabularies(a, b)),
+                "decompose b, a": decompose_per_word(align_vocabularies(b, a)),
+            }
+            for route, report in reports.items():
+                assert (report.rpd, report.ratio_term, report.cosine_term) == terms, (k, route)
+            for embs in ([("a", a), ("b", b)], [("b", b), ("a", a)]):
+                values = rpd_pairwise_matrix(embs).values
+                assert values[0, 1] == values[1, 0] == ab.rpd, (k, "matrix")
+            questions = AnalogyDataset((AnalogyQuestion(*nonzero[:4]),))
+            for base, other in ((a, b), (b, a)):
+                entry, = perf_vs_rpd_study(base, [("other", other)], ana_ds=questions).entries
+                assert entry.rpd == ab.rpd, (k, "study")

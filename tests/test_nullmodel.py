@@ -97,7 +97,7 @@ class TestMonteCarloNull:
         p = d_left + d_right
         k = min(n, p)
         for r, sample in enumerate(null.samples):
-            rng = np.random.default_rng(_derived_seed(13, r, 0))
+            rng = np.random.default_rng(_derived_seed(13, r))
             upper = rng.standard_normal((k, p))
             diagonal = np.sqrt(rng.chisquare(n - np.arange(k)))
             factor = np.zeros((k, p))

@@ -125,6 +125,8 @@ class TestCountCooccurrences:
     def test_bad_arguments(self):
         with pytest.raises(PreconditionError):
             count_cooccurrences([["a", "b"]], window=0, min_count=1)
+        with pytest.raises(PreconditionError, match="^min_count must be >= 1, got 0$"):
+            count_cooccurrences([["a", "b"]], window=1, min_count=0)
         with pytest.raises(PreconditionError):
             count_cooccurrences([["a", "b"]], window=1, min_count=1, weighting="gauss")
 
@@ -368,6 +370,13 @@ class TestTruncatedSvd:
         optimal = np.linalg.norm(dense_s[d:])
         assert residual == pytest.approx(optimal, rel=1e-6)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_signal_rejected(self, rng, value):
+        m = symmetric(rng.standard_normal((6, 6)))
+        m[2, 3] = m[3, 2] = value
+        with pytest.raises(PreconditionError, match="^signal matrix has non-finite entries$"):
+            truncated_svd(signal_of(m), 3)
+
     def test_non_symmetric_signal_rejected(self, rng):
         m = symmetric(rng.standard_normal((6, 6)))
         m[0, 1] += 1e-9
@@ -486,6 +495,12 @@ class TestTrainPipeline:
         counts = count_cooccurrences([["a", "b", "a", "b"]], window=2, min_count=1)
         with pytest.raises(DimensionError):
             train_spectral_embedding(counts, signal="pmi", dim=10)
+
+    def test_unknown_signal(self):
+        counts = count_cooccurrences([["a", "b", "a", "b"]], window=2, min_count=1)
+        with pytest.raises(PreconditionError) as exc:
+            train_spectral_embedding(counts, signal="svd", dim=1)
+        assert str(exc.value) == "signal must be one of ('pmi', 'logcount'), got 'svd'"
 
     def test_last_bit_change_flips_no_component(self):
         # Without a sign convention ARPACK flips about half the components of

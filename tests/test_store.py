@@ -44,8 +44,29 @@ class TestEmbeddingMatrix:
             EmbeddingMatrix(("a", "a"), [[1.0], [2.0]])
 
     def test_whitespace_word_rejected(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as exc:
             EmbeddingMatrix(("a b",), [[1.0]])
+        assert str(exc.value) == "vocabulary entry must be a word without whitespace, got 'a b'"
+
+    @pytest.mark.parametrize("word", ["", "\t", 7, None])
+    def test_non_word_entry_rejected(self, word):
+        with pytest.raises(PreconditionError) as exc:
+            EmbeddingMatrix((word,), [[1.0]])
+        assert str(exc.value) == f"vocabulary entry must be a word without whitespace, got {word!r}"
+
+    @pytest.mark.parametrize("matrix, error, message", [
+        (np.zeros(3), DimensionError, "matrix must be 2-D, got shape (3,)"),
+        (np.zeros((0, 3)), PreconditionError, "matrix must be at least 1x1, got 0x3"),
+    ])
+    def test_matrix_shape_rejected(self, matrix, error, message):
+        with pytest.raises(error) as exc:
+            EmbeddingMatrix(("a", "b", "c")[:len(matrix)], matrix)
+        assert str(exc.value) == message
+
+    def test_aligned_pair_needs_a_shared_word(self):
+        emb = EmbeddingMatrix(("a",), [[1.0]])
+        with pytest.raises(AlignmentError, match="^shared vocabulary is empty$"):
+            AlignedPair(emb, emb, ())
 
     def test_non_finite_rejected(self):
         with pytest.raises(PreconditionError):

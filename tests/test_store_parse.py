@@ -162,6 +162,12 @@ class TestBulkErrors:
             load_embeddings(path)
         assert "declares 3 rows but file has 2" in str(exc.value)
 
+    def test_header_of_no_rows(self, tmp_path):
+        path = write_bytes(tmp_path / "h.txt", b"0 3\n")
+        with pytest.raises(FormatError) as exc:
+            load_embeddings(path)
+        assert str(exc.value) == f"{path}:1: header sizes must be positive"
+
 
 def per_value_text(emb):
     """The writer's output as formatted one value at a time."""
