@@ -14,6 +14,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import __version__
 from .errors import RpdError
 from .evaluation import (
     AnalogyDataset,
@@ -117,7 +118,8 @@ def cmd_pair(left, right, decompose, top_k, output):
         report = replace(report, per_word=report.per_word[:top_k])  # None keeps all
     else:
         report = rpd(pair)
-    _emit_json({**report.to_dict(), **_provenance(pair, *_zero_rows(pair))}, output)
+    _emit_json({**report.to_dict(), **_provenance(pair, *_zero_rows(pair)),
+                "version": __version__}, output)
 
 
 @main.command("matrix")
@@ -169,6 +171,7 @@ def cmd_nulltest(left, right, replicates, seed, one_sided, samples_out, output):
         **result.to_dict(),
         "alpha": ALPHA,
         "decision": "reject" if p_for_decision < ALPHA else "fail_to_reject",
+        "version": __version__,
     }
     _emit_json(payload, output)
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParseError, PreconditionError, RpdError
 from .metric import _unit_exponent, rpd as _rpd
-from .store import (EmbeddingMatrix, _check_names, _is_word, _text_lines, _word_order,
-                    align_vocabularies)
+from .store import (EmbeddingMatrix, _check_names, _check_word, _is_word, _text_lines, _tsv,
+                    _word_order, align_vocabularies)
 
 _BLOCK_SCORES = 1 << 20  # analogy scores per matrix product: 8 MB of float64
 
@@ -32,9 +32,12 @@ class SimilarityDataset:
     pairs: tuple[tuple[str, str, float], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple((str(a), str(b), float(s)) for a, b, s in self.pairs)
+        pairs = tuple((a, b, float(s)) for a, b, s in self.pairs)
         if not pairs:
             raise PreconditionError("similarity dataset has no pairs")
+        for pair in pairs:
+            for word in pair[:2]:
+                _check_word(word, "similarity word")
         if not all(np.isfinite(s) for _, _, s in pairs):
             raise PreconditionError("similarity scores must be finite")
         object.__setattr__(self, "pairs", pairs)
@@ -50,8 +53,7 @@ class AnalogyQuestion:
 
     def __post_init__(self) -> None:
         for w in (self.a, self.b, self.c, self.expected):
-            if not w:
-                raise PreconditionError("analogy words must be non-empty")
+            _check_word(w, "analogy word")
         if self.expected in (self.a, self.b, self.c):
             raise PreconditionError(
                 f"expected word {self.expected!r} duplicates a query word"
@@ -296,15 +298,10 @@ class StudyResult:
     rank_correlation: float | None
 
     def to_tsv(self) -> str:
-        lines = ["name\trpd\tdelta_perf"]
-        for e in self.entries:
-            if e.error is not None:
-                lines.append(f"{e.name}\tERROR\t{e.error}")
-            else:
-                lines.append("%s\t%.12g\t%.12g" % (e.name, e.rpd, e.delta_perf))
-        corr = "NA" if self.rank_correlation is None else "%.12g" % self.rank_correlation
-        lines.append(f"# rank_correlation\t{corr}")
-        return "\n".join(lines) + "\n"
+        rows = ((e.name, e.rpd, e.delta_perf) if e.error is None else (e.name, "ERROR", e.error)
+                for e in self.entries)
+        corr = "NA" if self.rank_correlation is None else self.rank_correlation
+        return _tsv(("name", "rpd", "delta_perf"), rows, [("rank_correlation", corr)])
 
 
 def perf_vs_rpd_study(

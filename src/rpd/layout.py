@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
-from .store import _check_names
+from .store import _check_names, _tsv
 
 REFINE_ITERATIONS = 500
 _BACKTRACK_LIMIT = 60
@@ -109,11 +109,9 @@ class LayoutMap:
         return float(self.coords[i, 0]), float(self.coords[i, 1])
 
     def to_tsv(self) -> str:
-        lines = ["name\tx\ty"]
-        for name, (x, y) in zip(self.names, self.coords):
-            lines.append("%s\t%.12g\t%.12g" % (name, x, y))
-        lines.append("# stress\t%.12g" % self.stress)
-        return "\n".join(lines) + "\n"
+        return _tsv(("name", "x", "y"),
+                    ((name, *xy) for name, xy in zip(self.names, self.coords)),
+                    [("stress", self.stress)])
 
 
 def _validate_distances(dist: np.ndarray, n: int) -> np.ndarray:

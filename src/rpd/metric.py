@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlignmentError, DegenerateInputError, PreconditionError
-from .store import AlignedPair, EmbeddingMatrix, _check_names, _restricted_rows, _word_order
+from .store import AlignedPair, EmbeddingMatrix, _check_names, _restricted_rows, _tsv, _word_order
 
 
 @dataclass(frozen=True)
@@ -239,10 +239,8 @@ class PairwiseRpd:
     values: np.ndarray
 
     def to_tsv(self) -> str:
-        lines = ["name\t" + "\t".join(self.names)]
-        for name, row in zip(self.names, self.values):
-            lines.append(name + "\t" + "\t".join("%.12g" % v for v in row))
-        return "\n".join(lines) + "\n"
+        return _tsv(("name", *self.names),
+                    ((name, *row) for name, row in zip(self.names, self.values)))
 
 
 def rpd_pairwise_matrix(

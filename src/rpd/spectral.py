@@ -19,7 +19,7 @@ them back.
 
 from __future__ import annotations
 
-import re
+import io
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -76,19 +76,24 @@ class SvdFactors:
     S: np.ndarray
 
 
+def _documents(lines: Iterable[str], lowercase: bool) -> list[list[str]]:
+    """One document per line that holds a token: its whitespace-split tokens,
+    lowercased first when ``lowercase`` is set."""
+    # One str object per distinct token: the documents hold references, not copies.
+    one: dict[str, str] = {}
+    return [[one.setdefault(t, t) for t in tokens]
+            for line in lines if (tokens := (line.lower() if lowercase else line).split())]
+
+
 def tokenize_corpus_text(text: str, lowercase: bool = True) -> list[list[str]]:
     """Whitespace-tokenize plain text into per-line documents.
 
     Each non-empty line becomes one document, so context windows never cross
-    line boundaries. As in every input file, lines end only at ``\\r``, ``\\n``
-    or ``\\r\\n``; ``\\x0c``, ``\\x85``, U+2028 and the like are whitespace.
+    line boundaries. The lines are those ``open()`` reads from a file, as in
+    every input file: they end only at ``\\r``, ``\\n`` or ``\\r\\n``, and
+    ``\\x0c``, ``\\x85``, U+2028 and the like are whitespace.
     """
-    if lowercase:
-        text = text.lower()
-    # One str object per distinct token: the documents hold references, not copies.
-    one: dict[str, str] = {}
-    return [[one.setdefault(t, t) for t in tokens]
-            for line in re.split(r"\r\n?|\n", text) if (tokens := line.split())]
+    return _documents(io.StringIO(text, newline=None), lowercase)
 
 
 def read_corpus(path: str | Path, lowercase: bool = True) -> list[list[str]]:
@@ -97,7 +102,7 @@ def read_corpus(path: str | Path, lowercase: bool = True) -> list[list[str]]:
     Raises:
         ParseError: a line holding bytes that are not valid UTF-8.
     """
-    return tokenize_corpus_text("\n".join(t for _, t in _text_lines(Path(path))), lowercase)
+    return _documents((t for _, t in _text_lines(Path(path))), lowercase)
 
 
 def count_cooccurrences(

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,14 +51,30 @@ def _is_word(word: object) -> bool:
     return isinstance(word, str) and word.split() == [word]
 
 
+def _check_word(word: object, kind: str) -> None:
+    """Require that ``word`` is a word; ``kind`` says what it is in the error."""
+    if not _is_word(word):
+        raise PreconditionError(f"{kind} must be a word without whitespace, got {word!r}")
+
+
 def _check_names(names: Sequence[str], kind: str) -> None:
     """Require distinct ``names`` that are words, so each labels one TSV field."""
     if len(set(names)) != len(names):
         raise PreconditionError(f"{kind} names must be unique")
     for name in names:
-        if not _is_word(name):
-            raise PreconditionError(f"{kind} name must be a word without whitespace, "
-                                    f"got {name!r}")
+        _check_word(name, f"{kind} name")
+
+
+def _tsv(header: Sequence[str], rows: Iterable[Sequence[object]],
+         footer: Iterable[tuple[str, object]] = ()) -> str:
+    """The one table format: tab-joined cells, a line per row, then ``# key`` lines.
+
+    A ``str`` cell is written as is; any other is a number, written with
+    twelve significant digits.
+    """
+    lines = [header, *rows, *((f"# {key}", value) for key, value in footer)]
+    return "".join("\t".join(c if isinstance(c, str) else "%.12g" % c for c in line) + "\n"
+                   for line in lines)
 
 
 def _word_order(words: Sequence[str]) -> np.ndarray:
@@ -96,9 +112,7 @@ class EmbeddingMatrix:
             )
         seen = set()
         for word in vocab:
-            if not _is_word(word):
-                raise PreconditionError(
-                    f"vocabulary entry must be a word without whitespace, got {word!r}")
+            _check_word(word, "vocabulary entry")
             if word in seen:
                 raise DuplicateWordError(f"duplicate word in vocabulary: {word!r}")
             seen.add(word)

@@ -3,9 +3,11 @@
 ``naive_gram_oracle`` materializes the n-by-n Gram matrices,
 ``standardize`` builds the standardized n-by-d copy the metric never makes, and
 ``read_saved_counts`` parses the counts file that rpd only writes, for
-``assert_saved_exactly``.
+``assert_saved_exactly``, and ``regex_documents`` splits corpus text into
+lines with a regex instead of the file reader's universal newlines.
 """
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,3 +95,11 @@ def assert_saved_exactly(path: Path, counts) -> None:
     assert header == {"window": counts.window, "min_count": counts.min_count}
     assert vocab == counts.vocab
     assert (upper != sparse.triu(counts.counts)).nnz == 0
+
+
+def regex_documents(text: str, lowercase: bool = True) -> list[list[str]]:
+    """Per-line documents of whitespace tokens, with lines ending only at
+    ``\\r``, ``\\n`` or ``\\r\\n`` and the whole text lowercased at once."""
+    if lowercase:
+        text = text.lower()
+    return [tokens for line in re.split(r"\r\n?|\n", text) if (tokens := line.split())]

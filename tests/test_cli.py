@@ -185,16 +185,20 @@ def test_json_key_order(runner, tmp_path, rng):
         return json.loads(result.output)
 
     pair = ["pair", "--left", a, "--right", b]
-    assert list(run(*pair)) == REPORT_KEYS + PROVENANCE_KEYS
+    plain = run(*pair)
+    assert list(plain) == REPORT_KEYS + PROVENANCE_KEYS + ["version"]
+    assert plain["version"] == rpd.__version__
     full = run(*pair, "--decompose")
     top = run(*pair, "--decompose", "--top-k", "2")
-    assert list(top) == REPORT_KEYS + ["per_word"] + PROVENANCE_KEYS
+    assert list(top) == REPORT_KEYS + ["per_word"] + PROVENANCE_KEYS + ["version"]
     assert [list(entry) for entry in top["per_word"]] == [["word", "cos_theta_i", "w_i"]] * 2
     assert top == {**full, "per_word": full["per_word"][:2]}
 
     null = run("nulltest", "--left", a, "--right", b, "--replicates", "30")
     assert list(null) == ["observed_rpd", *PROVENANCE_KEYS, "null", "z", "z_se",
-                          "p_two_sided", "p_one_sided", "reject_at_0_01", "alpha", "decision"]
+                          "p_two_sided", "p_one_sided", "reject_at_0_01", "alpha", "decision",
+                          "version"]
+    assert null["version"] == rpd.__version__
     assert list(null["null"]) == ["n", "d_left", "d_right", "replicates", "mu", "sigma",
                                   "skewness", "excess_kurtosis", "mu_se", "sigma_se", "seed"]
 
@@ -788,6 +792,16 @@ class TestTextInput:
             assert result.exit_code == 0, result.output
             reports.append(result.output)
         assert reports[0] == reports[1]
+
+
+def test_module_entry_point():
+    src = str(Path(rpd.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-m", "rpd.cli", "--help"], cwd=src,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    listing = result.stdout.partition("\nCommands:\n")[2]
+    assert {line.split()[0] for line in listing.splitlines()} == set(main.commands)
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse.linalg", "scipy.sparse",

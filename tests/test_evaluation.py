@@ -342,9 +342,20 @@ class TestAnalogy:
     (lambda: SimilarityDataset(()), "similarity dataset has no pairs"),
     (lambda: SimilarityDataset((("a", "b", 1.0), ("c", "d", np.inf))),
      "similarity scores must be finite"),
-    (lambda: AnalogyQuestion("a", "", "c", "d"), "analogy words must be non-empty"),
+    (lambda: AnalogyQuestion("a", "", "c", "d"),
+     "analogy word must be a word without whitespace, got ''"),
+    (lambda: AnalogyQuestion("a", "b", "c d", "e"),
+     "analogy word must be a word without whitespace, got 'c d'"),
+    (lambda: SimilarityDataset((("a", "b", 1.0), ("c", "d\te", 2.0))),
+     "similarity word must be a word without whitespace, got 'd\\te'"),
+    (lambda: SimilarityDataset(((1, "b", 1.0),)),
+     "similarity word must be a word without whitespace, got 1"),
+    (lambda: AnalogyQuestion("a", "b", None, "d"),
+     "analogy word must be a word without whitespace, got None"),
     (lambda: AnalogyDataset(()), "analogy dataset has no questions"),
-], ids=["no_pairs", "non_finite_score", "empty_word", "no_questions"])
+], ids=["no_pairs", "non_finite_score", "empty_word", "whitespace_word",
+        "whitespace_similarity_word", "non_str_similarity_word", "non_str_word",
+        "no_questions"])
 def test_dataset_validation(build, message):
     with pytest.raises(PreconditionError) as exc:
         build()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rpd import DimensionError, PreconditionError, layout_from_distances
+from rpd import layout
 from rpd.layout import _refine, _start
 
 
@@ -160,6 +161,18 @@ class TestRefinement:
         refined, history = _refine(points, dist, np.zeros(2, dtype=bool), iterations=500)
         np.testing.assert_array_equal(refined, points)
         assert history == [0.0]
+
+    def test_step_shrinks_when_no_step_is_accepted(self, monkeypatch):
+        # With no backtracking allowed, no candidate is tried, so every iteration
+        # halves the step and leaves the points and the objective as they were.
+        monkeypatch.setattr(layout, "_BACKTRACK_LIMIT", 0)
+        rng = np.random.default_rng(10)
+        dist = pairwise(rng.standard_normal((4, 2)))
+        start = rng.standard_normal((4, 2))
+        free = np.array([False, False, True, True])
+        refined, history = _refine(start, dist, free, iterations=5)
+        np.testing.assert_array_equal(refined, start)
+        assert history[0] > 0.0 and history == [history[0]] * 6
 
     def test_anchors_do_not_move(self):
         rng = np.random.default_rng(9)

@@ -10,8 +10,12 @@ from rpd import (
     DuplicateWordError,
     EmbeddingMatrix,
     FormatError,
+    LayoutMap,
+    PairwiseRpd,
     ParseError,
     PreconditionError,
+    StudyEntry,
+    StudyResult,
     align_vocabularies,
     load_embeddings,
     random_gaussian_embedding,
@@ -263,3 +267,20 @@ class TestStandardizeExtremeMagnitudes:
         ref = standardize(EmbeddingMatrix(vocab, matrix))
         out = standardize(EmbeddingMatrix(vocab, matrix * scale))
         np.testing.assert_allclose(out.matrix, ref.matrix, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("table, text", [
+    (PairwiseRpd(("a", "b"), np.array([[0.0, 1 / 3], [1 / 3, 0.0]])),
+     "name\ta\tb\na\t0\t0.333333333333\nb\t0.333333333333\t0\n"),
+    (LayoutMap(("a", "b"), np.array([[0.0, 0.0], [2 / 3, -1e-20]]), 1e-17),
+     "name\tx\ty\na\t0\t0\nb\t0.666666666667\t-1e-20\n# stress\t1e-17\n"),
+    (StudyResult((StudyEntry("b", 1 / 3, 2.0),
+                  StudyEntry("c", None, None, error="vocabularies have empty intersection")),
+                 None),
+     "name\trpd\tdelta_perf\nb\t0.333333333333\t2\n"
+     "c\tERROR\tvocabularies have empty intersection\n# rank_correlation\tNA\n"),
+    (StudyResult((StudyEntry("b", 1e300, 12345678901234.0),), 1.0),
+     "name\trpd\tdelta_perf\nb\t1e+300\t1.23456789012e+13\n# rank_correlation\t1\n"),
+], ids=["matrix", "map", "study_with_error", "study"])
+def test_tables_print_twelve_significant_digits(table, text):
+    assert table.to_tsv() == text

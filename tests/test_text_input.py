@@ -2,7 +2,9 @@
 ignored, universal newlines, and undecodable bytes raised as a ParseError at
 the file's line."""
 
+import io
 import re
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,11 @@ from rpd import (
     load_embeddings,
     load_similarity_dataset,
     read_corpus,
+    store,
+    tokenize_corpus_text,
 )
+
+from _oracle import regex_documents
 
 BOM = b"\xef\xbb\xbf"
 
@@ -70,12 +76,53 @@ def test_byte_order_mark_is_ignored(tmp_path, name):
     assert same(plain, with_bom)
 
 
+def test_file_changed_between_reads(tmp_path, monkeypatch):
+    """The strict read meets a bad byte and the second read none: the error names
+    the file but no line."""
+    path = tmp_path / "e.txt"
+    served = iter([b"the 1 2\nof\xe9 3 4\n", b"the 1 2\nof 3 4\n"])
+
+    def changing_open(file, encoding, errors="strict"):
+        assert file == path
+        return io.TextIOWrapper(io.BytesIO(next(served)), encoding=encoding, errors=errors)
+
+    monkeypatch.setattr(store, "open", changing_open, raising=False)
+    with pytest.raises(ParseError) as exc:
+        load_embeddings(path)
+    assert str(exc.value) == f"{path}: not valid UTF-8"
+    assert next(served, None) is None
+
+
 def test_corpus_documents_end_only_at_cr_or_lf(tmp_path):
     """Blank and whitespace-only lines drop out; \\x0c, \\x85, U+2028 and \\x1c separate
     tokens within a document."""
     data = "a b\r\nc\rd\x0ce\n\n \n\x85f\u2028g\x1ch\n  \ni j".encode("utf-8")
     docs = read_corpus(write(tmp_path, "corpus", data))
     assert docs == [["a", "b"], ["c"], ["d", "e"], ["f", "g", "h"], ["i", "j"]]
+
+
+# Line ends, the whitespace that does not end a line, letters whose lowercase
+# depends on context (final sigma) or is longer (dotted I), and ASCII letters.
+CORPUS_CHARS = ["\r", "\n", "\r\n", " ", "\t", "\x0c", "\x85", "\u2028", "\x1c", "Σ", "İ"]
+corpus_text = st.lists(st.one_of(st.sampled_from(CORPUS_CHARS),
+                                 st.sampled_from(string.ascii_letters)),
+                       max_size=40).map("".join)
+
+
+@pytest.mark.parametrize("lowercase", [True, False])
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(text=corpus_text)
+def test_corpus_text_splits_like_a_line_regex(text, lowercase):
+    assert tokenize_corpus_text(text, lowercase) == regex_documents(text, lowercase)
+
+
+@pytest.mark.parametrize("lowercase", [True, False])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=corpus_text)
+def test_corpus_file_reads_like_its_text(fuzz_dir, text, lowercase):
+    path = fuzz_dir / "corpus.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert read_corpus(path, lowercase) == tokenize_corpus_text(text, lowercase)
 
 
 PIECES = [BOM, b"\r", b"\n", b"\r\n", b"\x00", b"\x0c", b"\xc2\x85", b"\xe9", b"\xff",
