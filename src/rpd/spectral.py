@@ -307,7 +307,7 @@ def svd_embedding(factors: SvdFactors, vocab: Sequence[str]) -> EmbeddingMatrix:
     """
     if np.any(factors.S < 0):
         raise PreconditionError("singular values must be nonnegative")
-    return EmbeddingMatrix(vocab, factors.U * np.sqrt(factors.S))
+    return EmbeddingMatrix._owned(vocab, factors.U * np.sqrt(factors.S))
 
 
 def train_spectral_embedding(

@@ -10,16 +10,29 @@ parse as ``int``, so a headerless 1-dimensional file whose first line is two
 integers (``2019 1``) needs a header. The writer always writes one.
 
 Every text input of the package goes through one reader, ``_text_lines``:
-UTF-8, a leading byte-order mark ignored, and a byte that is not valid UTF-8
-raised as a ``ParseError`` at its ``path:line``. Any whitespace separates
-fields and blank lines are skipped, though error line numbers count them.
-The loader splits each line into its word and the rest, and parses all the
-rest in one ``np.loadtxt`` call (numpy's C parser). It keeps that result
-only when every line gave d finite values and no word repeats; otherwise, or
-when ``loadtxt`` rejects a token that Python's ``float`` accepts
-(``1_000``, non-ASCII digits), the per-line parser parses the lines again.
-It gives the same values and raises every ``ParseError`` and
+one read of the file's bytes, UTF-8, a leading byte-order mark ignored, and a
+byte that is not valid UTF-8 raised as a ``ParseError`` at its ``path:line``.
+Any whitespace separates fields and blank lines are skipped, though error
+line numbers count them. The loader splits each line into its word and the
+rest, and parses all the rest in one ``np.loadtxt`` call (numpy's C parser).
+It keeps that result only when every line gave d finite values and no word
+repeats; otherwise, or when ``loadtxt`` rejects a token that Python's
+``float`` accepts (``1_000``, non-ASCII digits), the per-line parser parses
+the lines again. It gives the same values and raises every ``ParseError`` and
 ``DuplicateWordError`` with its ``path:line``.
+
+Parse cache: ``load_embeddings`` keeps each file it parsed in
+``${XDG_CACHE_HOME:-~/.cache}/rpd/``, as a ``.npy`` matrix beside a ``.vocab``
+file of one word per line, under the SHA-256 of the file's bytes together with
+this module's source and numpy's version. A file with the same bytes is then
+read from its entry instead of parsed, with every ``EmbeddingMatrix`` check;
+a changed byte, or an edit of the parser, gives another key. Only successful
+parses are stored, so a bad file raises its error on every load. A missing,
+unreadable or malformed entry means a parse; a cache that cannot be written
+means no entry. The least recently used entries go once the cache holds more
+than ``_CACHE_CAP`` bytes (1 GiB), and a larger entry is never written.
+``rm -rf ~/.cache/rpd`` clears it. A first load costs about 20% more than a
+parse alone, for the hash and the write.
 
 Floats are written with ten significant digits so that a save/load round
 trip reproduces values within 1e-8.
@@ -27,10 +40,14 @@ trip reproduces values within 1e-8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+import hashlib
+import os
+import tempfile
+from contextlib import suppress
+from dataclasses import dataclass, fields
+from functools import cache, cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, IO, Iterable, Sequence
 
 import numpy as np
 
@@ -41,9 +58,11 @@ from .errors import (
     FormatError,
     ParseError,
     PreconditionError,
+    RpdError,
 )
 
 _FLOAT_FMT = "%.9e"  # ten significant digits
+_CACHE_CAP = 1 << 30  # bytes the parse cache may hold
 
 
 def _is_word(word: object) -> bool:
@@ -77,6 +96,15 @@ def _tsv(header: Sequence[str], rows: Iterable[Sequence[object]],
                    for line in lines)
 
 
+def _unchecked(cls: type, *values: object):
+    """An instance of the frozen dataclass ``cls`` holding ``values``, one per field
+    in order, built without ``__post_init__``: for a producer that made its checks."""
+    obj = object.__new__(cls)
+    for field, value in zip(fields(cls), values, strict=True):
+        object.__setattr__(obj, field.name, value)
+    return obj
+
+
 def _word_order(words: Sequence[str]) -> np.ndarray:
     """The indices of ``words`` in Python code-point order, the order word ties break in.
 
@@ -99,8 +127,22 @@ class EmbeddingMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        self._own(np.array(self.matrix, dtype=np.float64, order="C", copy=True))
+
+    @classmethod
+    def _owned(cls, vocab: Sequence[str], matrix: np.ndarray) -> EmbeddingMatrix:
+        """Build from an array its producer has just made and hands over.
+
+        Every check of the public constructor runs; only the copy is skipped,
+        and ``matrix`` itself becomes read-only.
+        """
+        emb = _unchecked(cls, vocab, None)
+        emb._own(np.asarray(matrix, dtype=np.float64, order="C"))
+        return emb
+
+    def _own(self, matrix: np.ndarray) -> None:
+        """Check ``self.vocab`` and ``matrix``, then store both, ``matrix`` read-only."""
         vocab = tuple(self.vocab)
-        matrix = np.array(self.matrix, dtype=np.float64, order="C", copy=True)
         if matrix.ndim != 2:
             raise DimensionError(f"matrix must be 2-D, got shape {matrix.shape}")
         n, d = matrix.shape
@@ -167,7 +209,8 @@ class AlignedPair:
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Load an embedding matrix from a word2vec or GloVe text file.
 
-    The format is read from the file; see the module docstring.
+    The format is read from the file, and a file parsed before is read from
+    the parse cache; see the module docstring.
 
     Returns:
         An :class:`EmbeddingMatrix` with rows in file order.
@@ -179,45 +222,61 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
         DuplicateWordError: a word occurs twice.
     """
     path = Path(path)
-    lines, start, dim = _read_lines(path)
-    emb = _parse_bulk(lines[start:], dim)
+    data = path.read_bytes()
+    entry = _cache_entry(data)
+    emb = _cache_get(entry) if entry is not None else None
     if emb is None:
-        emb = _parse_per_line(lines, start, dim, path)
+        lines, start, dim = _read_lines(path, data)
+        del data  # the lines hold the text: free the bytes before the parse
+        emb = _parse_bulk(lines[start:], dim)
+        if emb is None:
+            emb = _parse_per_line(lines, start, dim, path)
+        if entry is not None:
+            _cache_put(entry, emb)
     return emb
 
 
-def _text_lines(path: Path) -> list[tuple[int, str]]:
+def _text_lines(path: Path, data: bytes | None = None) -> list[tuple[int, str]]:
     """The non-blank lines of a UTF-8 text file as (line number, text) pairs.
 
-    A leading byte-order mark is dropped; line numbers count blank lines too.
+    ``data`` is the file's bytes, when the caller has read them; otherwise the
+    file is read here, once. A leading byte-order mark is dropped; ``\\r\\n``,
+    ``\\r`` and ``\\n`` end a line, as in ``open()``'s universal newlines, and
+    line numbers count blank lines too.
 
     Raises:
-        ParseError: at the first line holding bytes that are not valid UTF-8.
+        ParseError: at the first byte that is not valid UTF-8.
     """
+    if data is None:
+        data = path.read_bytes()
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return [(i, raw.rstrip("\n")) for i, raw in enumerate(fh, 1) if raw.strip()]
-    except UnicodeDecodeError:
-        pass
-    # Read again with each bad byte kept as a lone surrogate (U+DC80 to U+DCFF),
-    # so the lines split and number exactly as above.
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for i, raw in enumerate(fh, 1):
-            bad = [ord(c) - 0xDC00 for c in raw if "\udc80" <= c <= "\udcff"]
-            if bad:
-                raise ParseError(f"{path}:{i}: not valid UTF-8 (byte {bad[0]:#04x})")
-    raise ParseError(f"{path}: not valid UTF-8")  # the file changed between the reads
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the data after any byte-order mark, valid up to exc.start.
+        lineno = len(_split_lines(exc.object[:exc.start].decode("utf-8")))
+        raise ParseError(
+            f"{path}:{lineno}: not valid UTF-8 (byte {exc.object[exc.start]:#04x})") from None
+    return [(i, line) for i, line in enumerate(_split_lines(text), 1) if line.strip()]
 
 
-def _read_lines(path: Path) -> tuple[list[tuple[int, str]], int, int | None]:
+def _split_lines(text: str) -> list[str]:
+    """``text`` cut at each ``\\r\\n``, ``\\r`` and ``\\n``."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+def _read_lines(path: Path, data: bytes | None = None
+                ) -> tuple[list[tuple[int, str]], int, int | None]:
     """The non-blank lines as (line number, text), the first data line's index, and d.
 
     The first line is a header when it is two integers; d is None without one.
+    ``data`` is as in ``_text_lines``.
 
     Raises:
         FormatError: empty file, a header size below 1, or a row count unlike the header's.
     """
-    lines = _text_lines(path)
+    lines = _text_lines(path, data)
     if not lines:
         raise FormatError(f"{path}: empty embedding file")
     lineno, text = lines[0]
@@ -254,7 +313,7 @@ def _parse_bulk(data: list[tuple[int, str]], dim: int | None) -> EmbeddingMatrix
     if dim is not None and matrix.shape[1] != dim:
         return None
     try:
-        return EmbeddingMatrix(words, matrix)
+        return EmbeddingMatrix._owned(words, matrix)
     except (DimensionError, DuplicateWordError, PreconditionError):
         return None
 
@@ -283,7 +342,96 @@ def _parse_per_line(
             raise DuplicateWordError(f"{path}:{lineno}: duplicate word {word!r}")
         rows[word] = values
 
-    return EmbeddingMatrix(tuple(rows), np.array(list(rows.values()), dtype=np.float64))
+    return EmbeddingMatrix._owned(tuple(rows), np.array(list(rows.values()), dtype=np.float64))
+
+
+def _cache_entry(data: bytes) -> Path | None:
+    """The parse cache entry of a file holding ``data``, without its suffix.
+
+    None when there is no cache: no absolute cache directory, or this module's
+    source cannot be read.
+    """
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+        if not os.path.isabs(root):
+            return None
+    try:
+        key = hashlib.sha256(_parser_digest())
+    except OSError:
+        return None
+    key.update(data)
+    return Path(root, "rpd", key.hexdigest())
+
+
+@cache
+def _parser_digest() -> bytes:
+    """What a parse depends on besides the file: this module's source and numpy's version."""
+    return hashlib.sha256(Path(__file__).read_bytes() + np.__version__.encode()).digest()
+
+
+def _cache_get(entry: Path) -> EmbeddingMatrix | None:
+    """The cached embedding at ``entry``, fully checked; None when missing or malformed."""
+    npy, vocab_path = entry.with_suffix(".npy"), entry.with_suffix(".vocab")
+    try:
+        with open(npy, "rb") as fh:
+            matrix = np.load(fh, allow_pickle=False)
+        vocab = vocab_path.read_bytes().decode("utf-8").split("\n")
+        emb = EmbeddingMatrix._owned(vocab, matrix)
+    except (OSError, ValueError, EOFError, RpdError):
+        return None
+    with suppress(OSError):  # a read-only cache still serves its entries
+        for used in (npy, vocab_path):
+            os.utime(used)  # used now, so eviction takes it last
+    return emb
+
+
+def _cache_put(entry: Path, emb: EmbeddingMatrix) -> None:
+    """Store ``emb`` at ``entry``, vocabulary first, then evict down to the cap.
+
+    An entry larger than the cap is not written. A write that fails leaves no
+    ``.npy``, so no entry.
+    """
+    vocab = "\n".join(emb.vocab).encode("utf-8")
+    if emb.matrix.nbytes + len(vocab) > _CACHE_CAP:
+        return
+    with suppress(OSError):
+        entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        _replace(entry.with_suffix(".vocab"), lambda fh: fh.write(vocab))
+        _replace(entry.with_suffix(".npy"),
+                 lambda fh: np.save(fh, emb.matrix, allow_pickle=False))
+        _evict(entry.parent)
+
+
+def _replace(path: Path, write: Callable[[IO[bytes]], object]) -> None:
+    """Write ``path`` through a temporary file renamed over it, so no reader sees half of it."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _evict(directory: Path) -> None:
+    """Delete the least recently used files until ``directory`` holds at most the cap.
+
+    Other processes may evict at the same time.
+    """
+    files = []
+    for item in os.scandir(directory):
+        with suppress(OSError):
+            stat = item.stat()
+            files.append((stat.st_mtime_ns, stat.st_size, item.path))
+    total = sum(size for _, size, _ in files)
+    for _, size, path in sorted(files):
+        if total <= _CACHE_CAP:
+            break
+        with suppress(OSError):
+            os.unlink(path)
+        total -= size
 
 
 def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
@@ -317,8 +465,8 @@ def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
     if not shared:
         raise AlignmentError("vocabularies have empty intersection")
     return AlignedPair(
-        EmbeddingMatrix(shared, _restricted_rows(a, shared)),
-        EmbeddingMatrix(shared, _restricted_rows(b, shared)),
+        EmbeddingMatrix._owned(shared, _restricted_rows(a, shared)),
+        EmbeddingMatrix._owned(shared, _restricted_rows(b, shared)),
         shared,
         coverage_left=len(shared) / a.n,
         coverage_right=len(shared) / b.n,
@@ -334,4 +482,4 @@ def random_gaussian_embedding(n: int, d: int, seed: int) -> EmbeddingMatrix:
     if n < 1 or d < 1:
         raise PreconditionError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     vocab = tuple(f"w{i}" for i in range(n))
-    return EmbeddingMatrix(vocab, np.random.default_rng(seed).standard_normal((n, d)))
+    return EmbeddingMatrix._owned(vocab, np.random.default_rng(seed).standard_normal((n, d)))

@@ -1,3 +1,9 @@
+import os
+import shutil
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +26,10 @@ from rpd import (
     load_embeddings,
     random_gaussian_embedding,
     save_embeddings,
+    store,
+    svd_embedding,
 )
+from rpd.spectral import SvdFactors
 
 
 def write(path, text):
@@ -145,6 +154,220 @@ class TestLoadSave:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_embeddings(tmp_path / "nope.txt")
+
+
+class TestOwnership:
+    """The public constructor copies the caller's array; a producer's own array
+    is stored as it is, read-only, after the same checks."""
+
+    def test_public_constructor_copies(self):
+        given = np.ones((2, 2))
+        emb = EmbeddingMatrix(("a", "b"), given)
+        assert not np.shares_memory(emb.matrix, given)
+        given[0, 0] = 5.0
+        assert emb.matrix[0, 0] == 1.0
+
+    def test_owned_build_stores_the_array_read_only(self):
+        made = np.ones((2, 2))
+        emb = EmbeddingMatrix._owned(("a", "b"), made)
+        assert emb.matrix is made and emb.vocab == ("a", "b")
+        assert not made.flags.writeable
+
+    @pytest.mark.parametrize("vocab, matrix", [
+        (("a", "a"), np.ones((2, 1))),
+        (("a b",), np.ones((1, 1))),
+        (("a", 7), np.ones((2, 1))),
+        (("a",), np.array([[np.inf]])),
+        (("a", "b"), np.ones(2)),
+        ((), np.ones((0, 3))),
+        (("a", "b"), np.ones((1, 2))),
+    ], ids=["duplicate", "whitespace", "non_str", "non_finite", "one_dim", "empty",
+            "vocab_length"])
+    def test_owned_build_runs_every_check(self, vocab, matrix):
+        with pytest.raises((DimensionError, DuplicateWordError, PreconditionError)) as public:
+            EmbeddingMatrix(vocab, matrix)
+        with pytest.raises(type(public.value)) as owned:
+            EmbeddingMatrix._owned(vocab, matrix.copy())
+        assert str(owned.value) == str(public.value)
+
+    def test_producers_build_without_a_copy(self, tmp_path, monkeypatch):
+        path = write(tmp_path / "e.txt", "ab 1 2\ncd 3 4\n")
+        emb = load_embeddings(path)  # parsed, then stored
+
+        def no_copy(self):
+            raise AssertionError("a producer built through the copying constructor")
+
+        monkeypatch.setattr(EmbeddingMatrix, "__post_init__", no_copy)
+        assert load_embeddings(path).vocab == emb.vocab  # a cache hit
+        assert load_embeddings(write(tmp_path / "f.txt", "ab 1 2\n")).vocab == ("ab",)
+        assert load_embeddings(write(tmp_path / "g.txt", "ab 1_0 2\n")).vocab == ("ab",)
+        assert align_vocabularies(emb, emb).n == 2
+        assert svd_embedding(SvdFactors(np.eye(2), np.ones(2)), ("a", "b")).n == 2
+        assert random_gaussian_embedding(2, 2, seed=0).n == 2
+
+
+def cache_files():
+    """The names of the files in the parse cache."""
+    root = Path(os.environ["XDG_CACHE_HOME"], "rpd")
+    return sorted(p.name for p in root.iterdir()) if root.exists() else []
+
+
+def cache_key(path):
+    return store._cache_entry(path.read_bytes()).name
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths ``load_embeddings`` parsed, one per cache miss."""
+    parsed = []
+    read_lines = store._read_lines
+
+    def counting(path, data=None):
+        parsed.append(path)
+        return read_lines(path, data)
+
+    monkeypatch.setattr(store, "_read_lines", counting)
+    return parsed
+
+
+def same_embedding(a, b):
+    return a.vocab == b.vocab and np.array_equal(a.matrix.view(np.uint64),
+                                                 b.matrix.view(np.uint64))
+
+
+class TestParseCache:
+    @pytest.mark.parametrize("data", [
+        b"2 3\nab 1.5 -2 3e-2\ncd 4 5 6\n",
+        b"ab 0.1 2\r\n\r\ncd 3 -0.0\r\n",
+        b"\xef\xbb\xbfab 1 2\ncd 3 4\n",
+        b"a\x00 1 2\na 3 4\na\x00\x00 5 6\n",
+        "\U0001f600 1 2\n\U00010348x 3 4\n".encode("utf-8"),
+        b"ab 1_0 2\ncd 3 4\n",
+    ], ids=["word2vec", "glove", "bom", "nul_endings", "non_bmp", "per_line_parse"])
+    def test_hit_is_bit_identical_to_the_parse(self, tmp_path, parses, data):
+        path = tmp_path / "e.txt"
+        path.write_bytes(data)
+        parsed = load_embeddings(path)
+        assert cache_files() == [cache_key(path) + ".npy", cache_key(path) + ".vocab"]
+        hit = load_embeddings(path)
+        assert same_embedding(hit, parsed)
+        assert not hit.matrix.flags.writeable
+        copy = tmp_path / "copy.txt"
+        shutil.copyfile(path, copy)
+        assert same_embedding(load_embeddings(copy), parsed)  # keyed on content
+        assert parses == [path]
+
+    def test_same_size_rewrite_with_restored_mtime_is_parsed(self, tmp_path, parses):
+        path = write(tmp_path / "e.txt", "ab 1 2\ncd 3 4\n")
+        before = path.stat()
+        assert load_embeddings(path).matrix.tolist() == [[1, 2], [3, 4]]
+        write(path, "ab 1 2\ncd 3 5\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert load_embeddings(path).matrix.tolist() == [[1, 2], [3, 5]]
+        assert len(parses) == 2
+
+    def test_bad_file_raises_every_time_and_is_not_stored(self, tmp_path):
+        path = write(tmp_path / "e.txt", "ab 1 2\ncd 3 x\n")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as exc:
+                load_embeddings(path)
+            messages.append(str(exc.value))
+        assert messages == [f"{path}:2: non-numeric value "
+                            f"(could not convert string to float: 'x')"] * 2
+        assert cache_files() == []
+
+    @pytest.mark.parametrize("damage", [
+        lambda npy, vocab: npy.write_bytes(npy.read_bytes()[:-1]),
+        lambda npy, vocab: vocab.unlink(),
+        lambda npy, vocab: vocab.write_text("ab\ncd\nef", encoding="utf-8"),
+        lambda npy, vocab: vocab.write_text("ab\nab", encoding="utf-8"),
+        lambda npy, vocab: npy.write_bytes(b"ab 1 2\n"),
+    ], ids=["truncated_npy", "missing_vocab", "row_count_mismatch", "repeated_word",
+            "not_npy"])
+    def test_malformed_entry_is_parsed_and_rewritten(self, tmp_path, parses, damage):
+        path = write(tmp_path / "e.txt", "ab 1 2\ncd 3 4\n")
+        parsed = load_embeddings(path)
+        npy, vocab = (Path(os.environ["XDG_CACHE_HOME"], "rpd", name) for name in cache_files())
+        damage(npy, vocab)
+        assert same_embedding(load_embeddings(path), parsed)
+        assert same_embedding(load_embeddings(path), parsed)
+        assert len(parses) == 2  # the first load after the damage, not the second
+        assert len(cache_files()) == 2
+
+    def test_unwritable_cache_still_loads(self, tmp_path, monkeypatch, parses):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(write(tmp_path / "a-file", "")))
+        path = write(tmp_path / "e.txt", "ab 1 2\n")
+        for _ in range(2):
+            assert load_embeddings(path).matrix.tolist() == [[1, 2]]
+        assert len(parses) == 2
+
+    def test_editing_the_parser_makes_old_entries_unreachable(self, tmp_path, monkeypatch,
+                                                             parses):
+        path = write(tmp_path / "e.txt", "ab 1 2\n")
+        load_embeddings(path)
+        monkeypatch.setattr(store, "_parser_digest", lambda: b"another parser")
+        load_embeddings(path)
+        assert len(parses) == 2
+        assert len(cache_files()) == 4
+
+    def test_eviction_keeps_the_cache_under_the_cap(self, tmp_path, monkeypatch, parses):
+        paths = [write(tmp_path / f"e{i}.txt", f"ab {i} 2\ncd 3 4\n") for i in range(3)]
+        load_embeddings(paths[0])
+        root = Path(os.environ["XDG_CACHE_HOME"], "rpd")
+        entry = sum(f.stat().st_size for f in root.iterdir())
+        monkeypatch.setattr(store, "_CACHE_CAP", 2 * entry)
+        load_embeddings(paths[1])
+        for i, stamp in ((0, 1_000), (1, 2_000)):  # e0 used before e1
+            for suffix in (".npy", ".vocab"):
+                os.utime(root / (cache_key(paths[i]) + suffix), (stamp, stamp))
+        load_embeddings(paths[0])  # a hit: e0 is now the most recently used
+        load_embeddings(paths[2])  # evicts e1
+        assert {name.partition(".")[0] for name in cache_files()} == {
+            cache_key(paths[0]), cache_key(paths[2])}
+        assert sum(f.stat().st_size for f in root.iterdir()) <= store._CACHE_CAP
+        assert parses == [paths[0], paths[1], paths[2]]
+
+    def test_concurrent_loads_under_eviction_agree(self, tmp_path, monkeypatch):
+        """Threads that load, store and evict at once still get every file's own parse."""
+        paths = [write(tmp_path / f"e{i}.txt", f"ab {i} 2\ncd 3 4\n") for i in range(3)]
+        expected = [load_embeddings(paths[0])]
+        root = Path(os.environ["XDG_CACHE_HOME"], "rpd")
+        entry = sum(f.stat().st_size for f in root.iterdir())
+        monkeypatch.setattr(store, "_CACHE_CAP", 2 * entry)  # two of the three entries
+        expected += [load_embeddings(path) for path in paths[1:]]
+        results, errors = [], []
+
+        def work(offset):
+            try:
+                for k in range(60):
+                    i = (k + offset) % 3
+                    results.append((i, load_embeddings(paths[i])))
+            except BaseException as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 4 * 60
+        assert all(same_embedding(emb, expected[i]) for i, emb in results)
+        assert sum(f.stat().st_size for f in root.iterdir()) <= store._CACHE_CAP
+
+    def test_entry_larger_than_the_cap_is_not_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store, "_CACHE_CAP", 16)
+        assert load_embeddings(write(tmp_path / "e.txt", "ab 1 2\n")).n == 1
+        assert cache_files() == []
 
 
 class TestStandardize:

@@ -2,7 +2,6 @@
 ignored, universal newlines, and undecodable bytes raised as a ParseError at
 the file's line."""
 
-import io
 import re
 import string
 
@@ -16,7 +15,6 @@ from rpd import (
     load_embeddings,
     load_similarity_dataset,
     read_corpus,
-    store,
     tokenize_corpus_text,
 )
 
@@ -76,21 +74,25 @@ def test_byte_order_mark_is_ignored(tmp_path, name):
     assert same(plain, with_bom)
 
 
-def test_file_changed_between_reads(tmp_path, monkeypatch):
-    """The strict read meets a bad byte and the second read none: the error names
-    the file but no line."""
+def test_bad_byte_found_in_the_bytes_read_once(tmp_path, monkeypatch):
+    """The line of a bad byte comes from the same bytes the strict decode failed
+    on: the file is read once, so a rewrite during the load cannot hide it."""
     path = tmp_path / "e.txt"
-    served = iter([b"the 1 2\nof\xe9 3 4\n", b"the 1 2\nof 3 4\n"])
+    path.write_bytes(BOM + b"the 1 2\r\n\nof\xe9 3 4\n")
+    reads = []
+    read_bytes = type(path).read_bytes
 
-    def changing_open(file, encoding, errors="strict"):
-        assert file == path
-        return io.TextIOWrapper(io.BytesIO(next(served)), encoding=encoding, errors=errors)
+    def read_once_then_rewrite(self):
+        reads.append(self)
+        data = read_bytes(self)
+        self.write_bytes(b"the 1 2\nof 3 4\n")
+        return data
 
-    monkeypatch.setattr(store, "open", changing_open, raising=False)
+    monkeypatch.setattr(type(path), "read_bytes", read_once_then_rewrite)
     with pytest.raises(ParseError) as exc:
         load_embeddings(path)
-    assert str(exc.value) == f"{path}: not valid UTF-8"
-    assert next(served, None) is None
+    assert str(exc.value) == f"{path}:3: not valid UTF-8 (byte 0xe9)"
+    assert reads == [path]
 
 
 def test_corpus_documents_end_only_at_cr_or_lf(tmp_path):
