@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DegenerateInputError, ParseError, PreconditionError, RpdError
 from .metric import _unit_exponent, rpd as _rpd
 from .store import (EmbeddingMatrix, _check_names, _check_word, _is_word, _text_lines, _tsv,
-                    _unchecked, _word_order, align_vocabularies)
+                    _word_order, align_vocabularies)
 
 _BLOCK_SCORES = 1 << 20  # analogy scores per matrix product: 8 MB of float64
 
@@ -54,17 +54,6 @@ class AnalogyQuestion:
     def __post_init__(self) -> None:
         for w in (self.a, self.b, self.c, self.expected):
             _check_word(w, "analogy word")
-        self._check_expected()
-
-    @classmethod
-    def _of_tokens(cls, tokens: Sequence[str], section: str | None) -> AnalogyQuestion:
-        """A question from four ``str.split`` tokens, words already: only the
-        expected word is checked."""
-        question = _unchecked(cls, *tokens, section)
-        question._check_expected()
-        return question
-
-    def _check_expected(self) -> None:
         if self.expected in (self.a, self.b, self.c):
             raise PreconditionError(
                 f"expected word {self.expected!r} duplicates a query word"
@@ -130,7 +119,7 @@ def load_similarity_dataset(path: str | Path) -> SimilarityDataset:
         pairs.append((fields[0], fields[1], score))
     if not pairs:
         raise ParseError(f"{path}: no data lines")
-    return _unchecked(SimilarityDataset, tuple(pairs))  # every check made above
+    return SimilarityDataset(tuple(pairs))
 
 
 def load_analogy_dataset(path: str | Path) -> AnalogyDataset:
@@ -151,7 +140,7 @@ def load_analogy_dataset(path: str | Path) -> AnalogyDataset:
         if len(fields) != 4:
             raise ParseError(f"{path}:{lineno}: expected 4 words")
         try:
-            question = AnalogyQuestion._of_tokens(fields, section)
+            question = AnalogyQuestion(*fields, section=section)
         except PreconditionError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
         questions.append(question)

@@ -29,10 +29,11 @@ read from its entry instead of parsed, with every ``EmbeddingMatrix`` check;
 a changed byte, or an edit of the parser, gives another key. Only successful
 parses are stored, so a bad file raises its error on every load. A missing,
 unreadable or malformed entry means a parse; a cache that cannot be written
-means no entry. The least recently used entries go once the cache holds more
-than ``_CACHE_CAP`` bytes (1 GiB), and a larger entry is never written.
-``rm -rf ~/.cache/rpd`` clears it. A first load costs about 20% more than a
-parse alone, for the hash and the write.
+means no entry, and a directory that is not the user's own, closed to other
+users, means no cache. The least recently used entries go once the cache
+holds more than ``_CACHE_CAP`` bytes (1 GiB), and a larger entry is never
+written. ``rm -rf ~/.cache/rpd`` clears it. A first load costs up to about
+15% more than a parse alone, for the hash and the write.
 
 Floats are written with ten significant digits so that a save/load round
 trip reproduces values within 1e-8.
@@ -41,10 +42,11 @@ trip reproduces values within 1e-8.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import tempfile
 from contextlib import suppress
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, IO, Iterable, Sequence
@@ -96,15 +98,6 @@ def _tsv(header: Sequence[str], rows: Iterable[Sequence[object]],
                    for line in lines)
 
 
-def _unchecked(cls: type, *values: object):
-    """An instance of the frozen dataclass ``cls`` holding ``values``, one per field
-    in order, built without ``__post_init__``: for a producer that made its checks."""
-    obj = object.__new__(cls)
-    for field, value in zip(fields(cls), values, strict=True):
-        object.__setattr__(obj, field.name, value)
-    return obj
-
-
 def _word_order(words: Sequence[str]) -> np.ndarray:
     """The indices of ``words`` in Python code-point order, the order word ties break in.
 
@@ -127,7 +120,7 @@ class EmbeddingMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        self._own(np.array(self.matrix, dtype=np.float64, order="C", copy=True))
+        self._own(self.vocab, np.array(self.matrix, dtype=np.float64, order="C", copy=True))
 
     @classmethod
     def _owned(cls, vocab: Sequence[str], matrix: np.ndarray) -> EmbeddingMatrix:
@@ -136,13 +129,13 @@ class EmbeddingMatrix:
         Every check of the public constructor runs; only the copy is skipped,
         and ``matrix`` itself becomes read-only.
         """
-        emb = _unchecked(cls, vocab, None)
-        emb._own(np.asarray(matrix, dtype=np.float64, order="C"))
+        emb = object.__new__(cls)
+        emb._own(vocab, np.asarray(matrix, dtype=np.float64, order="C"))
         return emb
 
-    def _own(self, matrix: np.ndarray) -> None:
-        """Check ``self.vocab`` and ``matrix``, then store both, ``matrix`` read-only."""
-        vocab = tuple(self.vocab)
+    def _own(self, vocab: Sequence[str], matrix: np.ndarray) -> None:
+        """Check ``vocab`` and ``matrix``, then store both, ``matrix`` read-only."""
+        vocab = tuple(vocab)
         if matrix.ndim != 2:
             raise DimensionError(f"matrix must be 2-D, got shape {matrix.shape}")
         n, d = matrix.shape
@@ -240,9 +233,8 @@ def _text_lines(path: Path, data: bytes | None = None) -> list[tuple[int, str]]:
     """The non-blank lines of a UTF-8 text file as (line number, text) pairs.
 
     ``data`` is the file's bytes, when the caller has read them; otherwise the
-    file is read here, once. A leading byte-order mark is dropped; ``\\r\\n``,
-    ``\\r`` and ``\\n`` end a line, as in ``open()``'s universal newlines, and
-    line numbers count blank lines too.
+    file is read here, once. A leading byte-order mark is dropped; lines end
+    as in ``open()``'s universal newlines, and line numbers count blank lines too.
 
     Raises:
         ParseError: at the first byte that is not valid UTF-8.
@@ -250,20 +242,21 @@ def _text_lines(path: Path, data: bytes | None = None) -> list[tuple[int, str]]:
     if data is None:
         data = path.read_bytes()
     try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        # exc.object is the data after any byte-order mark, valid up to exc.start.
-        lineno = len(_split_lines(exc.object[:exc.start].decode("utf-8")))
-        raise ParseError(
-            f"{path}:{lineno}: not valid UTF-8 (byte {exc.object[exc.start]:#04x})") from None
-    return [(i, line) for i, line in enumerate(_split_lines(text), 1) if line.strip()]
+        return _decoded_lines(data, "strict")
+    except UnicodeDecodeError:
+        pass
+    # Decode the same bytes again with each bad byte kept as a lone surrogate
+    # (U+DC80 to U+DCFF), so the lines split and number exactly as above.
+    lineno, byte = next((i, ord(c) - 0xDC00)
+                        for i, line in _decoded_lines(data, "surrogateescape")
+                        for c in line if "\udc80" <= c <= "\udcff")
+    raise ParseError(f"{path}:{lineno}: not valid UTF-8 (byte {byte:#04x})")
 
 
-def _split_lines(text: str) -> list[str]:
-    """``text`` cut at each ``\\r\\n``, ``\\r`` and ``\\n``."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+def _decoded_lines(data: bytes, errors: str) -> list[tuple[int, str]]:
+    """The numbered non-blank lines of ``data``, decoded a block at a time as ``open()`` does."""
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", errors=errors) as fh:
+        return [(i, raw.rstrip("\n")) for i, raw in enumerate(fh, 1) if raw.strip()]
 
 
 def _read_lines(path: Path, data: bytes | None = None
@@ -348,20 +341,42 @@ def _parse_per_line(
 def _cache_entry(data: bytes) -> Path | None:
     """The parse cache entry of a file holding ``data``, without its suffix.
 
-    None when there is no cache: no absolute cache directory, or this module's
-    source cannot be read.
+    None when there is no private cache directory or this module's source
+    cannot be read.
+    """
+    directory = _cache_dir()
+    if directory is None:
+        return None
+    try:
+        key = hashlib.sha256(_parser_digest())
+    except OSError:
+        return None
+    key.update(data)
+    return directory / key.hexdigest()
+
+
+def _cache_dir() -> Path | None:
+    """``${XDG_CACHE_HOME:-~/.cache}/rpd``, made if missing.
+
+    None unless it is a directory of this user's that no other user may
+    enter, so no one else can plant an entry.
     """
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):
         root = os.path.join(os.path.expanduser("~"), ".cache")
         if not os.path.isabs(root):
             return None
+    if not hasattr(os, "getuid"):  # no POSIX owner to check
+        return None
+    directory = Path(root, "rpd")
     try:
-        key = hashlib.sha256(_parser_digest())
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        info = directory.stat()
     except OSError:
         return None
-    key.update(data)
-    return Path(root, "rpd", key.hexdigest())
+    if info.st_uid != os.getuid() or info.st_mode & 0o077:
+        return None
+    return directory
 
 
 @cache
@@ -375,7 +390,7 @@ def _cache_get(entry: Path) -> EmbeddingMatrix | None:
     npy, vocab_path = entry.with_suffix(".npy"), entry.with_suffix(".vocab")
     try:
         with open(npy, "rb") as fh:
-            matrix = np.load(fh, allow_pickle=False)
+            matrix = _read_matrix(fh)
         vocab = vocab_path.read_bytes().decode("utf-8").split("\n")
         emb = EmbeddingMatrix._owned(vocab, matrix)
     except (OSError, ValueError, EOFError, RpdError):
@@ -384,6 +399,25 @@ def _cache_get(entry: Path) -> EmbeddingMatrix | None:
         for used in (npy, vocab_path):
             os.utime(used)  # used now, so eviction takes it last
     return emb
+
+
+def _read_matrix(fh: IO[bytes]) -> np.ndarray:
+    """The matrix of a ``.npy`` file as ``_cache_put`` writes it: version 1.0,
+    2-D, C-ordered float64.
+
+    Raises:
+        ValueError: any other file. The header is checked against the file's
+            size before any data is read, so a forged shape allocates nothing.
+    """
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("not a version 1.0 .npy file")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    if dtype != np.float64 or fortran_order or len(shape) != 2 or min(shape) < 1:
+        raise ValueError(f"not a C-ordered 2-D float64 array: {dtype} {shape}")
+    count = shape[0] * shape[1]
+    if os.fstat(fh.fileno()).st_size != fh.tell() + count * dtype.itemsize:
+        raise ValueError("file size does not match the header")
+    return np.fromfile(fh, dtype=np.float64, count=count).reshape(shape)
 
 
 def _cache_put(entry: Path, emb: EmbeddingMatrix) -> None:
@@ -396,7 +430,6 @@ def _cache_put(entry: Path, emb: EmbeddingMatrix) -> None:
     if emb.matrix.nbytes + len(vocab) > _CACHE_CAP:
         return
     with suppress(OSError):
-        entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
         _replace(entry.with_suffix(".vocab"), lambda fh: fh.write(vocab))
         _replace(entry.with_suffix(".npy"),
                  lambda fh: np.save(fh, emb.matrix, allow_pickle=False))

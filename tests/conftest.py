@@ -4,12 +4,6 @@ import pytest
 from rpd import EmbeddingMatrix, NullDistribution
 
 
-@pytest.fixture(autouse=True)
-def private_cache(tmp_path, monkeypatch):
-    """Each test starts with an empty parse cache of its own, never the user's."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -429,15 +429,6 @@ class TestDatasetFiles:
         with pytest.raises(ParseError):
             load_analogy_dataset(path)
 
-    def test_loaded_records_equal_the_constructed_ones(self, tmp_path):
-        sim = tmp_path / "sim.tsv"
-        sim.write_text("cat\tdog\t7.5\n")
-        assert load_similarity_dataset(sim) == SimilarityDataset((("cat", "dog", 7.5),))
-        ana = tmp_path / "ana.txt"
-        ana.write_text(": family\nboy girl man woman\n")
-        assert load_analogy_dataset(ana) == AnalogyDataset(
-            (AnalogyQuestion("boy", "girl", "man", "woman", "family"),))
-
     def test_analogy_expected_word_repeats_query(self, tmp_path):
         path = tmp_path / "ana.txt"
         path.write_text(": family\nboy girl man woman\na b c a\n")

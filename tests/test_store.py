@@ -230,6 +230,17 @@ def parses(monkeypatch):
     return parsed
 
 
+def save_npy(path, array, shape=None):
+    """Write ``array`` as a ``.npy`` file; ``shape`` forges the header's shape."""
+    with open(path, "wb") as fh:
+        if shape is None:
+            np.save(fh, array, allow_pickle=False)
+        else:
+            header = np.lib.format.header_data_from_array_1_0(array)
+            np.lib.format.write_array_header_1_0(fh, {**header, "shape": shape})
+            fh.write(array.tobytes())
+
+
 def same_embedding(a, b):
     return a.vocab == b.vocab and np.array_equal(a.matrix.view(np.uint64),
                                                  b.matrix.view(np.uint64))
@@ -285,8 +296,12 @@ class TestParseCache:
         lambda npy, vocab: vocab.write_text("ab\ncd\nef", encoding="utf-8"),
         lambda npy, vocab: vocab.write_text("ab\nab", encoding="utf-8"),
         lambda npy, vocab: npy.write_bytes(b"ab 1 2\n"),
+        lambda npy, vocab: save_npy(npy, np.zeros(2, dtype=[("x", "<f8"), ("y", "<f8")])),
+        lambda npy, vocab: save_npy(npy, np.ones((2, 2), dtype=">f8")),
+        lambda npy, vocab: save_npy(npy, np.asfortranarray([[1.0, 2.0], [3.0, 4.0]])),
+        lambda npy, vocab: save_npy(npy, np.ones((2, 2)), shape=(2, 1 << 40)),
     ], ids=["truncated_npy", "missing_vocab", "row_count_mismatch", "repeated_word",
-            "not_npy"])
+            "not_npy", "structured_dtype", "big_endian", "fortran_order", "forged_shape"])
     def test_malformed_entry_is_parsed_and_rewritten(self, tmp_path, parses, damage):
         path = write(tmp_path / "e.txt", "ab 1 2\ncd 3 4\n")
         parsed = load_embeddings(path)
@@ -296,6 +311,16 @@ class TestParseCache:
         assert same_embedding(load_embeddings(path), parsed)
         assert len(parses) == 2  # the first load after the damage, not the second
         assert len(cache_files()) == 2
+
+    def test_cache_open_to_other_users_is_not_used(self, tmp_path, parses):
+        path = write(tmp_path / "e.txt", "ab 1 2\n")
+        root = Path(os.environ["XDG_CACHE_HOME"], "rpd")
+        root.mkdir(parents=True, mode=0o755)
+        root.chmod(0o755)
+        for _ in range(2):
+            assert load_embeddings(path).matrix.tolist() == [[1, 2]]
+        assert len(parses) == 2
+        assert cache_files() == []
 
     def test_unwritable_cache_still_loads(self, tmp_path, monkeypatch, parses):
         monkeypatch.setenv("XDG_CACHE_HOME", str(write(tmp_path / "a-file", "")))
