@@ -15,16 +15,14 @@ import numpy as np
 from rpd import (
     align_vocabularies,
     count_cooccurrences,
+    dependence_test,
     load_embeddings,
     log_count_matrix,
-    monte_carlo_null,
     pmi_matrix,
-    rpd,
     save_embeddings,
     svd_embedding,
     tokenize_corpus_text,
     truncated_svd,
-    z_test,
 )
 
 # --- a tiny topical corpus: weather words vs cooking words ---
@@ -68,12 +66,10 @@ with tempfile.TemporaryDirectory() as tmp:
 
 # --- the two signals give different but strongly dependent spaces ---
 pair = align_vocabularies(embeddings["pmi"], embeddings["logcount"])
-observed = rpd(pair).rpd
-null = monte_carlo_null(pair.n, dim, dim, replicates=200, seed=0)
-result = z_test(observed, null)
-print(f"\ndistance(PMI, logcount) = {observed:.3f} on {pair.n} shared words")
-print(f"independence null: mu = {null.mu:.3f}, sigma = {null.sigma:.4f}")
-print(f"z = {result.z:+.1f} -> the spaces are dependent (p = {result.p_two_sided:.2e})")
+test = dependence_test(pair, replicates=200, seed=0)
+print(f"\ndistance(PMI, logcount) = {test.observed_rpd:.3f} on {pair.n} shared words")
+print(f"independence null: mu = {test.null.mu:.3f}, sigma = {test.null.sigma:.4f}")
+print(f"z = {test.z:+.1f} -> the spaces are dependent (p = {test.p_two_sided:.2e})")
 
 # --- nearest neighbours sanity check ---
 emb = embeddings["pmi"]

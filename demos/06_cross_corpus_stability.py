@@ -17,11 +17,10 @@ import numpy as np
 from rpd import (
     align_vocabularies,
     count_cooccurrences,
-    monte_carlo_null,
+    dependence_test,
     rpd,
     tokenize_corpus_text,
     train_spectral_embedding,
-    z_test,
 )
 
 
@@ -73,16 +72,14 @@ print(f"distance across windows  = {d_window:.4f}")
 print("\n=== corpus influence (same method, different domains) ===")
 emb_news = train(news_like, dim=dim)
 pair = align_vocabularies(emb_wiki, emb_news)
-d_corpus = rpd(pair).rpd
+test = dependence_test(pair, replicates=200, seed=0)
+d_corpus = test.observed_rpd
 print(f"shared vocabulary        = {pair.n} words "
       f"(coverage {pair.coverage_left:.2f} / {pair.coverage_right:.2f})")
 print(f"distance across corpora  = {d_corpus:.3f}")
-
-null = monte_carlo_null(pair.n, dim, dim, replicates=200, seed=0)
-result = z_test(d_corpus, null)
-print(f"independence null        = {null.mu:.3f} +/- {null.sigma:.4f}")
-verdict = "still dependent" if result.reject_at_0_01 else "not told apart from independent"
-print(f"z = {result.z:+.1f} -> {verdict} (p = {result.p_two_sided:.2e})")
+print(f"independence null        = {test.null.mu:.3f} +/- {test.null.sigma:.4f}")
+verdict = "still dependent" if test.reject_at_0_01 else "not told apart from independent"
+print(f"z = {test.z:+.1f} -> {verdict} (p = {test.p_two_sided:.2e})")
 
 moves = sorted([("a retrain", d_retrain), ("the window change", d_window),
                 ("the corpus shift", d_corpus)], key=lambda move: move[1])

@@ -12,7 +12,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from .errors import RpdError
@@ -26,7 +25,7 @@ from .evaluation import (
 )
 from .layout import layout_from_distances
 from .metric import decompose_per_word, rpd, rpd_pairwise_matrix
-from .nullmodel import ALPHA, monte_carlo_null, z_test
+from .nullmodel import dependence_test
 from .spectral import (SIGNALS, WEIGHTINGS, count_cooccurrences, read_corpus, save_counts,
                        train_spectral_embedding)
 from .store import (EmbeddingMatrix, _is_word, align_vocabularies, load_embeddings,
@@ -44,22 +43,6 @@ def _emit(text: str, output: str | None) -> None:
 def _emit_json(payload: dict, output: str | None) -> None:
     """The one JSON form every single-record command prints."""
     _emit(json.dumps(payload, indent=2), output)
-
-
-def _zero_rows(pair) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the shared words whose vector is all zero, left and right."""
-    return ~np.any(pair.left.matrix, axis=1), ~np.any(pair.right.matrix, axis=1)
-
-
-def _provenance(pair, zero_left: np.ndarray, zero_right: np.ndarray) -> dict:
-    """What a pair report was computed on: each side's coverage and all-zero rows.
-
-    Coverage counts a padded word as shared; the zero-row counts say how many
-    of the shared words carry no vector on that side.
-    """
-    return {"coverage_left": pair.coverage_left, "coverage_right": pair.coverage_right,
-            "zero_rows_left": int(np.count_nonzero(zero_left)),
-            "zero_rows_right": int(np.count_nonzero(zero_right))}
 
 
 def _load_datasets(
@@ -118,8 +101,7 @@ def cmd_pair(left, right, decompose, top_k, output):
         report = replace(report, per_word=report.per_word[:top_k])  # None keeps all
     else:
         report = rpd(pair)
-    _emit_json({**report.to_dict(), **_provenance(pair, *_zero_rows(pair)),
-                "version": __version__}, output)
+    _emit_json({**report.to_dict(), **pair.provenance(), "version": __version__}, output)
 
 
 @main.command("matrix")
@@ -156,24 +138,10 @@ def cmd_nulltest(left, right, replicates, seed, one_sided, samples_out, output):
     standard errors of the null's mu and sigma and of z.
     """
     pair = align_vocabularies(load_embeddings(left), load_embeddings(right))
-    observed = rpd(pair).rpd
-    zero_left, zero_right = _zero_rows(pair)
-    n = pair.n - int(np.count_nonzero(zero_left & zero_right))
-    null = monte_carlo_null(n, pair.left.dim, pair.right.dim, replicates, seed)
-    result = z_test(observed, null)
+    result = dependence_test(pair, replicates=replicates, seed=seed, one_sided=one_sided)
     if samples_out is not None:
-        null.save_samples(samples_out)
-    p_for_decision = result.p_one_sided if one_sided else result.p_two_sided
-    payload = {
-        "observed_rpd": observed,
-        **_provenance(pair, zero_left, zero_right),
-        "null": null.to_dict(),
-        **result.to_dict(),
-        "alpha": ALPHA,
-        "decision": "reject" if p_for_decision < ALPHA else "fail_to_reject",
-        "version": __version__,
-    }
-    _emit_json(payload, output)
+        result.null.save_samples(samples_out)
+    _emit_json({**result.to_dict(), "version": __version__}, output)
 
 
 @main.command("train-svd")

@@ -13,6 +13,11 @@ A ``NullDistribution`` holds the draws, the moments computed from them and
 their Monte Carlo standard errors; the z-test reads the mean and standard
 deviation. Observed distances many standard deviations below the null mean
 reject the hypothesis that two embedding spaces are independent.
+
+:func:`dependence_test` is that whole test on an aligned pair, the one
+``rpd nulltest`` prints: the observed RPD, the null drawn at the shared words
+that are not all zero on both sides, the z-test and the decision at ``ALPHA``.
+``monte_carlo_null`` and ``z_test`` are its pieces.
 """
 
 from __future__ import annotations
@@ -25,9 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateInputError, PreconditionError
-from .metric import gram_side, rpd_from_sides
+from .metric import gram_side, rpd, rpd_from_sides
+from .store import AlignedPair
 
-ALPHA = 0.01  # significance level of ``reject_at_0_01`` and ``nulltest``'s decision
+ALPHA = 0.01  # significance level of ``reject_at_0_01`` and ``dependence_test``'s decision
 
 
 def _sample_moments(samples: np.ndarray) -> tuple[float, float, float, float]:
@@ -203,4 +209,75 @@ def z_test(observed_rpd: float, null: NullDistribution) -> ZTestResult:
         p_two_sided=float(p_two),
         p_one_sided=float(p_one),
         reject_at_0_01=bool(p_two < ALPHA),
+    )
+
+
+@dataclass(frozen=True)
+class DependenceTestResult:
+    """The dependence test of an aligned pair, in the order ``rpd nulltest`` prints it.
+
+    ``observed_rpd`` is the pair's RPD; the coverage and zero-row counts are
+    :meth:`AlignedPair.provenance`; ``null`` was drawn at the shared words
+    that are not all zero on both sides (its ``n``); ``z`` to
+    ``reject_at_0_01`` are the :class:`ZTestResult` fields; ``decision`` is
+    ``"reject"`` when the two-sided p-value, or the lower-tail one for a
+    one-sided test, is below ``alpha``, and ``"fail_to_reject"`` otherwise.
+    """
+
+    observed_rpd: float
+    coverage_left: float
+    coverage_right: float
+    zero_rows_left: int
+    zero_rows_right: int
+    null: NullDistribution
+    z: float
+    z_se: float
+    p_two_sided: float
+    p_one_sided: float
+    reject_at_0_01: bool
+    alpha: float
+    decision: str
+
+    def to_dict(self) -> dict:
+        """The fields in order, with ``null`` as its own :meth:`~NullDistribution.to_dict`."""
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
+            "null": self.null.to_dict()}
+
+
+def dependence_test(
+    pair: AlignedPair,
+    *,
+    replicates: int,
+    seed: int,
+    one_sided: bool = False,
+) -> DependenceTestResult:
+    """Test whether the two sides of ``pair`` are independent.
+
+    A word that is all zero on both sides adds nothing to any Gram block, so
+    the observed RPD is that of the other words, and the null is drawn at
+    their count: padding does not move the test. The null is
+    :func:`monte_carlo_null` at that count and the pair's dimensions, the
+    z-score is :func:`z_test`'s, and the decision is taken at ``ALPHA`` on
+    the two-sided p-value, or on the lower-tail one when ``one_sided``.
+
+    Raises:
+        DegenerateInputError: a side has zero variance (from :func:`rpd`).
+        PreconditionError: no more words that are not all zero on both sides
+            than the larger dimension, or fewer than 2 replicates.
+    """
+    observed = rpd(pair).rpd
+    zero_left, zero_right = pair.zero_rows
+    dropped = int(np.count_nonzero(zero_left & zero_right))
+    n, d = pair.n - dropped, max(pair.left.dim, pair.right.dim)
+    if n <= d:
+        raise PreconditionError(
+            f"need more words than dimensions: {n} of the {pair.n} shared words are not "
+            f"all zero on both sides ({dropped} dropped), d={d}"
+        )
+    null = monte_carlo_null(n, pair.left.dim, pair.right.dim, replicates, seed)
+    result = z_test(observed, null)
+    p_for_decision = result.p_one_sided if one_sided else result.p_two_sided
+    return DependenceTestResult(
+        observed, **pair.provenance(), null=null, **result.to_dict(), alpha=ALPHA,
+        decision="reject" if p_for_decision < ALPHA else "fail_to_reject",
     )

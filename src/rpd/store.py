@@ -198,6 +198,22 @@ class AlignedPair:
     def n(self) -> int:
         return len(self.shared_vocab)
 
+    @cached_property
+    def zero_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the shared words whose vector is all zero, left and right."""
+        return ~np.any(self.left.matrix, axis=1), ~np.any(self.right.matrix, axis=1)
+
+    def provenance(self) -> dict:
+        """What a report on this pair is computed on: each side's coverage and all-zero rows.
+
+        Coverage counts a padded word as shared; the zero-row counts say how many
+        of the shared words carry no vector on that side.
+        """
+        zero_left, zero_right = self.zero_rows
+        return {"coverage_left": self.coverage_left, "coverage_right": self.coverage_right,
+                "zero_rows_left": int(np.count_nonzero(zero_left)),
+                "zero_rows_right": int(np.count_nonzero(zero_right))}
+
 
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Load an embedding matrix from a word2vec or GloVe text file.

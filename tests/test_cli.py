@@ -376,6 +376,19 @@ class TestNulltest:
         assert padded_payload["decision"] == "fail_to_reject"
         assert padded_payload["reject_at_0_01"] is False
 
+    def test_padded_pair_error_names_its_own_count(self, runner, tmp_path):
+        # 400 shared words, 390 of them zero on both sides, d = 20: `pair` says
+        # n = 400, so the error names the 10 words the null would be drawn at.
+        paths = []
+        for seed in (1, 2):
+            e = random_gaussian_embedding(400, 20, seed=seed)
+            paths.append(save(tmp_path, f"e{seed}.txt", EmbeddingMatrix(
+                e.vocab, np.vstack([e.matrix[:10], np.zeros((390, 20))]))))
+        result = runner.invoke(main, ["nulltest", "--left", paths[0], "--right", paths[1]])
+        assert result.exit_code == 2
+        assert result.stderr == ("error: need more words than dimensions: 10 of the 400 shared "
+                                 "words are not all zero on both sides (390 dropped), d=20\n")
+
     def test_zero_replicates_exits_2(self, runner, tmp_path, rng):
         path = save(tmp_path, "e.txt", random_embedding(rng, 20, 4))
         result = runner.invoke(main, [
@@ -396,7 +409,7 @@ class TestNulltest:
         def fixed_null(n, d_left, d_right, replicates, seed):
             return rpd.NullDistribution(n, d_left, d_right, seed, draws)
 
-        monkeypatch.setattr("rpd.cli.monte_carlo_null", fixed_null)
+        monkeypatch.setattr("rpd.nullmodel.monte_carlo_null", fixed_null)
         payloads = {}
         for flags in ([], ["--one-sided"]):
             result = runner.invoke(main, ["nulltest", "--left", a, "--right", b, *flags])

@@ -1,8 +1,11 @@
+import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from scipy import stats
 
 from conftest import reference_null
@@ -12,11 +15,17 @@ from rpd import (
     EmbeddingMatrix,
     NullDistribution,
     PreconditionError,
+    __version__,
+    align_vocabularies,
+    dependence_test,
+    load_embeddings,
     monte_carlo_null,
     random_gaussian_embedding,
     rpd,
+    save_embeddings,
     z_test,
 )
+from rpd.cli import main
 from rpd.nullmodel import _derived_seed, _sample_moments
 
 
@@ -278,3 +287,69 @@ class TestNullDistributionType:
             "skewness", "excess_kurtosis", "mu_se", "sigma_se", "seed",
         }
         assert len(null.samples) == 40
+
+
+def padded_pair(real, pad_words):
+    """The aligned pair of ``real`` with ``pad_words`` more words, all zero on both sides."""
+    pad = tuple(f"pad{i}" for i in range(pad_words))
+    return align_vocabularies(*(
+        EmbeddingMatrix(e.vocab + pad, np.vstack([e.matrix, np.zeros((pad_words, e.dim))]))
+        for e in real))
+
+
+class TestDependenceTest:
+    def test_shared_zero_rows_leave_the_test_unchanged(self):
+        real = [random_gaussian_embedding(200, 20, seed=s) for s in (300, 400)]
+        plain = dependence_test(align_vocabularies(*real), replicates=100, seed=0)
+        padded = dependence_test(padded_pair(real, 200), replicates=100, seed=0)
+        assert (padded.zero_rows_left, padded.zero_rows_right) == (200, 200)
+        assert (plain.zero_rows_left, plain.zero_rows_right) == (0, 0)
+        assert padded.null == plain.null and plain.null.n == 200
+        got = replace(padded, zero_rows_left=0, zero_rows_right=0).to_dict()
+        want = plain.to_dict()
+        assert got.pop("null") == want.pop("null")
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_to_dict_is_the_nulltest_report(self, tmp_path):
+        paths = []
+        for seed in (1, 2):
+            paths.append(str(tmp_path / f"e{seed}.txt"))
+            save_embeddings(random_gaussian_embedding(60, 5, seed=seed), paths[-1])
+        result = CliRunner().invoke(main, ["nulltest", "--left", paths[0], "--right", paths[1],
+                                           "--replicates", "30", "--seed", "4"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload.pop("version") == __version__
+        record = dependence_test(align_vocabularies(*map(load_embeddings, paths)),
+                                 replicates=30, seed=4)
+        assert list(record.to_dict()) == list(payload)
+        assert json.loads(json.dumps(record.to_dict())) == payload
+
+    def test_one_sided_changes_only_the_decision(self, monkeypatch):
+        pair = align_vocabularies(random_gaussian_embedding(50, 6, seed=1),
+                                  random_gaussian_embedding(50, 6, seed=2))
+        observed = rpd(pair).rpd
+        # Draws with mean observed + 2.4 sigma put z at -2.4, where
+        # p_one_sided (0.008) < 0.01 < p_two_sided (0.016).
+        draws = observed + 0.01 * np.array([1.4, 2.4, 3.4])
+        monkeypatch.setattr("rpd.nullmodel.monte_carlo_null",
+                            lambda n, d_left, d_right, replicates, seed:
+                            NullDistribution(n, d_left, d_right, seed, draws))
+        two = dependence_test(pair, replicates=3, seed=0)
+        one = dependence_test(pair, replicates=3, seed=0, one_sided=True)
+        assert (two.decision, one.decision) == ("fail_to_reject", "reject")
+        assert replace(one, decision=two.decision) == two
+
+    def test_same_seed_same_record(self):
+        pair = align_vocabularies(random_gaussian_embedding(80, 6, seed=1),
+                                  random_gaussian_embedding(80, 7, seed=2))
+        first = dependence_test(pair, replicates=40, seed=9)
+        assert dependence_test(pair, replicates=40, seed=9) == first
+        assert dependence_test(pair, replicates=40, seed=10).null.samples != first.null.samples
+
+    def test_padded_pair_error_names_its_own_count(self):
+        # 400 shared words, 390 of them zero on both sides, d = 20.
+        real = [random_gaussian_embedding(10, 20, seed=s) for s in (1, 2)]
+        with pytest.raises(PreconditionError, match=r"10 of the 400 shared words .*"
+                                                    r"\(390 dropped\), d=20"):
+            dependence_test(padded_pair(real, 390), replicates=30, seed=0)
