@@ -118,8 +118,9 @@ def cmd_matrix(embs, common_vocab, output):
 @main.command("nulltest")
 @click.option("--left", required=True, type=click.Path())
 @click.option("--right", required=True, type=click.Path())
-@click.option("--replicates", type=click.IntRange(min=2), default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--replicates", type=click.IntRange(min=2), default=1000, show_default=True,
+              help="Null draws; the JSON reports their noise as mu_se, sigma_se and z_se.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--one-sided", is_flag=True,
               help="Base the printed decision on the lower-tail p-value; "
                    "reject_at_0_01 is always two-sided.")

@@ -23,7 +23,6 @@ that are not all zero on both sides, the z-test and the decision at ``ALPHA``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -135,8 +134,10 @@ def monte_carlo_null(
     Args:
         n: Vocabulary size of the simulated spaces; must exceed both dims.
         d_left, d_right: Per-side dimensions.
-        replicates: Number of draws (>= 2; below 30 triggers a warning).
-        seed: Base seed of the splittable stream.
+        replicates: Number of draws (>= 2). Their noise is carried in the
+            result's ``mu_se`` and ``sigma_se``, which :func:`z_test` turns
+            into ``z_se``.
+        seed: Base seed of the splittable stream (>= 0).
     """
     if n < 1 or d_left < 1 or d_right < 1:
         raise PreconditionError("n, d_left, d_right must be positive")
@@ -146,11 +147,8 @@ def monte_carlo_null(
         )
     if replicates < 2:
         raise PreconditionError(f"replicates must be >= 2, got {replicates}")
-    if replicates < 30:
-        warnings.warn(
-            f"{replicates} replicates is a noisy estimate; 30+ recommended",
-            stacklevel=2,
-        )
+    if seed < 0:
+        raise PreconditionError(f"seed must be >= 0, got {seed}")
     p = d_left + d_right
     k = min(n, p)
 
@@ -263,7 +261,7 @@ def dependence_test(
     Raises:
         DegenerateInputError: a side has zero variance (from :func:`rpd`).
         PreconditionError: no more words that are not all zero on both sides
-            than the larger dimension, or fewer than 2 replicates.
+            than the larger dimension, fewer than 2 replicates, or a negative seed.
     """
     observed = rpd(pair).rpd
     zero_left, zero_right = pair.zero_rows

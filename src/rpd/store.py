@@ -525,10 +525,13 @@ def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
 def random_gaussian_embedding(n: int, d: int, seed: int) -> EmbeddingMatrix:
     """Embedding with i.i.d. standard-normal entries and synthetic vocabulary.
 
-    The generator is explicitly seeded (PCG64), so the same seed yields a
-    bit-identical matrix. Vocabulary tokens are ``"w0" ... "w{n-1}"``.
+    The generator is explicitly seeded (PCG64; ``seed`` >= 0), so the same
+    seed yields a bit-identical matrix. Vocabulary tokens are
+    ``"w0" ... "w{n-1}"``.
     """
     if n < 1 or d < 1:
         raise PreconditionError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    if seed < 0:
+        raise PreconditionError(f"seed must be >= 0, got {seed}")
     vocab = tuple(f"w{i}" for i in range(n))
     return EmbeddingMatrix._owned(vocab, np.random.default_rng(seed).standard_normal((n, d)))

@@ -396,6 +396,24 @@ class TestNulltest:
         ])
         assert result.exit_code == 2
 
+    def test_negative_seed_exits_2(self, runner, tmp_path, rng):
+        path = save(tmp_path, "e.txt", random_embedding(rng, 20, 4))
+        result = runner.invoke(main, [
+            "nulltest", "--left", path, "--right", path, "--seed", "-1",
+        ])
+        assert result.exit_code == 2
+        assert "-1 is not in the range x>=0" in result.stderr
+
+    def test_few_replicates_leave_stderr_empty(self, runner, tmp_path, rng):
+        a = save(tmp_path, "a.txt", random_embedding(rng, 50, 6))
+        b = save(tmp_path, "b.txt", random_embedding(rng, 50, 6))
+        result = runner.invoke(main, [
+            "nulltest", "--left", a, "--right", b, "--replicates", "10",
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        assert json.loads(result.stdout)["null"]["replicates"] == 10
+
     def test_one_sided_decision(self, runner, tmp_path, rng, monkeypatch):
         a = save(tmp_path, "a.txt", random_embedding(rng, 50, 6))
         b = save(tmp_path, "b.txt", random_embedding(rng, 50, 6))

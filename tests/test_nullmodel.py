@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -35,8 +36,10 @@ class TestMonteCarloNull:
         assert null.mu == pytest.approx(0.900, abs=0.01)
         assert null.sigma < 0.01
 
-    def test_minimal_replicates_warn(self):
-        with pytest.warns(UserWarning):
+    def test_minimal_replicates_draw_without_warning(self):
+        # A small count's noise is in mu_se and sigma_se, not in a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             null = monte_carlo_null(50, 5, 5, replicates=2, seed=1)
         assert null.replicates == 2
         assert null.sigma >= 0
@@ -96,7 +99,10 @@ class TestMonteCarloNull:
         with pytest.raises(PreconditionError):
             monte_carlo_null(0, 1, 1, replicates=50, seed=0)
 
-    @pytest.mark.filterwarnings("ignore:5 replicates")
+    def test_negative_seed(self):
+        with pytest.raises(PreconditionError, match=r"^seed must be >= 0, got -1$"):
+            monte_carlo_null(50, 5, 5, replicates=30, seed=-1)
+
     @pytest.mark.parametrize("n, d_left, d_right", [(90, 7, 9), (20, 12, 15)])
     def test_draws_are_bartlett_factors(self, n, d_left, d_right):
         # Each stored sample is the RPD of the column blocks of that

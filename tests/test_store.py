@@ -506,6 +506,10 @@ class TestRandomGaussian:
         with pytest.raises(PreconditionError):
             random_gaussian_embedding(3, 0, seed=1)
 
+    def test_negative_seed(self):
+        with pytest.raises(PreconditionError, match=r"^seed must be >= 0, got -1$"):
+            random_gaussian_embedding(4, 3, seed=-1)
+
 
 class TestStandardizeExtremeMagnitudes:
     @pytest.mark.parametrize("scale", [1e155, 1e-160])
