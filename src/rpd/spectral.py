@@ -7,12 +7,15 @@ The pipeline is:
               -> truncated_svd -> svd_embedding
 
 Counts are symmetric sparse matrices over a frequency-filtered vocabulary;
-their total is the sum of their cells. ``SIGNALS`` names the two signals:
-positive PMI ("pmi") and log(1 + count) ("logcount"), both zero where the
-count is. Both signals are symmetric, so the truncated SVD is a symmetric
-eigensolver: dense tridiagonalization up to ``_DENSE_MAX_N`` words, ``eigsh``
-above. A trained embedding is a function of the corpus and the options alone:
-the solver starts from a fixed vector and fixes the sign of each component.
+their total is the sum of their cells. ``count_cooccurrences`` packs the pairs
+of every window offset into cell keys, counts them with one sort, and adds the
+forward counts to their transpose once, so the counts are exactly symmetric.
+``SIGNALS`` names the two signals: positive PMI ("pmi") and log(1 + count)
+("logcount"), both zero where the count is. Both signals are symmetric, so the
+truncated SVD is a symmetric eigensolver: dense tridiagonalization up to
+``_DENSE_MAX_N`` words, where each eigenvalue is found once, ``eigsh`` above.
+A trained embedding is a function of the corpus and the options alone: the
+solver starts from a fixed vector and fixes the sign of each component.
 ``save_counts`` exports the counts as text for other tools; rpd does not read
 them back.
 """
@@ -37,6 +40,8 @@ if TYPE_CHECKING:
 WEIGHTINGS = ("flat", "harmonic")
 # The dense eigensolver holds the n×n signal: at most 128 MiB.
 _DENSE_MAX_N = 4096
+# save_counts formats this many lines at a time.
+_SAVE_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +122,11 @@ def count_cooccurrences(
     weighting) for each neighbor within ``window`` positions on either side.
     Words with corpus frequency below ``min_count`` are removed first. The
     kept tokens form one id array beside the document of each; the pairs at
-    offset k are positions i and i + k in one document. The forward counts of
-    every offset are summed first and added to their transpose once.
+    offset k are positions i and i + k in one document. The forward pairs of
+    every offset are packed into cell keys and counted with one sort, and the
+    forward counts are added to their transpose once. Flat counts are exact
+    integers; a harmonic cell divides each offset's integer tally by the
+    offset and sums those terms in offset order.
 
     Args:
         documents: Iterable of token sequences; windows do not cross
@@ -156,25 +164,58 @@ def count_cooccurrences(
     index = {w: i for i, w in enumerate(vocab)}
     n = len(vocab)
 
-    ids = np.array([index.get(t, -1) for doc in docs for t in doc], dtype=np.int64)
-    doc_of = np.repeat(np.arange(len(docs)), [len(doc) for doc in docs])
+    ids = np.array([index.get(t, -1) for doc in docs for t in doc])
+    doc_of = np.repeat(np.arange(len(docs), dtype=np.int32), [len(doc) for doc in docs])
     kept = ids >= 0
-    ids, doc_of = ids[kept], doc_of[kept]
-
-    forward = sparse.csr_array((n, n), dtype=np.float64)
-    for k in range(1, window + 1):
-        same_doc = doc_of[:-k] == doc_of[k:]
-        rows = ids[:-k][same_doc]
-        cols = ids[k:][same_doc]
-        weight = 1.0 if weighting == "flat" else 1.0 / k
-        data = np.full(rows.shape, weight, dtype=np.float64)
-        forward = forward + sparse.coo_array((data, (rows, cols)), shape=(n, n)).tocsr()
+    forward = _forward_counts(ids[kept], doc_of[kept], n, window, weighting)
     # Each cell and its mirror add the same two floats, so the sum is exactly symmetric.
     counts = forward + forward.T
 
     if not counts.nnz:
         raise CorpusError("corpus produced no co-occurrence pairs")
     return CooccurrenceCounts(vocab=vocab, counts=counts, window=window, min_count=min_count)
+
+
+def _forward_counts(ids: np.ndarray, doc_of: np.ndarray, n: int, window: int,
+                    weighting: str) -> sparse.csr_array:
+    """The weighted counts of the pairs ``(ids[p], ids[p + k])`` that lie in
+    one document, k = 1..window, as an n×n CSR matrix, from one sort.
+
+    The pair (i, j) at offset k is the key ``(i·n + j)·s + k − 1``. s is 1 for
+    flat weights, which count every offset alike, and the window for harmonic
+    ones, so each offset's integer tally is divided by the offset once and a
+    cell sums at most ``window`` rounded terms, in offset order. Sorted keys
+    are CSR order. They are int32 wherever they fit, which halves the memory
+    and the sort. Every temporary is freed on return, before the caller adds
+    the transpose.
+    """
+    from scipy import sparse
+
+    s = 1 if weighting == "flat" else window
+    ids = ids.astype(np.int32 if n * n * s < 2**31 else np.int64)
+    same_doc = [doc_of[:-k] == doc_of[k:] for k in range(1, window + 1)]
+    keys = np.empty(sum(map(np.count_nonzero, same_doc)), dtype=ids.dtype)
+    end = 0
+    for k, same in enumerate(same_doc, 1):
+        start, end = end, end + np.count_nonzero(same)
+        keys[start:end] = (ids[:-k][same] * n + ids[k:][same]) * s + (k - 1) % s
+    keys.sort()
+    first = _runs(keys)
+    data = np.diff(first, append=keys.size) / (keys[first] % s + 1)
+    keys = keys[first] // s
+    if s > 1:
+        first = _runs(keys)
+        keys, data = keys[first], np.add.reduceat(data, first)
+    # Index arrays of the keys' type: scipy keeps int64 ones, at twice the memory.
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n).astype(keys.dtype)
+    return sparse.csr_array((data, keys % n, indptr), shape=(n, n))
+
+
+def _runs(ordered: np.ndarray) -> np.ndarray:
+    """The index of the first element of each run of equal values."""
+    starts = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
 
 
 def pmi_matrix(counts: CooccurrenceCounts) -> sparse.csr_array:
@@ -259,7 +300,7 @@ def _dense_eigenpairs(matrix: sparse.csr_array, d: int) -> tuple[np.ndarray, np.
     """The ``d`` eigenvalues of largest magnitude of a symmetric matrix and
     their eigenvectors, in no set order, from one dense reduction to
     tridiagonal form ``A = Q·T·Qᵀ``."""
-    from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
+    from scipy.linalg import eigh_tridiagonal, lapack
 
     n = matrix.shape[0]
     # The transpose of the C-ordered array is Fortran-ordered and equals A, so
@@ -269,20 +310,16 @@ def _dense_eigenpairs(matrix: sparse.csr_array, d: int) -> tuple[np.ndarray, np.
     refl, diag, off, tau, info = lapack.dsytrd(a, lower=1, lwork=lwork, overwrite_a=1)
     assert info == 0 and np.shares_memory(refl, a)
 
-    w = eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
-    # The d largest |λ|, in the stable order truncated_svd sorts by, are the
-    # q lowest (negative) and the d − q highest eigenvalues.
-    q = int(np.count_nonzero(w[np.argsort(-np.abs(w), kind="stable")[:d]] < 0))
+    # The d largest |λ|, in the stable order truncated_svd sorts by, are the q
+    # lowest (negative) and the d − q highest eigenvalues.
     if 8 * d <= n:
         # Inverse iteration needs n×d memory and is fast while d is small.
-        ends = [eigh_tridiagonal(diag, off, select="i", select_range=r, lapack_driver="stebz")
-                for r in ((0, q - 1), (n - d + q, n - 1)) if r[0] <= r[1]]
-        lams, vecs = zip(*ends)
-        lam, z = np.concatenate(lams), np.hstack(vecs)
+        lam, z = _bisection_eigenpairs(diag, off, d)
     else:
         # Divide and conquer finds all n vectors faster than inverse iteration
         # finds many, and to tighter orthogonality than MRRR (stemr).
         lam, z = eigh_tridiagonal(diag, off, lapack_driver="stevd")
+        q = _negatives_chosen(lam, d)
         keep = np.r_[:q, n - d + q:n]
         lam, z = lam[keep], z[:, keep]
 
@@ -296,6 +333,69 @@ def _dense_eigenpairs(matrix: sparse.csr_array, d: int) -> tuple[np.ndarray, np.
         z[1:], _, info = lapack.dormqr("L", "N", v, tau, z[1:], qwork)
         assert info == 0
     return lam, z
+
+
+def _negatives_chosen(w: np.ndarray, d: int) -> int:
+    """How many of the ``d`` largest ``|w|`` are negative, a tie going to the
+    lower index. ``w`` is ascending: the spectrum, or a prefix and a suffix of
+    it that hold the d largest."""
+    return int(np.count_nonzero(w[np.argsort(-np.abs(w), kind="stable")[:d]] < 0))
+
+
+def _bisection_eigenpairs(diag: np.ndarray, off: np.ndarray,
+                          d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``d`` eigenvalues of largest magnitude of a tridiagonal matrix,
+    ascending, and their eigenvectors, by bisection and inverse iteration.
+
+    Bisection (``dstebz``; range 2 selects by index, 1 by value) finds the d
+    highest eigenvalues and the lowest, and no others unless needed: a chosen
+    negative eigenvalue has |λ| at least ``cut``, the least |λ| of the d
+    highest, so the negatives ≤ −cut are found only when the lowest one
+    reaches it. Each eigenvalue is found once. ``dstein`` takes each end's
+    chosen values with the blocks ``dstebz`` split them into.
+    """
+    from scipy.linalg import lapack
+
+    n = diag.size
+
+    def bisect(*select):
+        m, w, block, split, info = lapack.dstebz(diag, off, *select, 0.0, "B")
+        if info:
+            raise np.linalg.LinAlgError(f"dstebz: some eigenvalues failed to converge ({info})")
+        return w[:m], block, split
+
+    high = bisect(2, 0.0, 0.0, n - d + 1, n)
+    cut = np.min(np.abs(high[0]))
+    lowest = bisect(2, 0.0, 0.0, 1, 1)[0][0]
+    # Range 1 is the interval (vl, vu]; 2·lowest − 1 lies below the lowest.
+    low = (bisect(1, 2.0 * lowest - 1.0, -cut, 0, 0) if lowest <= -cut
+           else (np.empty(0), None, None))
+    # The negatives below the d highest, then the d highest: both ascending,
+    # so the stable order matches the one over the whole spectrum.
+    below = np.sort(low[0])[:n - d]
+    q = _negatives_chosen(np.concatenate([below, np.sort(high[0])]), d)
+
+    ends = [_inverse_iteration(diag, off, *end, count, top)
+            for end, count, top in ((low, q, False), (high, d - q, True)) if count]
+    return np.concatenate([e[0] for e in ends]), np.hstack([e[1] for e in ends])
+
+
+def _inverse_iteration(diag: np.ndarray, off: np.ndarray, w: np.ndarray, block: np.ndarray,
+                       split: np.ndarray, count: int, top: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of ``count`` of the eigenvalues ``w`` that ``dstebz``
+    found, the highest if ``top`` else the lowest, ascending."""
+    from scipy.linalg import lapack
+
+    # Any subset of dstebz's block order is in block order, as dstein needs.
+    order = np.argsort(w, kind="stable")
+    chosen = np.sort(order[w.size - count:] if top else order[:count])
+    block = block.copy()
+    block[:count] = block[chosen]
+    z, info = lapack.dstein(diag, off, w[chosen], block, split)
+    if info:
+        raise np.linalg.LinAlgError(f"dstein: {info} eigenvectors failed to converge")
+    ascending = np.argsort(w[chosen])
+    return w[chosen][ascending], z[:, ascending]
 
 
 def svd_embedding(factors: SvdFactors, vocab: Sequence[str]) -> EmbeddingMatrix:
@@ -338,12 +438,24 @@ def save_counts(counts: CooccurrenceCounts, path: str | Path) -> None:
     path = Path(path)
     coo = counts.counts.tocoo()
     keep = coo.row <= coo.col
+    cells = [coo.row[keep], coo.col[keep], coo.data[keep]]
+    # "%d" prints a nonnegative integral float below 2**53 as "%.17g" does,
+    # and faster.
+    value = cells[2]
+    if np.all(~np.signbit(value) & (value < 2.0**53) & (value == np.trunc(value))):
+        cells[2], line = value.astype(np.int64), "%d %d %d\n"
+    else:
+        line = "%d %d %.17g\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# window {counts.window}\n")
         fh.write(f"# min_count {counts.min_count}\n")
-        # A memoryview yields Python ints and floats, which format faster than numpy scalars.
-        for i, j, v in zip(*(memoryview(a[keep]) for a in (coo.row, coo.col, coo.data))):
-            fh.write("%d %d %.17g\n" % (i, j, v))
+        # One % per block of lines; tolist gives Python ints and floats, which
+        # format faster than numpy scalars.
+        for start in range(0, value.size, _SAVE_BLOCK):
+            block = [None] * (3 * min(_SAVE_BLOCK, value.size - start))
+            for k, column in enumerate(cells):
+                block[k::3] = column[start:start + _SAVE_BLOCK].tolist()
+            fh.write(line * (len(block) // 3) % tuple(block))
     with open(path.with_name(path.name + ".vocab"), "w", encoding="utf-8") as fh:
         for word in counts.vocab:
             fh.write(word + "\n")

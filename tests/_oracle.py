@@ -1,20 +1,26 @@
 """The slow paths the d-space identities are tested against.
 
 ``naive_gram_oracle`` materializes the n-by-n Gram matrices,
-``standardize`` builds the standardized n-by-d copy the metric never makes, and
+``standardize`` builds the standardized n-by-d copy the metric never makes,
+``per_offset_counts`` sums one sparse matrix per window offset where the
+counter sorts packed cell keys once, ``per_line_counts_text`` formats the
+counts file one line at a time where ``save_counts`` formats blocks,
 ``read_saved_counts`` parses the counts file that rpd only writes, for
 ``assert_saved_exactly``, and ``regex_documents`` splits corpus text into
 lines with a regex instead of the file reader's universal newlines.
 """
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from rpd import DegenerateInputError, DimensionError, EmbeddingMatrix, PreconditionError
+from rpd import (CooccurrenceCounts, DegenerateInputError, DimensionError, EmbeddingMatrix,
+                 PreconditionError)
 from rpd.metric import _unit_exponent
 
 NAIVE_GUARD_LIMIT = 2000
@@ -72,6 +78,38 @@ def standardize(emb: EmbeddingMatrix) -> EmbeddingMatrix:
     rows = np.ldexp(emb.matrix, _unit_exponent(high, low))
     rows /= np.sqrt(np.mean(rows * rows))
     return EmbeddingMatrix(emb.vocab, rows)
+
+
+def per_offset_counts(docs, window: int, min_count: int, weighting: str) -> CooccurrenceCounts:
+    """``count_cooccurrences`` as one COO-to-CSR conversion per offset k, the
+    conversions summed in offset order and then added to their transpose."""
+    freq = Counter(chain.from_iterable(docs))
+    vocab = tuple(sorted((w for w, c in freq.items() if c >= min_count),
+                         key=lambda w: (-freq[w], w)))
+    index = {w: i for i, w in enumerate(vocab)}
+    n = len(vocab)
+    ids = np.array([index.get(t, -1) for doc in docs for t in doc], dtype=np.int64)
+    doc_of = np.repeat(np.arange(len(docs)), [len(doc) for doc in docs])
+    kept = ids >= 0
+    ids, doc_of = ids[kept], doc_of[kept]
+    forward = sparse.csr_array((n, n), dtype=np.float64)
+    for k in range(1, window + 1):
+        same_doc = doc_of[:-k] == doc_of[k:]
+        rows, cols = ids[:-k][same_doc], ids[k:][same_doc]
+        data = np.full(rows.shape, 1.0 if weighting == "flat" else 1.0 / k)
+        forward = forward + sparse.coo_array((data, (rows, cols)), shape=(n, n)).tocsr()
+    return CooccurrenceCounts(vocab=vocab, counts=forward + forward.T, window=window,
+                              min_count=min_count)
+
+
+def per_line_counts_text(counts: CooccurrenceCounts) -> bytes:
+    """The bytes ``save_counts`` writes, one ``"%d %d %.17g"`` line per upper-triangle cell."""
+    coo = counts.counts.tocoo()
+    keep = coo.row <= coo.col
+    lines = [f"# window {counts.window}\n", f"# min_count {counts.min_count}\n"]
+    lines += ["%d %d %.17g\n" % cell
+              for cell in zip(*(a[keep].tolist() for a in (coo.row, coo.col, coo.data)))]
+    return "".join(lines).encode("utf-8")
 
 
 def read_saved_counts(path: Path) -> tuple[dict[str, int], sparse.csr_array, tuple[str, ...]]:

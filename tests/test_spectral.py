@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+import scipy.linalg
 from scipy import sparse
 
 import rpd.spectral
 from _corpus import synthetic_corpus_text
-from _oracle import assert_saved_exactly, read_saved_counts
+from _oracle import (assert_saved_exactly, per_line_counts_text, per_offset_counts,
+                     read_saved_counts)
 from rpd import (
     CooccurrenceCounts,
     CorpusError,
@@ -22,6 +24,7 @@ from rpd import (
     train_spectral_embedding,
     truncated_svd,
 )
+from rpd.spectral import WEIGHTINGS
 
 
 def dense_counts(array, vocab=None, window=1, min_count=1):
@@ -191,6 +194,57 @@ def test_counts_match_brute_force(docs, window, min_count, weighting):
     else:
         np.testing.assert_allclose(counts.counts.toarray(), dense, rtol=1e-13, atol=0)
         assert counts.total == pytest.approx(dense.sum(), rel=1e-13, abs=0)
+
+
+def assert_counts_match_oracle(counts, oracle, weighting, rtol):
+    """Flat counts are bit-identical to the per-offset sum; harmonic ones hold
+    the same cells, within ``rtol``."""
+    assert counts.vocab == oracle.vocab
+    for name in ("indptr", "indices"):
+        assert np.array_equal(getattr(counts.counts, name), getattr(oracle.counts, name))
+    if weighting == "flat":
+        assert np.array_equal(counts.counts.data, oracle.counts.data)
+        assert counts.total == oracle.total
+    else:
+        np.testing.assert_allclose(counts.counts.data, oracle.counts.data, rtol=rtol, atol=0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(docs=st.lists(st.lists(st.sampled_from("abcdefghij"), max_size=40), min_size=1,
+                     max_size=8),
+       window=st.integers(1, 10), min_count=st.integers(1, 3),
+       weighting=st.sampled_from(WEIGHTINGS))
+def test_counts_match_per_offset_oracle(docs, window, min_count, weighting):
+    # 3000 random corpora of this kind differed from the oracle by at most
+    # 4.5e-16 relative with harmonic weights.
+    try:
+        counts = count_cooccurrences(docs, window, min_count, weighting)
+    except CorpusError:
+        return
+    oracle = per_offset_counts(docs, window, min_count, weighting)
+    assert_counts_match_oracle(counts, oracle, weighting, rtol=2e-15)
+
+
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_corpus_counts_match_per_offset_oracle(weighting):
+    # The oracle adds each offset's 1/k once per pair, so its harmonic cells
+    # carry more rounding than the counter's; measured 2.6e-15 relative here.
+    docs = tokenize_corpus_text(synthetic_corpus_text(30000, vocab_size=300, seed=0))
+    assert_counts_match_oracle(count_cooccurrences(docs, 10, 1, weighting),
+                               per_offset_counts(docs, 10, 1, weighting), weighting, rtol=1e-14)
+
+
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_int64_keys_match_per_offset_oracle(weighting):
+    # Beyond 46,340 kept words the cell keys i·n + j no longer fit int32.
+    n = 46_400
+    words = [f"w{i}" for i in range(n)]
+    tokens = words + [words[i] for i in np.random.default_rng(0).integers(n, size=20_000)]
+    docs = [tokens[i:i + 50] for i in range(0, len(tokens), 50)]
+    counts = count_cooccurrences(docs, 3, 1, weighting)
+    assert len(counts.vocab) ** 2 >= 2**31
+    assert_counts_match_oracle(counts, per_offset_counts(docs, 3, 1, weighting), weighting,
+                               rtol=2e-15)
 
 
 class TestCountsRecord:
@@ -414,6 +468,60 @@ class TestTruncatedSvd:
         np.testing.assert_allclose(factors.U, expected, atol=1e-12)
         np.testing.assert_allclose(factors.U.T @ factors.U, np.eye(d), rtol=0, atol=1e-13)
 
+    # n = 64: inverse iteration up to d = 8, divide and conquer above.
+    @pytest.mark.parametrize("d", [8, 9], ids=["inverse-iteration", "divide-and-conquer"])
+    @pytest.mark.parametrize("case", ["blocks", "no-negative", "all-negative"])
+    def test_dense_edges_match_eigh(self, rng, monkeypatch, case, d):
+        # Magnitudes 1/64 apart, so every chosen eigenvector is defined up to sign.
+        n = 64
+        magnitude = np.linspace(3.0, 1.0, n)
+        if case == "blocks":
+            # Four 16×16 blocks: the tridiagonal form splits into four, and the
+            # chosen eigenvalues lie in more than one.
+            sign = rng.choice([-1.0, 1.0], n)
+            lam = rng.permutation(magnitude * sign)
+            m = np.zeros((n, n))
+            for b in range(0, n, 16):
+                q = np.linalg.qr(rng.standard_normal((16, 16)))[0]
+                m[b:b + 16, b:b + 16] = (q * lam[b:b + 16]) @ q.T
+        else:
+            # The d largest |λ| all positive (q = 0) or all negative (q = d);
+            # the rest have both signs.
+            sign = np.r_[np.full(d, 1.0 if case == "no-negative" else -1.0),
+                         rng.choice([-1.0, 1.0], n - d)]
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            m = (q * (magnitude * sign)) @ q.T
+        m = symmetric(m)
+        blocks = []
+        dstein = scipy.linalg.lapack.dstein
+
+        def spy(diag, off, w, iblock, isplit):
+            blocks.append(set(iblock[:w.size].tolist()))
+            return dstein(diag, off, w, iblock, isplit)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstein", spy)
+        factors = truncated_svd(signal_of(m), d)
+        # Divide and conquer calls no dstein.
+        found = set().union(*blocks)
+        assert not found if d == 9 else (len(found) > 1) == (case == "blocks")
+        w, v = np.linalg.eigh(m)
+        top = np.argsort(-np.abs(w), kind="stable")[:d]
+        if case != "blocks":
+            assert np.count_nonzero(w[top] < 0) == (0 if case == "no-negative" else d)
+        np.testing.assert_allclose(factors.S, np.abs(w[top]), rtol=1e-13)
+        expected = v[:, top] * np.sign(np.sum(v[:, top] * factors.U, axis=0))
+        np.testing.assert_allclose(factors.U, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [40, 39], ids=["inverse-iteration", "divide-and-conquer"])
+    def test_tie_at_the_cut_keeps_the_negative(self, rng, n):
+        # d = 5 takes 10, 9, 8, 7 and one of ±5: the negative one, as a stable
+        # sort of the ascending spectrum by −|λ| does. The rest are below 1.
+        lam = np.r_[10.0, 9.0, 8.0, 7.0, 5.0, -5.0, np.linspace(-0.9, 0.9, n - 6)]
+        axes = rng.permutation(n)
+        factors = truncated_svd(signal_of(np.diag(lam[np.argsort(axes)])), 5)
+        np.testing.assert_array_equal(factors.S, [10.0, 9.0, 8.0, 7.0, 5.0])
+        np.testing.assert_array_equal(factors.U, np.eye(n)[:, axes[[0, 1, 2, 3, 5]]])
+
     def test_eigsh_path_matches_dense_path(self, monkeypatch):
         text = synthetic_corpus_text(30000, vocab_size=350, seed=13)
         counts = count_cooccurrences(tokenize_corpus_text(text), window=5, min_count=3)
@@ -556,6 +664,33 @@ class TestCountsPersistence:
             b"0 0 0.66666666666666663\n0 1 1.5\n0 2 1.5\n0 3 1\n"
             b"1 2 1\n1 3 0.33333333333333331\n2 3 0.5\n")
         assert (tmp_path / "counts.txt.vocab").read_bytes() == b"a\nb\nc\nd\n"
+
+    # Blocks of two lines, ending in a partial block, and the default block
+    # size, which the corpus counts (19,290 lines) overflow.
+    @pytest.mark.parametrize("block", [2, rpd.spectral._SAVE_BLOCK])
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_corpus_bytes_match_per_line_writer(self, tmp_path, monkeypatch, block, weighting):
+        monkeypatch.setattr(rpd.spectral, "_SAVE_BLOCK", block)
+        docs = tokenize_corpus_text(synthetic_corpus_text(20000, vocab_size=300, seed=3))
+        counts = count_cooccurrences(docs, window=5, min_count=1, weighting=weighting)
+        path = tmp_path / "counts.txt"
+        save_counts(counts, path)
+        assert path.read_bytes() == per_line_counts_text(counts)
+
+    @pytest.mark.parametrize("block", [2, rpd.spectral._SAVE_BLOCK])
+    @pytest.mark.parametrize("value", [2.0**53 - 1, 2.0**53, 2.0**53 + 2, -0.0],
+                             ids=["2**53-1", "2**53", "2**53+2", "negative-zero"])
+    def test_edge_counts_match_per_line_writer(self, tmp_path, monkeypatch, block, value):
+        # One count at the edge of the integer path (2**53 is past it) beside
+        # small ones; a stored negative zero prints as "-0".
+        monkeypatch.setattr(rpd.spectral, "_SAVE_BLOCK", block)
+        data = np.array([3.0, value, 3.0, 1.0, 1.0, value, 5.0])
+        counts = CooccurrenceCounts(
+            vocab=("a", "b", "c"), window=2, min_count=1,
+            counts=sparse.csr_array((data, [1, 2, 0, 2, 0, 1, 2], [0, 2, 5, 7])))
+        path = tmp_path / "counts.txt"
+        save_counts(counts, path)
+        assert path.read_bytes() == per_line_counts_text(counts)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
