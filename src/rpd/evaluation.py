@@ -42,6 +42,14 @@ class SimilarityDataset:
             raise PreconditionError("similarity scores must be finite")
         object.__setattr__(self, "pairs", pairs)
 
+    @classmethod
+    def _checked(cls, pairs: tuple[tuple[str, str, float], ...]) -> SimilarityDataset:
+        """Build from pairs of words with finite float scores, at least one,
+        as the loader has checked them line by line."""
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "pairs", pairs)
+        return ds
+
 
 @dataclass(frozen=True)
 class AnalogyQuestion:
@@ -54,6 +62,18 @@ class AnalogyQuestion:
     def __post_init__(self) -> None:
         for w in (self.a, self.b, self.c, self.expected):
             _check_word(w, "analogy word")
+        self._check_expected()
+
+    @classmethod
+    def _split(cls, a: str, b: str, c: str, expected: str,
+               section: str | None) -> AnalogyQuestion:
+        """Build from four tokens of ``str.split``, which are words already."""
+        question = object.__new__(cls)
+        question.__dict__.update(a=a, b=b, c=c, expected=expected, section=section)
+        question._check_expected()
+        return question
+
+    def _check_expected(self) -> None:
         if self.expected in (self.a, self.b, self.c):
             raise PreconditionError(
                 f"expected word {self.expected!r} duplicates a query word"
@@ -119,7 +139,7 @@ def load_similarity_dataset(path: str | Path) -> SimilarityDataset:
         pairs.append((fields[0], fields[1], score))
     if not pairs:
         raise ParseError(f"{path}: no data lines")
-    return SimilarityDataset(tuple(pairs))
+    return SimilarityDataset._checked(tuple(pairs))
 
 
 def load_analogy_dataset(path: str | Path) -> AnalogyDataset:
@@ -140,7 +160,7 @@ def load_analogy_dataset(path: str | Path) -> AnalogyDataset:
         if len(fields) != 4:
             raise ParseError(f"{path}:{lineno}: expected 4 words")
         try:
-            question = AnalogyQuestion(*fields, section=section)
+            question = AnalogyQuestion._split(*fields, section=section)
         except PreconditionError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
         questions.append(question)

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .errors import CorpusError, DegenerateInputError, DimensionError, PreconditionError
-from .store import EmbeddingMatrix, _text_lines
+from .store import EmbeddingMatrix, _int_lines, _text_lines
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -439,23 +439,24 @@ def save_counts(counts: CooccurrenceCounts, path: str | Path) -> None:
     coo = counts.counts.tocoo()
     keep = coo.row <= coo.col
     cells = [coo.row[keep], coo.col[keep], coo.data[keep]]
-    # "%d" prints a nonnegative integral float below 2**53 as "%.17g" does,
-    # and faster.
+    # "%d" prints a nonnegative integral float below 2**53 as "%.17g" does.
     value = cells[2]
-    if np.all(~np.signbit(value) & (value < 2.0**53) & (value == np.trunc(value))):
-        cells[2], line = value.astype(np.int64), "%d %d %d\n"
-    else:
-        line = "%d %d %.17g\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# window {counts.window}\n")
-        fh.write(f"# min_count {counts.min_count}\n")
-        # One % per block of lines; tolist gives Python ints and floats, which
-        # format faster than numpy scalars.
+    integral = np.all(~np.signbit(value) & (value < 2.0**53) & (value == np.trunc(value)))
+    if integral:
+        cells[2] = value.astype(np.int64)
+    with open(path, "wb") as fh:
+        fh.write(f"# window {counts.window}\n# min_count {counts.min_count}\n".encode())
         for start in range(0, value.size, _SAVE_BLOCK):
-            block = [None] * (3 * min(_SAVE_BLOCK, value.size - start))
-            for k, column in enumerate(cells):
-                block[k::3] = column[start:start + _SAVE_BLOCK].tolist()
-            fh.write(line * (len(block) // 3) % tuple(block))
+            block = [column[start:start + _SAVE_BLOCK] for column in cells]
+            if integral:
+                fh.write(_int_lines(block))
+            else:
+                # One % per block of lines; tolist gives Python ints and
+                # floats, which format faster than numpy scalars.
+                flat = [None] * (3 * len(block[0]))
+                for k, column in enumerate(block):
+                    flat[k::3] = column.tolist()
+                fh.write(("%d %d %.17g\n" * len(block[0]) % tuple(flat)).encode())
     with open(path.with_name(path.name + ".vocab"), "w", encoding="utf-8") as fh:
         for word in counts.vocab:
             fh.write(word + "\n")

@@ -36,7 +36,13 @@ written. ``rm -rf ~/.cache/rpd`` clears it. A first load costs up to about
 15% more than a parse alone, for the hash and the write.
 
 Floats are written with ten significant digits so that a save/load round
-trip reproduces values within 1e-8.
+trip reproduces values within 1e-8: each value exactly as ``_FLOAT_FMT % value``
+(``"%.9e"``) prints it. ``save_embeddings`` prints whole blocks of values at
+once: numpy splits each value into its sign, ten mantissa digits and exponent,
+and the digits come in five-digit chunks from one table of ``"%05d"``; a value
+too close to a rounding tie, or outside the range where that split is exact,
+and a row with a three-digit exponent are printed by ``%`` itself. The counts
+export of ``rpd.spectral`` prints integer counts from the same table.
 """
 
 from __future__ import annotations
@@ -63,7 +69,17 @@ from .errors import (
     RpdError,
 )
 
-_FLOAT_FMT = "%.9e"  # ten significant digits
+_FLOAT_FMT = "%.9e"  # ten significant digits; _float_lines prints it digit by digit
+# Every power of ten a double holds exactly: 10**0 to 10**22.
+_EXACT_POW10 = np.array([float(10**k) for k in range(23)])
+_PRINT_BLOCK = 1 << 16  # values save_embeddings prints at a time
+# One value as save_embeddings prints it, 17 bytes: the sign (NUL for +), a
+# digit, ".", nine digits, "e", the exponent's sign and two digits, then " " or
+# "\n". The digits are five-digit chunks of the digit table: ``head`` lands one
+# byte right, and its first digit moves left over the dot; ``power`` starts
+# three bytes early, and ``tail``, "e" and the sign overwrite its leading zeros.
+_VALUE_TEXT = np.dtype({"names": ["head", "tail", "power"], "formats": ["V5", "V5", "V5"],
+                        "offsets": [2, 7, 11], "itemsize": 17})
 _CACHE_CAP = 1 << 30  # bytes the parse cache may hold
 
 
@@ -486,13 +502,105 @@ def _evict(directory: Path) -> None:
 def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
     """Write an embedding matrix as word2vec text, header line first.
 
+    Each value is printed as ``_FLOAT_FMT % value`` would print it; see the
+    module docstring.
+
     I/O failures propagate as OSError with the path in the message.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{emb.n} {emb.dim}\n")
-        row_fmt = " ".join([_FLOAT_FMT] * emb.dim) + "\n"
-        for word, row in zip(emb.vocab, emb.matrix.tolist()):
-            fh.write(word + " " + row_fmt % tuple(row))
+    rows = max(1, _PRINT_BLOCK // emb.dim)
+    with open(path, "wb") as fh:
+        fh.write(f"{emb.n} {emb.dim}\n".encode())
+        for start in range(0, emb.n, rows):
+            words = emb.vocab[start:start + rows]
+            texts = _float_lines(emb.matrix[start:start + rows])
+            fh.write(b"".join((word + " ").encode() + text for word, text in zip(words, texts)))
+
+
+@cache
+def _digit_table() -> np.ndarray:
+    """``"%05d" % k`` as five ASCII bytes, one ``V5`` item, at index k, for every k below 100,000.
+
+    Built on first use, so importing the package does not pay for it.
+    """
+    digits = np.indices((10,) * 5, dtype=np.uint8).reshape(5, -1).T + ord("0")
+    return np.ascontiguousarray(digits).view("V5")[:, 0]
+
+
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` ASCII digits, zero-padded, of each integer in ``values``
+    (0 <= value < 10**width), along a new last axis."""
+    high, chunks = values, []
+    for _ in range(-(-width // 5) - 1):
+        high, low = np.divmod(high, 100_000)
+        chunks.insert(0, np.take(_digit_table(), low))
+    chunks.insert(0, np.take(_digit_table(), high))
+    return np.stack(chunks, axis=-1).view(np.uint8)[..., -width:]
+
+
+def _int_lines(columns: Sequence[np.ndarray]) -> bytes:
+    """``"%d %d ... %d\\n"`` for each row of the integer ``columns`` (0 <= value < 2**63),
+    encoded: the same bytes as ``%``."""
+    widths = [len(str(int(column.max(initial=0)))) for column in columns]
+    lines = np.full((len(columns[0]), sum(widths) + len(widths)), ord(" "), dtype=np.uint8)
+    lines[:, -1] = ord("\n")
+    at = 0
+    for column, width in zip(columns, widths):
+        field = lines[:, at:at + width]
+        field[...] = _digits(column, width)
+        for place in range(width - 1):  # leading zeros become NULs, squeezed out below
+            field[:, place] *= column >= 10 ** (width - 1 - place)
+        at += width + 1
+    return lines[lines != 0].tobytes()
+
+
+def _float_lines(rows: np.ndarray) -> list[bytes]:
+    """The text of each row of ``rows``, encoded: every value as ``_FLOAT_FMT``
+    prints it, a space between values and a newline after the last.
+
+    Each value splits into its sign, exponent ``e = floor(log10|x|)`` and
+    ten-digit mantissa ``m = rint(|x|·10^(9−e))``. For -13 <= e <= 31 the
+    power of ten is exact, so ``|x|·10^(9−e)`` is rounded once, to within
+    about 2⁻²⁰, and ``rint`` rounds as ``%`` does unless that is within 1e-4 of
+    a tie. ``%`` itself prints a value near a tie, one whose m falls outside
+    [10⁹, 10¹⁰) (log10 off by one, or a carry into the next power of ten) and
+    one whose e is out of that range; and a row with a three-digit exponent.
+    """
+    magnitude = np.abs(rows)
+    zero = magnitude == 0.0
+    with np.errstate(divide="ignore"):
+        exponent = np.floor(np.log10(magnitude))
+    exponent[zero] = 0.0
+    shift = 9 - exponent.astype(np.int64)
+    power = _EXACT_POW10[np.minimum(np.abs(shift), len(_EXACT_POW10) - 1)]
+    with np.errstate(over="ignore"):  # a product past the largest double is not selected
+        scaled = np.where(shift >= 0, magnitude * power, magnitude / power)
+    mantissa = np.rint(scaled)
+    redo = ((np.abs(scaled - mantissa) > 0.5 - 1e-4) | (mantissa < 1e9) | (mantissa >= 1e10)
+            | (np.abs(shift) >= len(_EXACT_POW10))) & ~zero
+    for k in np.flatnonzero(redo):
+        printed = _FLOAT_FMT % magnitude.flat[k]  # "D.DDDDDDDDDe±XX[X]"
+        mantissa.flat[k], exponent.flat[k] = int(printed[0] + printed[2:11]), int(printed[12:])
+    mantissa, exponent = mantissa.astype(np.int64), exponent.astype(np.int64)
+
+    table = _digit_table()
+    value = np.empty(rows.shape, _VALUE_TEXT)
+    value["power"] = np.take(table, np.abs(exponent))
+    value["head"] = np.take(table, mantissa // 100_000)
+    value["tail"] = np.take(table, mantissa % 100_000)
+    text = value.view(np.uint8).reshape(*rows.shape, _VALUE_TEXT.itemsize)
+    text[..., 0] = np.signbit(rows)
+    text[..., 0] *= ord("-")
+    text[..., 1] = text[..., 2]
+    text[..., 2] = ord(".")
+    text[..., 12] = ord("e")
+    text[..., 13] = np.where(exponent < 0, ord("-"), ord("+"))
+    text[..., 16] = ord(" ")
+    text[:, -1, 16] = ord("\n")
+    lines = text[text != 0].tobytes().splitlines(keepends=True)
+    row_fmt = " ".join([_FLOAT_FMT] * rows.shape[1]) + "\n"
+    for i in np.flatnonzero(np.any(np.abs(exponent) >= 100, axis=1)):
+        lines[i] = (row_fmt % tuple(rows[i].tolist())).encode()
+    return lines
 
 
 def _restricted_rows(emb: EmbeddingMatrix, words: Sequence[str]) -> np.ndarray:

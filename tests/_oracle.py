@@ -4,7 +4,9 @@
 ``standardize`` builds the standardized n-by-d copy the metric never makes,
 ``per_offset_counts`` sums one sparse matrix per window offset where the
 counter sorts packed cell keys once, ``per_line_counts_text`` formats the
-counts file one line at a time where ``save_counts`` formats blocks,
+counts file one line at a time where ``save_counts`` prints blocks from a
+digit table, ``per_row_embedding_text`` formats each embedding row with one
+``%`` where ``save_embeddings`` prints blocks of rows from the same table,
 ``read_saved_counts`` parses the counts file that rpd only writes, for
 ``assert_saved_exactly``, and ``regex_documents`` splits corpus text into
 lines with a regex instead of the file reader's universal newlines.
@@ -109,6 +111,16 @@ def per_line_counts_text(counts: CooccurrenceCounts) -> bytes:
     lines = [f"# window {counts.window}\n", f"# min_count {counts.min_count}\n"]
     lines += ["%d %d %.17g\n" % cell
               for cell in zip(*(a[keep].tolist() for a in (coo.row, coo.col, coo.data)))]
+    return "".join(lines).encode("utf-8")
+
+
+def per_row_embedding_text(emb: EmbeddingMatrix) -> bytes:
+    """The bytes ``save_embeddings`` writes: the header, then each row as its word
+    and one ``"%.9e"`` per value, formatted by one ``%`` per row."""
+    row_fmt = " ".join(["%.9e"] * emb.dim) + "\n"
+    lines = [f"{emb.n} {emb.dim}\n"]
+    lines += [word + " " + row_fmt % tuple(row)
+              for word, row in zip(emb.vocab, emb.matrix.tolist())]
     return "".join(lines).encode("utf-8")
 
 

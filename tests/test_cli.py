@@ -849,6 +849,18 @@ def test_cli_import_leaves_out_scipy_stats(module):
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_builds_no_digit_table():
+    # The writers' digit table is built on first use; every command that
+    # writes no embedding or counts file would otherwise pay for it.
+    code = ("import rpd.cli, rpd.store as s; print(s._digit_table.cache_info().currsize); "
+            "s._digits(s.np.arange(3), 1); print(s._digit_table.cache_info().currsize)")
+    src = str(Path(rpd.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["0", "1"]
+
+
 def test_readme_examples_use_real_options():
     # Each `rpd …` line of the README, with its continuation lines joined.
     text = README.read_text(encoding="utf-8").replace("\\\n", " ")

@@ -367,7 +367,7 @@ class TestDatasetFiles:
         path = tmp_path / "sim.tsv"
         path.write_text("word1\tword2\tscore\ncat\tdog\t7.5\nsun\tmoon\t4.0\n")
         ds = load_similarity_dataset(path)
-        assert ds.pairs == (("cat", "dog", 7.5), ("sun", "moon", 4.0))
+        assert ds == SimilarityDataset((("cat", "dog", 7.5), ("sun", "moon", 4.0)))
 
     def test_similarity_header_after_blank_line(self, tmp_path):
         path = tmp_path / "sim.tsv"
@@ -419,9 +419,11 @@ class TestDatasetFiles:
             ": family\nboy girl man woman\n"
         )
         ds = load_analogy_dataset(path)
-        assert len(ds.questions) == 2
-        assert ds.questions[0].section == "capital-common"
-        assert ds.questions[1].expected == "woman"
+        assert ds == AnalogyDataset((
+            AnalogyQuestion("paris", "france", "rome", "italy", section="capital-common"),
+            AnalogyQuestion("boy", "girl", "man", "woman", section="family")))
+        assert hash(ds.questions[1]) == hash(AnalogyQuestion("boy", "girl", "man", "woman",
+                                                             section="family"))
 
     def test_analogy_wrong_field_count(self, tmp_path):
         path = tmp_path / "ana.txt"

@@ -692,6 +692,32 @@ class TestCountsPersistence:
         save_counts(counts, path)
         assert path.read_bytes() == per_line_counts_text(counts)
 
+    @pytest.mark.parametrize("block", [2, rpd.spectral._SAVE_BLOCK])
+    @pytest.mark.parametrize("fraction", [False, True], ids=["integral", "harmonic"])
+    def test_chunk_boundaries_match_per_line_writer(self, tmp_path, monkeypatch, block,
+                                                    fraction):
+        # Indices and counts on each side of a digit and of a five-digit chunk,
+        # in a vocabulary of more than 100,000 words; one fractional count
+        # sends the whole file through the "%.17g" path.
+        monkeypatch.setattr(rpd.spectral, "_SAVE_BLOCK", block)
+        n = 100_002
+        ids = [0, 9, 10, 99_999, 100_000, n - 1]
+        values = [9.0, 10.0, 99_999.0, 100_000.0, 1e10, 2.0**53 - 1, 1.0]
+        cells = [(i, j) for i in ids for j in ids if i <= j]
+        upper = [values[k % len(values)] for k in range(len(cells))]
+        if fraction:
+            upper[3] = 0.5
+        rows, cols = (np.array(c) for c in zip(*cells))
+        below = rows < cols
+        counts = CooccurrenceCounts(
+            vocab=tuple(f"w{i}" for i in range(n)), window=2, min_count=1,
+            counts=sparse.coo_array((np.r_[upper, np.array(upper)[below]],
+                                     (np.r_[rows, cols[below]], np.r_[cols, rows[below]])),
+                                    shape=(n, n)).tocsr())
+        path = tmp_path / "counts.txt"
+        save_counts(counts, path)
+        assert path.read_bytes() == per_line_counts_text(counts)
+
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(docs=corpora, window=st.integers(1, 4), weighting=st.sampled_from(["flat", "harmonic"]))

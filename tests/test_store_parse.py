@@ -1,13 +1,18 @@
-"""The bulk text parse of ``load_embeddings`` against the per-line parser.
+"""The bulk text parse of ``load_embeddings`` against the per-line parser,
+and the whole-array writer of ``save_embeddings`` against a per-row one.
 
 ``store._parse_per_line`` is the line-at-a-time parser that the bulk path
 falls back to; every file here must load to the same vocabulary and the same
-bits through both, and raise the same error with the same message.
+bits through both, and raise the same error with the same message. Every
+saved file must hold the bytes of ``_oracle.per_row_embedding_text``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from _oracle import per_row_embedding_text
 from rpd import (
     DuplicateWordError,
     EmbeddingMatrix,
@@ -169,12 +174,31 @@ class TestBulkErrors:
         assert str(exc.value) == f"{path}:1: header sizes must be positive"
 
 
-def per_value_text(emb):
-    """The writer's output as formatted one value at a time."""
-    return f"{emb.n} {emb.dim}\n" + "".join(
-        word + " " + " ".join("%.9e" % v for v in row) + "\n"
-        for word, row in zip(emb.vocab, emb.matrix)
-    )
+# Values at the writer's edges: ties and near-ties in the tenth digit, carries
+# into the next power of ten, powers of ten where log10 may round up, the ends
+# of the exactly held powers of ten (exponents -13 to 31), two- and three-digit
+# exponents, and the ends of the double range.
+EDGE_VALUES = [
+    0.0, 0.12345678905, 0.12345678915, 1.0000000005, 9.9999999995, 9.99999999949,
+    9.99999999951, 0.99999999995, 12345678905.0, 12345678915.0, 10000000005.0,
+    99999999995.0, 1e-13, 9.9999999996e-14, 1e-14, 1e31, 9.9999999996e31, 1e32, 1e-99,
+    9.9999999996e99, 1e99, 1e100, 1e-100, 1e300, 1e-300, 5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308,
+]
+EDGE_VALUES += [-v for v in EDGE_VALUES]
+EDGE_VALUES += [float(np.nextafter(v, 0.0)) for v in EDGE_VALUES]
+EDGE_VALUES += [10.0**k for k in range(-25, 26)]
+
+matrices = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+    elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.floats(-1e4, 1e4), st.sampled_from(EDGE_VALUES)))
+
+
+def saved_bytes(path, matrix, vocab=None):
+    emb = EmbeddingMatrix(vocab or tuple(f"w{i}" for i in range(len(matrix))), matrix)
+    save_embeddings(emb, path)
+    return path.read_bytes(), per_row_embedding_text(emb)
 
 
 class TestSaveRows:
@@ -182,7 +206,33 @@ class TestSaveRows:
         matrix = rng.standard_normal((6, 5)) * 1e3
         matrix[0, :4] = [-0.0, 1e-300, 1e300, -1e300]
         matrix[1, :3] = [-1e-300, -5e-324, -7.25]
-        emb = EmbeddingMatrix(tuple(f"w{i}" for i in range(6)), matrix)
-        path = tmp_path / "e.txt"
-        save_embeddings(emb, path)
-        assert path.read_bytes() == per_value_text(emb).encode("utf-8")
+        # Words are written as they are, a NUL or a non-ASCII letter too.
+        vocab = ("w0", "nul\x00word", "żółw", "w3", "w4", "w5")
+        saved, expected = saved_bytes(tmp_path / "e.txt", matrix, vocab)
+        assert saved == expected
+
+    def test_edge_values_match_per_row_format(self, tmp_path):
+        # One value per row: each prints the fast way or through "%"'s own.
+        saved, expected = saved_bytes(tmp_path / "e.txt", np.array(EDGE_VALUES)[:, None])
+        assert saved == expected
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_rows_around_the_block_size(self, tmp_path, rng, extra):
+        # One block less a row, one block, one block and a row; the last row
+        # of the first block has a three-digit exponent.
+        d = 100
+        n = store._PRINT_BLOCK // d + extra
+        matrix = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-16, 33, (n, d))
+        matrix[min(n, store._PRINT_BLOCK // d) - 1, 7] = 1e-300
+        saved, expected = saved_bytes(tmp_path / "e.txt", matrix)
+        assert saved == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(matrix=matrices)
+@example(matrix=np.array([[5e-324, -0.0, 0.0, 1e300, -1e-300, 1.5]]))
+@example(matrix=np.array([[1e99], [1e100], [-1e-100], [0.12345678905]]))
+def test_saved_bytes_match_per_row_format(tmp_path_factory, matrix):
+    path = tmp_path_factory.mktemp("save") / "e.txt"
+    saved, expected = saved_bytes(path, matrix)
+    assert saved == expected
