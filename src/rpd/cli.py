@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .errors import RpdError
+from .errors import PreconditionError, RpdError
 from .evaluation import (
     AnalogyDataset,
     SimilarityDataset,
@@ -28,7 +28,7 @@ from .metric import decompose_per_word, rpd, rpd_pairwise_matrix
 from .nullmodel import dependence_test
 from .spectral import (SIGNALS, WEIGHTINGS, count_cooccurrences, read_corpus, save_counts,
                        train_spectral_embedding)
-from .store import (EmbeddingMatrix, _is_word, align_vocabularies, load_embeddings,
+from .store import (EmbeddingMatrix, _check_words, align_vocabularies, load_embeddings,
                     save_embeddings)
 
 
@@ -61,8 +61,10 @@ def _parse_named(specs: tuple[str, ...]) -> list[tuple[str, EmbeddingMatrix]]:
     for spec, (name, sep, path) in zip(specs, named):
         if not sep or not name or not path:
             raise click.UsageError(f"--emb expects NAME=PATH, got {spec!r}")
-        if not _is_word(name):
-            raise click.UsageError(f"--emb NAME must be a word without whitespace, got {name!r}")
+        try:
+            _check_words([name], "--emb NAME")
+        except PreconditionError as exc:
+            raise click.UsageError(str(exc)) from None
     return [(name, load_embeddings(path)) for name, _, path in named]
 
 

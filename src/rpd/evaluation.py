@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParseError, PreconditionError, RpdError
 from .metric import _unit_exponent, rpd as _rpd
-from .store import (EmbeddingMatrix, _check_names, _check_word, _is_word, _text_lines, _tsv,
+from .store import (EmbeddingMatrix, _check_names, _check_words, _text_lines, _tsv,
                     _word_order, align_vocabularies)
 
 _BLOCK_SCORES = 1 << 20  # analogy scores per matrix product: 8 MB of float64
@@ -35,9 +35,7 @@ class SimilarityDataset:
         pairs = tuple((a, b, float(s)) for a, b, s in self.pairs)
         if not pairs:
             raise PreconditionError("similarity dataset has no pairs")
-        for pair in pairs:
-            for word in pair[:2]:
-                _check_word(word, "similarity word")
+        _check_words([word for pair in pairs for word in pair[:2]], "similarity word")
         if not all(np.isfinite(s) for _, _, s in pairs):
             raise PreconditionError("similarity scores must be finite")
         object.__setattr__(self, "pairs", pairs)
@@ -60,8 +58,7 @@ class AnalogyQuestion:
     section: str | None = None
 
     def __post_init__(self) -> None:
-        for w in (self.a, self.b, self.c, self.expected):
-            _check_word(w, "analogy word")
+        _check_words((self.a, self.b, self.c, self.expected), "analogy word")
         self._check_expected()
 
     @classmethod
@@ -132,8 +129,8 @@ def load_similarity_dataset(path: str | Path) -> SimilarityDataset:
             raise ParseError(f"{path}:{lineno}: non-numeric score {fields[2]!r}") from None
         if not np.isfinite(score):
             raise ParseError(f"{path}:{lineno}: non-finite score {fields[2]!r}")
-        for word in fields[:2]:
-            if not _is_word(word):
+        for word in fields[:2]:  # decoded text, so UTF-8 encodes it
+            if word.split() != [word]:
                 raise ParseError(f"{path}:{lineno}: word is empty or contains whitespace: "
                                  f"{word!r}")
         pairs.append((fields[0], fields[1], score))

@@ -39,10 +39,11 @@ Floats are written with ten significant digits so that a save/load round
 trip reproduces values within 1e-8: each value exactly as ``_FLOAT_FMT % value``
 (``"%.9e"``) prints it. ``save_embeddings`` prints whole blocks of values at
 once: numpy splits each value into its sign, ten mantissa digits and exponent,
-and the digits come in five-digit chunks from one table of ``"%05d"``; a value
-too close to a rounding tie, or outside the range where that split is exact,
-and a row with a three-digit exponent are printed by ``%`` itself. The counts
-export of ``rpd.spectral`` prints integer counts from the same table.
+and one digit writer, ``_digits``, puts the digits in place five at a time
+from a table of ``"%05d"``; a value too close to a rounding tie, or outside the
+range where that split is exact, and a row with a three-digit exponent are
+printed by ``%`` itself. The counts export of ``rpd.spectral`` prints its
+integer counts through the same writer.
 """
 
 from __future__ import annotations
@@ -73,33 +74,30 @@ _FLOAT_FMT = "%.9e"  # ten significant digits; _float_lines prints it digit by d
 # Every power of ten a double holds exactly: 10**0 to 10**22.
 _EXACT_POW10 = np.array([float(10**k) for k in range(23)])
 _PRINT_BLOCK = 1 << 16  # values save_embeddings prints at a time
-# One value as save_embeddings prints it, 17 bytes: the sign (NUL for +), a
-# digit, ".", nine digits, "e", the exponent's sign and two digits, then " " or
-# "\n". The digits are five-digit chunks of the digit table: ``head`` lands one
-# byte right, and its first digit moves left over the dot; ``power`` starts
-# three bytes early, and ``tail``, "e" and the sign overwrite its leading zeros.
-_VALUE_TEXT = np.dtype({"names": ["head", "tail", "power"], "formats": ["V5", "V5", "V5"],
-                        "offsets": [2, 7, 11], "itemsize": 17})
 _CACHE_CAP = 1 << 30  # bytes the parse cache may hold
 
 
-def _is_word(word: object) -> bool:
-    """Whether ``word`` is a word: a non-empty ``str`` without whitespace."""
-    return isinstance(word, str) and word.split() == [word]
+def _check_words(words: Sequence[object], kind: str) -> None:
+    """Require that each of ``words`` is a word: a non-empty ``str`` without
+    whitespace that UTF-8 encodes. ``kind`` says what each is in the error.
 
-
-def _check_word(word: object, kind: str) -> None:
-    """Require that ``word`` is a word; ``kind`` says what it is in the error."""
-    if not _is_word(word):
-        raise PreconditionError(f"{kind} must be a word without whitespace, got {word!r}")
+    UTF-8 is checked by one encode of all the words, a space between each.
+    """
+    for word in words:
+        if not isinstance(word, str) or word.split() != [word]:
+            raise PreconditionError(f"{kind} must be a word without whitespace, got {word!r}")
+    try:
+        " ".join(words).encode("utf-8")
+    except UnicodeEncodeError as exc:  # the spaces before the failure count the words
+        word = words[exc.object.count(" ", 0, exc.start)]
+        raise PreconditionError(f"{kind} must encode as UTF-8, got {word!r}") from None
 
 
 def _check_names(names: Sequence[str], kind: str) -> None:
     """Require distinct ``names`` that are words, so each labels one TSV field."""
     if len(set(names)) != len(names):
         raise PreconditionError(f"{kind} names must be unique")
-    for name in names:
-        _check_word(name, f"{kind} name")
+    _check_words(names, f"{kind} name")
 
 
 def _tsv(header: Sequence[str], rows: Iterable[Sequence[object]],
@@ -161,9 +159,9 @@ class EmbeddingMatrix:
             raise DimensionError(
                 f"vocab length {len(vocab)} does not match matrix row count {n}"
             )
+        _check_words(vocab, "vocabulary entry")
         seen = set()
         for word in vocab:
-            _check_word(word, "vocabulary entry")
             if word in seen:
                 raise DuplicateWordError(f"duplicate word in vocabulary: {word!r}")
             seen.add(word)
@@ -517,24 +515,30 @@ def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
 
 
 @cache
-def _digit_table() -> np.ndarray:
-    """``"%05d" % k`` as five ASCII bytes, one ``V5`` item, at index k, for every k below 100,000.
+def _digit_table(width: int) -> np.ndarray:
+    """``"%0*d" % (width, k)`` as ``width`` ASCII bytes, one item, at index k, for
+    every k below ``10**width`` (1 <= width <= 5).
 
     Built on first use, so importing the package does not pay for it.
     """
-    digits = np.indices((10,) * 5, dtype=np.uint8).reshape(5, -1).T + ord("0")
-    return np.ascontiguousarray(digits).view("V5")[:, 0]
+    digits = np.indices((10,) * width, dtype=np.uint8).reshape(width, -1).T + ord("0")
+    return np.ascontiguousarray(digits).view(f"V{width}")[:, 0]
 
 
-def _digits(values: np.ndarray, width: int) -> np.ndarray:
-    """The ``width`` ASCII digits, zero-padded, of each integer in ``values``
-    (0 <= value < 10**width), along a new last axis."""
-    high, chunks = values, []
-    for _ in range(-(-width // 5) - 1):
-        high, low = np.divmod(high, 100_000)
-        chunks.insert(0, np.take(_digit_table(), low))
-    chunks.insert(0, np.take(_digit_table(), high))
-    return np.stack(chunks, axis=-1).view(np.uint8)[..., -width:]
+def _digits(values: np.ndarray, out: np.ndarray) -> None:
+    """Write the zero-padded ASCII digits of each integer in ``values`` into the
+    last axis of the ``uint8`` array ``out`` (0 <= value < 10**width, that axis's length).
+
+    Each chunk of five digits, the last first, is one ``np.take`` from the
+    digit table into its bytes of ``out``; the leading chunk may be shorter.
+    """
+    for end in range(out.shape[-1], 0, -5):
+        start = max(end - 5, 0)
+        chunk = values
+        if start:
+            values, chunk = np.divmod(values, 100_000)
+        width = end - start
+        out[..., start:end].view(f"V{width}")[..., 0] = np.take(_digit_table(width), chunk)
 
 
 def _int_lines(columns: Sequence[np.ndarray]) -> bytes:
@@ -546,7 +550,7 @@ def _int_lines(columns: Sequence[np.ndarray]) -> bytes:
     at = 0
     for column, width in zip(columns, widths):
         field = lines[:, at:at + width]
-        field[...] = _digits(column, width)
+        _digits(column, field)
         for place in range(width - 1):  # leading zeros become NULs, squeezed out below
             field[:, place] *= column >= 10 ** (width - 1 - place)
         at += width + 1
@@ -582,12 +586,12 @@ def _float_lines(rows: np.ndarray) -> list[bytes]:
         mantissa.flat[k], exponent.flat[k] = int(printed[0] + printed[2:11]), int(printed[12:])
     mantissa, exponent = mantissa.astype(np.int64), exponent.astype(np.int64)
 
-    table = _digit_table()
-    value = np.empty(rows.shape, _VALUE_TEXT)
-    value["power"] = np.take(table, np.abs(exponent))
-    value["head"] = np.take(table, mantissa // 100_000)
-    value["tail"] = np.take(table, mantissa % 100_000)
-    text = value.view(np.uint8).reshape(*rows.shape, _VALUE_TEXT.itemsize)
+    # 17 bytes a value: the sign (NUL for +, squeezed out below), a digit, ".",
+    # nine digits, "e", the exponent's sign and two digits, then " " or "\n".
+    # The ten mantissa digits land one byte right; the first moves over the dot.
+    text = np.empty((*rows.shape, 17), dtype=np.uint8)
+    _digits(mantissa, text[..., 2:12])
+    _digits(np.minimum(np.abs(exponent), 99), text[..., 14:16])  # three digits: redone below
     text[..., 0] = np.signbit(rows)
     text[..., 0] *= ord("-")
     text[..., 1] = text[..., 2]

@@ -258,6 +258,21 @@ class TestMatrix:
         assert result.exit_code == 2
         assert f"--emb NAME must be a word without whitespace, got {name!r}" in result.output
 
+    def test_name_utf8_cannot_encode_exits_2(self, tmp_path, rng):
+        # An argv byte that is not UTF-8 reaches Python as a lone surrogate;
+        # the name is refused before any output file is opened.
+        emb = EmbeddingMatrix(("aa", "bb", "cc"), rng.standard_normal((3, 2)))
+        pa = save(tmp_path, "a.txt", emb)
+        out = tmp_path / "m.tsv"
+        src = str(Path(rpd.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "rpd.cli", "matrix", "--emb", b"\xff=" + pa.encode(),
+             "--emb", f"b={pa}", "--output", str(out)],
+            cwd=src, capture_output=True, text=True)
+        assert result.returncode == 2
+        assert "--emb NAME must encode as UTF-8, got '\\udcff'" in result.stderr
+        assert not out.exists()
+
     def test_disjoint_pair_named(self, runner, tmp_path, rng):
         a = EmbeddingMatrix(("aa", "bb"), rng.standard_normal((2, 3)))
         b = EmbeddingMatrix(("cc", "dd"), rng.standard_normal((2, 3)))
@@ -853,7 +868,8 @@ def test_cli_import_builds_no_digit_table():
     # The writers' digit table is built on first use; every command that
     # writes no embedding or counts file would otherwise pay for it.
     code = ("import rpd.cli, rpd.store as s; print(s._digit_table.cache_info().currsize); "
-            "s._digits(s.np.arange(3), 1); print(s._digit_table.cache_info().currsize)")
+            "s._digits(s.np.arange(3), s.np.empty((3, 1), s.np.uint8)); "
+            "print(s._digit_table.cache_info().currsize)")
     src = str(Path(rpd.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True

@@ -352,10 +352,14 @@ class TestAnalogy:
      "similarity word must be a word without whitespace, got 1"),
     (lambda: AnalogyQuestion("a", "b", None, "d"),
      "analogy word must be a word without whitespace, got None"),
+    (lambda: SimilarityDataset((("a", "b", 1.0), ("c", "\udcff", 2.0))),
+     "similarity word must encode as UTF-8, got '\\udcff'"),
+    (lambda: AnalogyQuestion("a", "b", "c\ud800", "d"),
+     "analogy word must encode as UTF-8, got 'c\\ud800'"),
     (lambda: AnalogyDataset(()), "analogy dataset has no questions"),
 ], ids=["no_pairs", "non_finite_score", "empty_word", "whitespace_word",
         "whitespace_similarity_word", "non_str_similarity_word", "non_str_word",
-        "no_questions"])
+        "surrogate_similarity_word", "surrogate_analogy_word", "no_questions"])
 def test_dataset_validation(build, message):
     with pytest.raises(PreconditionError) as exc:
         build()

@@ -61,6 +61,15 @@ class TestEmbeddingMatrix:
             EmbeddingMatrix(("a b",), [[1.0]])
         assert str(exc.value) == "vocabulary entry must be a word without whitespace, got 'a b'"
 
+    @pytest.mark.parametrize("vocab, word", [(("\udc80", "ok"), "\udc80"),
+                                             (("ok", "x\ud800y", "z"), "x\ud800y")])
+    def test_word_utf8_cannot_encode_rejected(self, vocab, word):
+        # A lone surrogate (an undecodable byte of a file name or argv) is no
+        # text a file can hold, so no save of such a vocabulary can start.
+        with pytest.raises(PreconditionError) as exc:
+            EmbeddingMatrix(vocab, np.ones((len(vocab), 2)))
+        assert str(exc.value) == f"vocabulary entry must encode as UTF-8, got {word!r}"
+
     @pytest.mark.parametrize("word", ["", "\t", 7, None])
     def test_non_word_entry_rejected(self, word):
         with pytest.raises(PreconditionError) as exc:
@@ -230,11 +239,12 @@ def parses(monkeypatch):
     return parsed
 
 
-def save_npy(path, array, shape=None):
-    """Write ``array`` as a ``.npy`` file; ``shape`` forges the header's shape."""
+def save_npy(path, array, shape=None, version=None):
+    """Write ``array`` as a ``.npy`` file; ``shape`` forges the header's shape, and
+    ``version`` sets the format version (the oldest that fits when None)."""
     with open(path, "wb") as fh:
         if shape is None:
-            np.save(fh, array, allow_pickle=False)
+            np.lib.format.write_array(fh, array, version=version, allow_pickle=False)
         else:
             header = np.lib.format.header_data_from_array_1_0(array)
             np.lib.format.write_array_header_1_0(fh, {**header, "shape": shape})
@@ -300,8 +310,10 @@ class TestParseCache:
         lambda npy, vocab: save_npy(npy, np.ones((2, 2), dtype=">f8")),
         lambda npy, vocab: save_npy(npy, np.asfortranarray([[1.0, 2.0], [3.0, 4.0]])),
         lambda npy, vocab: save_npy(npy, np.ones((2, 2)), shape=(2, 1 << 40)),
+        lambda npy, vocab: save_npy(npy, np.array([[1.0, 2.0], [3.0, 4.0]]), version=(2, 0)),
     ], ids=["truncated_npy", "missing_vocab", "row_count_mismatch", "repeated_word",
-            "not_npy", "structured_dtype", "big_endian", "fortran_order", "forged_shape"])
+            "not_npy", "structured_dtype", "big_endian", "fortran_order", "forged_shape",
+            "version_2"])
     def test_malformed_entry_is_parsed_and_rewritten(self, tmp_path, parses, damage):
         path = write(tmp_path / "e.txt", "ab 1 2\ncd 3 4\n")
         parsed = load_embeddings(path)
@@ -328,6 +340,54 @@ class TestParseCache:
         for _ in range(2):
             assert load_embeddings(path).matrix.tolist() == [[1, 2]]
         assert len(parses) == 2
+
+    @pytest.mark.parametrize("xdg", [None, "", "relative/cache"])
+    def test_cache_falls_back_to_the_home_cache(self, tmp_path, monkeypatch, xdg):
+        if xdg is None:
+            monkeypatch.delenv("XDG_CACHE_HOME")
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        assert store._cache_dir() == tmp_path / "home" / ".cache" / "rpd"
+        assert (tmp_path / "home" / ".cache" / "rpd").is_dir()
+
+    def test_relative_home_means_no_cache(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setenv("HOME", "relative-home")
+        monkeypatch.chdir(tmp_path)
+        assert store._cache_dir() is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_posix_owner_means_no_cache(self, tmp_path, monkeypatch, parses):
+        monkeypatch.delattr(os, "getuid")
+        assert store._cache_dir() is None
+        path = write(tmp_path / "e.txt", "ab 1 2\n")
+        for _ in range(2):
+            assert load_embeddings(path).matrix.tolist() == [[1, 2]]
+        assert len(parses) == 2
+        assert cache_files() == []
+
+    def test_unreadable_module_source_means_no_cache(self, tmp_path, monkeypatch, parses):
+        source = store.__file__
+        store._parser_digest.cache_clear()
+        monkeypatch.setattr(store, "__file__", str(tmp_path / "missing.py"))
+        assert store._cache_entry(b"ab 1 2\n") is None
+        path = write(tmp_path / "e.txt", "ab 1 2\n")
+        for _ in range(2):
+            assert load_embeddings(path).matrix.tolist() == [[1, 2]]
+        assert len(parses) == 2
+        assert cache_files() == []
+        monkeypatch.setattr(store, "__file__", source)
+        assert store._cache_entry(b"ab 1 2\n") is not None  # a failed digest is not kept
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        def fail(fh):
+            fh.write(b"half")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            store._replace(tmp_path / "entry.npy", fail)
+        assert list(tmp_path.iterdir()) == []
 
     def test_editing_the_parser_makes_old_entries_unreachable(self, tmp_path, monkeypatch,
                                                              parses):
