@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .errors import CorpusError, DegenerateInputError, DimensionError, PreconditionError
-from .store import EmbeddingMatrix, _int_lines, _text_lines
+from .store import EmbeddingMatrix, _check_words, _int_lines, _text_lines
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -52,8 +52,9 @@ class CooccurrenceCounts:
     and excludes words below ``min_count``. ``counts[i, j]`` is the weighted
     number of times word j appeared within the window around word i, summed
     over both directions, so the matrix is exactly symmetric. ``total``,
-    the sum of the cells, is derived; unless it is positive, construction
-    raises ``PreconditionError``.
+    the sum of the cells, is derived. Construction raises
+    ``PreconditionError`` unless ``total`` is positive and every entry of
+    ``vocab`` is a word: a ``str`` without whitespace that UTF-8 encodes.
     """
 
     vocab: tuple[str, ...]
@@ -63,6 +64,7 @@ class CooccurrenceCounts:
     total: float = field(init=False)
 
     def __post_init__(self) -> None:
+        _check_words(self.vocab, "vocabulary entry")
         object.__setattr__(self, "total", float(self.counts.sum()))
         if not self.total > 0.0:  # NaN fails too
             raise PreconditionError(f"counts total must be positive, got {self.total}")
@@ -139,7 +141,7 @@ def count_cooccurrences(
 
     Raises:
         PreconditionError: a document that is a ``str`` (its characters would
-            count as tokens).
+            count as tokens), or a kept token that is not a word.
         CorpusError: empty vocabulary after filtering, or no pairs at all.
     """
     if window < 1:
@@ -312,8 +314,9 @@ def _dense_eigenpairs(matrix: sparse.csr_array, d: int) -> tuple[np.ndarray, np.
 
     # The d largest |λ|, in the stable order truncated_svd sorts by, are the q
     # lowest (negative) and the d − q highest eigenvalues.
-    if 8 * d <= n:
-        # Inverse iteration needs n×d memory and is fast while d is small.
+    if 12 * d <= n:
+        # Inverse iteration needs n×d memory and is fast while d is small: it
+        # overtakes stevd near n/d = 11 to 13 at n = 1000, 2000 and 4000.
         lam, z = _bisection_eigenpairs(diag, off, d)
     else:
         # Divide and conquer finds all n vectors faster than inverse iteration

@@ -33,7 +33,21 @@ means no entry, and a directory that is not the user's own, closed to other
 users, means no cache. The least recently used entries go once the cache
 holds more than ``_CACHE_CAP`` bytes (1 GiB), and a larger entry is never
 written. ``rm -rf ~/.cache/rpd`` clears it. A first load costs up to about
-15% more than a parse alone, for the hash and the write.
+10% more than a parse alone, for the hash and the write.
+
+A file loaded before is found without reading or hashing it: a ``.stamp``
+record per file, named from the parser digest and the file's device and
+inode, holds the file's size, mtime and ctime (``fstat`` of the open file)
+and its entry's key. When the stamp still matches, the entry is read. A
+load still reads and hashes the file on its first load, after any change of
+its stamp, while its ctime is less than ``_RACY_NS`` (3 s) older than the
+load's start, and when it is not a regular file (a FIFO or a device). A
+record is written only after a hit or a parse, and only when the stamp did
+not change during the read. A missing, unreadable or malformed record, or
+one whose entry is gone, means the hash. Like git's index (its "racy entry"
+rule), the stamp trusts that every change of a file moves its ctime, which
+``os.utime`` cannot set back; on a network filesystem it also trusts that
+the server's clock runs less than the margin behind this host's.
 
 Floats are written with ten significant digits so that a save/load round
 trip reproduces values within 1e-8: each value exactly as ``_FLOAT_FMT % value``
@@ -51,7 +65,10 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+import re
+import stat
 import tempfile
+import time
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -75,6 +92,13 @@ _FLOAT_FMT = "%.9e"  # ten significant digits; _float_lines prints it digit by d
 _EXACT_POW10 = np.array([float(10**k) for k in range(23)])
 _PRINT_BLOCK = 1 << 16  # values save_embeddings prints at a time
 _CACHE_CAP = 1 << 30  # bytes the parse cache may hold
+# A stamp is recorded only when the file's ctime is this much older than the
+# start of the load. Any change of the file after that start then gets a later
+# ctime, even where the kernel's clock ticks coarsely or the filesystem keeps
+# 1-2 s timestamps, so no change can leave the stamp as it was (git's "racy
+# entry" rule). ctime, unlike mtime, cannot be set back with os.utime.
+_RACY_NS = 3_000_000_000
+_KEY = re.compile(rb"[0-9a-f]{64}")  # an entry's name: a SHA-256 in lowercase hex
 
 
 def _check_words(words: Sequence[object], kind: str) -> None:
@@ -245,7 +269,18 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
         DuplicateWordError: a word occurs twice.
     """
     path = Path(path)
-    data = path.read_bytes()
+    started = time.time_ns()
+    with open(path, "rb") as fh:  # fstat of the open file: NFS revalidates on open
+        before = os.fstat(fh.fileno())
+        record = _record(before)
+        entry = _recorded_entry(record, before) if record is not None else None
+        emb = _cache_get(entry) if entry is not None else None
+        if emb is not None:
+            return emb
+        data = fh.read()
+        if not (stat.S_ISREG(before.st_mode) and before.st_ctime_ns < started - _RACY_NS
+                and _stamp(os.fstat(fh.fileno())) == _stamp(before)):
+            record = None  # the stamp may miss a change: this file hashes on every load
     entry = _cache_entry(data)
     emb = _cache_get(entry) if entry is not None else None
     if emb is None:
@@ -256,6 +291,9 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
             emb = _parse_per_line(lines, start, dim, path)
         if entry is not None:
             _cache_put(entry, emb)
+    if record is not None and entry is not None:
+        with suppress(OSError):
+            _replace(record, lambda out: out.write(_stamp(before) + entry.name.encode()))
     return emb
 
 
@@ -385,6 +423,42 @@ def _cache_entry(data: bytes) -> Path | None:
     return directory / key.hexdigest()
 
 
+def _record(info: os.stat_result) -> Path | None:
+    """The stamp record of the file ``info`` describes; None when there is no cache.
+
+    Its name holds the parser digest and the file's identity, so an edited
+    parser reads no old record, and a file keeps one record however often it
+    changes.
+    """
+    directory = _cache_dir()
+    if directory is None:
+        return None
+    try:
+        digest = _parser_digest()
+    except OSError:
+        return None
+    return directory / f"{info.st_dev}-{info.st_ino}-{digest.hex()}.stamp"
+
+
+def _stamp(info: os.stat_result) -> bytes:
+    """What a record trusts of a file: its size, mtime and ctime, a space after each."""
+    return b"%d %d %d " % (info.st_size, info.st_mtime_ns, info.st_ctime_ns)
+
+
+def _recorded_entry(record: Path, info: os.stat_result) -> Path | None:
+    """The entry ``record`` names when it holds ``info``'s stamp; None when it is
+    missing or unreadable, or holds another stamp or no 64-hex key."""
+    try:
+        text = record.read_bytes()
+    except OSError:
+        return None
+    stamp = _stamp(info)
+    key = text[len(stamp):]
+    if not text.startswith(stamp) or not _KEY.fullmatch(key):
+        return None
+    return record.with_name(key.decode())
+
+
 def _cache_dir() -> Path | None:
     """``${XDG_CACHE_HOME:-~/.cache}/rpd``, made if missing.
 
@@ -486,8 +560,8 @@ def _evict(directory: Path) -> None:
     files = []
     for item in os.scandir(directory):
         with suppress(OSError):
-            stat = item.stat()
-            files.append((stat.st_mtime_ns, stat.st_size, item.path))
+            info = item.stat()
+            files.append((info.st_mtime_ns, info.st_size, item.path))
     total = sum(size for _, size, _ in files)
     for _, size, path in sorted(files):
         if total <= _CACHE_CAP:

@@ -258,6 +258,16 @@ class TestCountsRecord:
         with pytest.raises(PreconditionError, match="counts total must be positive"):
             dense_counts([[0.0, cell], [cell, 0.0]])
 
+    @pytest.mark.parametrize("token, message", [
+        ("\udc80", "vocabulary entry must encode as UTF-8, got '\\udc80'"),
+        ("a b", "vocabulary entry must be a word without whitespace, got 'a b'"),
+    ], ids=["lone_surrogate", "space"])
+    def test_vocabulary_entries_must_be_words(self, token, message):
+        # Raised on construction, so save_counts never writes half a counts file.
+        with pytest.raises(PreconditionError) as exc:
+            count_cooccurrences([[token, "a", "b", "a", "b"]] * 3, window=2, min_count=1)
+        assert str(exc.value) == message
+
 
 class TestSignalMatrices:
     def test_pmi_hand_value(self):
@@ -468,8 +478,8 @@ class TestTruncatedSvd:
         np.testing.assert_allclose(factors.U, expected, atol=1e-12)
         np.testing.assert_allclose(factors.U.T @ factors.U, np.eye(d), rtol=0, atol=1e-13)
 
-    # n = 64: inverse iteration up to d = 8, divide and conquer above.
-    @pytest.mark.parametrize("d", [8, 9], ids=["inverse-iteration", "divide-and-conquer"])
+    # n = 64: inverse iteration up to d = 5, divide and conquer above.
+    @pytest.mark.parametrize("d", [5, 6], ids=["inverse-iteration", "divide-and-conquer"])
     @pytest.mark.parametrize("case", ["blocks", "no-negative", "all-negative"])
     def test_dense_edges_match_eigh(self, rng, monkeypatch, case, d):
         # Magnitudes 1/64 apart, so every chosen eigenvector is defined up to sign.
@@ -503,7 +513,7 @@ class TestTruncatedSvd:
         factors = truncated_svd(signal_of(m), d)
         # Divide and conquer calls no dstein.
         found = set().union(*blocks)
-        assert not found if d == 9 else (len(found) > 1) == (case == "blocks")
+        assert not found if d == 6 else (len(found) > 1) == (case == "blocks")
         w, v = np.linalg.eigh(m)
         top = np.argsort(-np.abs(w), kind="stable")[:d]
         if case != "blocks":
@@ -512,7 +522,7 @@ class TestTruncatedSvd:
         expected = v[:, top] * np.sign(np.sum(v[:, top] * factors.U, axis=0))
         np.testing.assert_allclose(factors.U, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [40, 39], ids=["inverse-iteration", "divide-and-conquer"])
+    @pytest.mark.parametrize("n", [60, 59], ids=["inverse-iteration", "divide-and-conquer"])
     def test_tie_at_the_cut_keeps_the_negative(self, rng, n):
         # d = 5 takes 10, 9, 8, 7 and one of ±5: the negative one, as a stable
         # sort of the ascending spectrum by −|λ| does. The rest are below 1.

@@ -1,7 +1,10 @@
+import hashlib
+import io
 import os
 import shutil
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -454,6 +457,189 @@ class TestParseCache:
         assert load_embeddings(write(tmp_path / "e.txt", "ab 1 2\n")).n == 1
         assert cache_files() == []
 
+
+def stamps():
+    """The names of the stamp records in the parse cache."""
+    return [name for name in cache_files() if name.endswith(".stamp")]
+
+
+def settle(path):
+    """Wait until the ctime of ``path`` is older than the racy margin by the
+    filesystem's own clock: until a file touched beside it has a ctime that
+    far past it."""
+    probe = path.with_name(path.name + ".probe")
+    while True:
+        probe.touch()
+        if probe.stat().st_ctime_ns - path.stat().st_ctime_ns > store._RACY_NS:
+            break
+        time.sleep(store._RACY_NS / 4e9)
+    probe.unlink()
+
+
+def spy_reads(monkeypatch, path, then=lambda: None):
+    """The reads of ``path`` through the store's ``open``, one item each;
+    ``then`` runs after each read."""
+    reads = []
+
+    class Spy(io.BufferedReader):
+        def read(self, size=-1):
+            data = super().read(size)
+            reads.append(size)
+            then()
+            return data
+
+    def spy_open(file, mode):
+        return Spy(io.FileIO(file, mode)) if file == path else open(file, mode)
+
+    monkeypatch.setattr(store, "open", spy_open, raising=False)
+    return reads
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    """One item per hash of a file's text, that is, per load that took the hash path."""
+    store._parser_digest()  # made once, before any load is counted
+    hashed = []
+    sha256 = hashlib.sha256
+
+    def counting(*args):
+        hashed.append(args)
+        return sha256(*args)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    return hashed
+
+
+@pytest.fixture
+def short_margin(monkeypatch):
+    """A 50 ms racy margin, so that ``settle`` waits that long rather than seconds."""
+    monkeypatch.setattr(store, "_RACY_NS", 50_000_000)
+
+
+@pytest.mark.usefixtures("short_margin")
+class TestStampRecord:
+    def test_record_hit_neither_reads_nor_hashes(self, tmp_path, monkeypatch, parses, hashes):
+        path = write(tmp_path / "e.txt", "ab 1 2\ncd 3 4\n")
+        settle(path)
+        parsed = load_embeddings(path)
+        assert len(stamps()) == 1 and len(hashes) == 1
+        reads = spy_reads(monkeypatch, path)
+        assert same_embedding(load_embeddings(path), parsed)
+        assert reads == [] and len(hashes) == 1
+        assert parses == [path]
+
+    def test_same_size_rewrite_with_restored_mtime_is_parsed(self, tmp_path, parses, hashes):
+        path = write(tmp_path / "e.txt", "ab 1 2\ncd 3 4\n")
+        settle(path)
+        before = path.stat()
+        assert load_embeddings(path).matrix.tolist() == [[1, 2], [3, 4]]
+        assert len(stamps()) == 1
+        write(path, "ab 1 2\ncd 3 5\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert load_embeddings(path).matrix.tolist() == [[1, 2], [3, 5]]
+        assert len(parses) == 2 and len(hashes) == 2
+
+    def test_touch_hashes_and_hits_the_entry(self, tmp_path, parses, hashes):
+        path = write(tmp_path / "e.txt", "ab 1 2\ncd 3 4\n")
+        settle(path)
+        parsed = load_embeddings(path)
+        path.touch()
+        assert same_embedding(load_embeddings(path), parsed)
+        assert len(hashes) == 2
+        assert parses == [path]
+
+    @pytest.mark.parametrize("move", [os.link, os.rename], ids=["hard_link", "rename"])
+    def test_moved_file_keeps_its_record(self, tmp_path, parses, hashes, move):
+        path = write(tmp_path / "e.txt", "ab 1 2\ncd 3 4\n")
+        settle(path)
+        parsed = load_embeddings(path)
+        moved = tmp_path / "moved.txt"
+        move(path, moved)
+        settle(moved)  # a link or a rename may move the ctime
+        assert same_embedding(load_embeddings(moved), parsed)
+        hashed = len(hashes)
+        for name in {path, moved} & set(tmp_path.iterdir()):
+            assert same_embedding(load_embeddings(name), parsed)
+        assert len(hashes) == hashed
+        assert len(stamps()) == 1
+        assert parses == [path]
+
+    def test_file_changed_during_the_read_writes_no_record(self, tmp_path, monkeypatch,
+                                                           parses):
+        path = write(tmp_path / "e.txt", "ab 1 2\n")
+        settle(path)
+        spy_reads(monkeypatch, path, then=lambda: write(path, "ab 1 3\n"))
+        assert load_embeddings(path).matrix.tolist() == [[1, 2]]  # the bytes it read
+        assert stamps() == []
+        monkeypatch.delattr(store, "open")
+        assert load_embeddings(path).matrix.tolist() == [[1, 3]]
+
+    def test_fifo_writes_no_record(self, tmp_path, monkeypatch, parses, hashes):
+        # The bytes wait in the pipe, written past the margin, and the writer
+        # closes once the load has opened it: the pipe's stamp then holds still
+        # through the read, so only the file type keeps a record out.
+        fifo = tmp_path / "e.fifo"
+        os.mkfifo(fifo)
+        writers = []
+
+        def open_then_close_writer(file, mode):
+            fh = open(file, mode)
+            if file == fifo:
+                os.close(writers.pop())
+            return fh
+
+        monkeypatch.setattr(store, "open", open_then_close_writer, raising=False)
+        for _ in range(2):
+            reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+            writers.append(os.open(fifo, os.O_WRONLY))
+            os.write(writers[-1], b"ab 1 2\n")
+            os.close(reader)
+            settle(fifo)
+            assert load_embeddings(fifo).matrix.tolist() == [[1, 2]]
+        assert stamps() == []
+        assert len(hashes) == 2
+        assert parses == [fifo]  # the second load hit the entry of the same bytes
+
+    def test_editing_the_parser_reaches_no_old_record(self, tmp_path, monkeypatch, parses):
+        path = write(tmp_path / "e.txt", "ab 1 2\n")
+        settle(path)
+        load_embeddings(path)
+        monkeypatch.setattr(store, "_parser_digest", lambda: b"another parser")
+        load_embeddings(path)
+        assert len(parses) == 2
+        assert len(stamps()) == 2
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: b"garbage",
+        lambda text: b"",
+        lambda text: text[:-64] + b"../x",
+        lambda text: text[:-64] + b"0" * 64,
+        lambda text: text[:-64] + text[-64:].upper(),
+        lambda text: text + b"\n",
+    ], ids=["garbage", "empty", "path", "key_without_entry", "upper_case_key", "newline"])
+    def test_damaged_record_falls_back_to_the_hash(self, tmp_path, parses, hashes, damage):
+        path = write(tmp_path / "e.txt", "ab 1 2\ncd 3 4\n")
+        settle(path)
+        parsed = load_embeddings(path)
+        record = Path(os.environ["XDG_CACHE_HOME"], "rpd", *stamps())
+        record.write_bytes(damage(record.read_bytes()))
+        assert same_embedding(load_embeddings(path), parsed)
+        assert len(hashes) == 2
+        assert same_embedding(load_embeddings(path), parsed)  # the record was written again
+        assert len(hashes) == 2
+        assert parses == [path]
+
+    def test_file_younger_than_the_margin_writes_no_record(self, tmp_path, monkeypatch,
+                                                           parses, hashes):
+        monkeypatch.setattr(store, "_RACY_NS", 3_600 * 10**9)
+        path = write(tmp_path / "e.txt", "ab 1 2\n")
+        for _ in range(2):
+            assert load_embeddings(path).matrix.tolist() == [[1, 2]]
+        assert stamps() == []
+        assert len(hashes) == 2
+        assert parses == [path]
 
 class TestStandardize:
     def test_already_unit_std(self):

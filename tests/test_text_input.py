@@ -2,8 +2,10 @@
 ignored, universal newlines, and undecodable bytes raised as a ParseError at
 the file's line."""
 
+import io
 import re
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from rpd import (
     load_embeddings,
     load_similarity_dataset,
     read_corpus,
+    store,
     tokenize_corpus_text,
 )
 
@@ -80,15 +83,18 @@ def test_bad_byte_found_in_the_bytes_read_once(tmp_path, monkeypatch):
     path = tmp_path / "e.txt"
     path.write_bytes(BOM + b"the 1 2\r\n\nof\xe9 3 4\n")
     reads = []
-    read_bytes = type(path).read_bytes
 
-    def read_once_then_rewrite(self):
-        reads.append(self)
-        data = read_bytes(self)
-        self.write_bytes(b"the 1 2\nof 3 4\n")
-        return data
+    class ReadOnceThenRewrite(io.BufferedReader):
+        def read(self, size=-1):
+            reads.append(Path(self.name))
+            data = super().read(size)
+            path.write_bytes(b"the 1 2\nof 3 4\n")
+            return data
 
-    monkeypatch.setattr(type(path), "read_bytes", read_once_then_rewrite)
+    def spy_open(file, mode):
+        return ReadOnceThenRewrite(io.FileIO(file, mode)) if file == path else open(file, mode)
+
+    monkeypatch.setattr(store, "open", spy_open, raising=False)
     with pytest.raises(ParseError) as exc:
         load_embeddings(path)
     assert str(exc.value) == f"{path}:3: not valid UTF-8 (byte 0xe9)"
