@@ -39,8 +39,8 @@ A file loaded before is found without reading or hashing it: a ``.stamp``
 record per file, named from the parser digest and the file's device and
 inode, holds the file's size, mtime and ctime (``fstat`` of the open file)
 and its entry's key. When the stamp still matches, the entry is read. A
-load still reads and hashes the file on its first load, after any change of
-its stamp, while its ctime is less than ``_RACY_NS`` (3 s) older than the
+file is still read and hashed on its first load, after any change of its
+stamp, while its ctime is less than ``_RACY_NS`` (3 s) older than the
 load's start, and when it is not a regular file (a FIFO or a device). A
 record is written only after a hit or a parse, and only when the stamp did
 not change during the read. A missing, unreadable or malformed record, or
