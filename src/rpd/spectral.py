@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .errors import CorpusError, DegenerateInputError, DimensionError, PreconditionError
-from .store import EmbeddingMatrix, _check_words, _int_lines, _text_lines
+from .store import _PRINT_BLOCK, EmbeddingMatrix, _check_words, _int_lines, _text_lines
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -40,8 +40,6 @@ if TYPE_CHECKING:
 WEIGHTINGS = ("flat", "harmonic")
 # The dense eigensolver holds the n×n signal: at most 128 MiB.
 _DENSE_MAX_N = 4096
-# save_counts formats this many lines at a time.
-_SAVE_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,8 +447,9 @@ def save_counts(counts: CooccurrenceCounts, path: str | Path) -> None:
         cells[2] = value.astype(np.int64)
     with open(path, "wb") as fh:
         fh.write(f"# window {counts.window}\n# min_count {counts.min_count}\n".encode())
-        for start in range(0, value.size, _SAVE_BLOCK):
-            block = [column[start:start + _SAVE_BLOCK] for column in cells]
+        rows = _PRINT_BLOCK // 3  # lines of three values each
+        for start in range(0, value.size, rows):
+            block = [column[start:start + rows] for column in cells]
             if integral:
                 fh.write(_int_lines(block))
             else:

@@ -24,30 +24,35 @@ the lines again. It gives the same values and raises every ``ParseError`` and
 Parse cache: ``load_embeddings`` keeps each file it parsed in
 ``${XDG_CACHE_HOME:-~/.cache}/rpd/``, as a ``.npy`` matrix beside a ``.vocab``
 file of one word per line, under the SHA-256 of the file's bytes together with
-this module's source and numpy's version. A file with the same bytes is then
-read from its entry instead of parsed, with every ``EmbeddingMatrix`` check;
-a changed byte, or an edit of the parser, gives another key. Only successful
-parses are stored, so a bad file raises its error on every load. A missing,
-unreadable or malformed entry means a parse; a cache that cannot be written
-means no entry, and a directory that is not the user's own, closed to other
-users, means no cache. The least recently used entries go once the cache
+the parser digest (of this module's source and numpy's version). ``_cache()``
+is the one place that finds the cache directory and the parser digest, and a
+load calls it once. A file with the same bytes is then read from its entry
+instead of parsed, with every ``EmbeddingMatrix`` check; a changed byte, or an
+edit of the parser, gives another key. An entry's ``.npy`` header is matched
+as bytes against the one ``np.save`` writes, not read through
+``np.lib.format``: its ``ast.literal_eval`` can raise ``SystemError`` while
+other threads run, and loads from several threads must not fail. Only
+successful parses are stored, so a bad file raises its error on every load. A
+missing, unreadable or malformed entry means a parse; a cache that cannot be
+written means no entry, and a directory that is not the user's own, closed to
+other users, means no cache. The least recently used entries go once the cache
 holds more than ``_CACHE_CAP`` bytes (1 GiB), and a larger entry is never
-written. ``rm -rf ~/.cache/rpd`` clears it. A first load costs up to about
-10% more than a parse alone, for the hash and the write.
+written. ``rm -rf ~/.cache/rpd`` clears it. A first load costs up to about 10%
+more than a parse alone, for the hash and the write.
 
 A file loaded before is found without reading or hashing it: a ``.stamp``
-record per file, named from the parser digest and the file's device and
-inode, holds the file's size, mtime and ctime (``fstat`` of the open file)
-and its entry's key. When the stamp still matches, the entry is read. A
-file is still read and hashed on its first load, after any change of its
-stamp, while its ctime is less than ``_RACY_NS`` (3 s) older than the
-load's start, and when it is not a regular file (a FIFO or a device). A
-record is written only after a hit or a parse, and only when the stamp did
-not change during the read. A missing, unreadable or malformed record, or
-one whose entry is gone, means the hash. Like git's index (its "racy entry"
-rule), the stamp trusts that every change of a file moves its ctime, which
-``os.utime`` cannot set back; on a network filesystem it also trusts that
-the server's clock runs less than the margin behind this host's.
+record per file, named from the parser digest and the file's device and inode,
+holds the file's size, mtime and ctime (``fstat`` of the open file) and its
+entry's key. When the stamp still matches, the entry is read. A file is still
+read and hashed on its first load, after any change of its stamp, while its
+ctime is less than ``_RACY_NS`` (3 s) older than the load's start, and when it
+is not a regular file (a FIFO or a device). A record is written only when its
+entry is stored (not one larger than the cap, or whose write failed), and only
+when the stamp did not change during the read. A missing, unreadable or
+malformed record, or one whose entry is gone, means the hash. Like git's index
+(its "racy entry" rule), the stamp trusts that every change of a file moves
+its ctime, which ``os.utime`` cannot set back; on a network filesystem it also
+trusts that the server's clock runs less than the margin behind this host's.
 
 Floats are written with ten significant digits so that a save/load round
 trip reproduces values within 1e-8: each value exactly as ``_FLOAT_FMT % value``
@@ -90,7 +95,7 @@ from .errors import (
 _FLOAT_FMT = "%.9e"  # ten significant digits; _float_lines prints it digit by digit
 # Every power of ten a double holds exactly: 10**0 to 10**22.
 _EXACT_POW10 = np.array([float(10**k) for k in range(23)])
-_PRINT_BLOCK = 1 << 16  # values save_embeddings prints at a time
+_PRINT_BLOCK = 1 << 16  # values a text printer prints at a time
 _CACHE_CAP = 1 << 30  # bytes the parse cache may hold
 # A stamp is recorded only when the file's ctime is this much older than the
 # start of the load. Any change of the file after that start then gets a later
@@ -99,6 +104,11 @@ _CACHE_CAP = 1 << 30  # bytes the parse cache may hold
 # entry" rule). ctime, unlike mtime, cannot be set back with os.utime.
 _RACY_NS = 3_000_000_000
 _KEY = re.compile(rb"[0-9a-f]{64}")  # an entry's name: a SHA-256 in lowercase hex
+# The header np.save writes for a C-ordered n×d native float64 array (n, d >= 1),
+# space-padded to its alignment; the module docstring says why it is matched.
+_NPY_HEADER = re.compile(
+    rb"\x93NUMPY\x01\x00..\{'descr': '%s', 'fortran_order': False, 'shape': "
+    rb"\(([1-9]\d*), ([1-9]\d*)\), \} *\n" % np.dtype(np.float64).str.encode(), re.DOTALL)
 
 
 def _check_words(words: Sequence[object], kind: str) -> None:
@@ -270,28 +280,36 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     """
     path = Path(path)
     started = time.time_ns()
+    record = entry = None
     with open(path, "rb") as fh:  # fstat of the open file: NFS revalidates on open
         before = os.fstat(fh.fileno())
-        record = _record(before)
-        entry = _recorded_entry(record, before) if record is not None else None
-        emb = _cache_get(entry) if entry is not None else None
-        if emb is not None:
-            return emb
+        found = _cache()
+        if found is not None:
+            directory, digest = found
+            # The record's name holds the parser digest and the file's identity,
+            # so an edited parser reads no old record, and a file keeps one record.
+            record = directory / f"{before.st_dev}-{before.st_ino}-{digest.hex()}.stamp"
+            emb = _cache_get(_recorded_entry(record, before))
+            if emb is not None:
+                return emb
         data = fh.read()
         if not (stat.S_ISREG(before.st_mode) and before.st_ctime_ns < started - _RACY_NS
                 and _stamp(os.fstat(fh.fileno())) == _stamp(before)):
             record = None  # the stamp may miss a change: this file hashes on every load
-    entry = _cache_entry(data)
-    emb = _cache_get(entry) if entry is not None else None
+    if found is not None:
+        key = hashlib.sha256(digest)
+        key.update(data)
+        entry = directory / key.hexdigest()
+    emb = _cache_get(entry)
     if emb is None:
-        lines, start, dim = _read_lines(path, data)
+        lines, dim = _read_lines(path, data)
         del data  # the lines hold the text: free the bytes before the parse
-        emb = _parse_bulk(lines[start:], dim)
+        emb = _parse_bulk(lines, dim)
         if emb is None:
-            emb = _parse_per_line(lines, start, dim, path)
+            emb = _parse_per_line(lines, dim, path)
         if entry is not None:
             _cache_put(entry, emb)
-    if record is not None and entry is not None:
+    if record is not None and entry.with_suffix(".npy").exists():  # a record names an entry
         with suppress(OSError):
             _replace(record, lambda out: out.write(_stamp(before) + entry.name.encode()))
     return emb
@@ -328,11 +346,11 @@ def _decoded_lines(data: bytes, errors: str) -> list[tuple[int, str]]:
 
 
 def _read_lines(path: Path, data: bytes | None = None
-                ) -> tuple[list[tuple[int, str]], int, int | None]:
-    """The non-blank lines as (line number, text), the first data line's index, and d.
+                ) -> tuple[list[tuple[int, str]], int | None]:
+    """The data lines as (line number, text), any header dropped, and d.
 
-    The first line is a header when it is two integers; d is None without one.
-    ``data`` is as in ``_text_lines``.
+    The first non-blank line is a header when it is two integers; d is None
+    without one. ``data`` is as in ``_text_lines``.
 
     Raises:
         FormatError: empty file, a header size below 1, or a row count unlike the header's.
@@ -344,18 +362,18 @@ def _read_lines(path: Path, data: bytes | None = None
     try:
         declared_n, dim = map(int, text.split())
     except ValueError:
-        return lines, 0, None
+        return lines, None
     if declared_n < 1 or dim < 1:
         raise FormatError(f"{path}:{lineno}: header sizes must be positive")
     if len(lines) - 1 != declared_n:
         raise FormatError(
             f"{path}: header declares {declared_n} rows but file has {len(lines) - 1}"
         )
-    return lines, 1, dim
+    return lines[1:], dim
 
 
-def _parse_bulk(data: list[tuple[int, str]], dim: int | None) -> EmbeddingMatrix | None:
-    """Parse data lines with one ``np.loadtxt`` call, or return None.
+def _parse_bulk(lines: list[tuple[int, str]], dim: int | None) -> EmbeddingMatrix | None:
+    """Parse the data lines with one ``np.loadtxt`` call, or return None.
 
     None means the per-line parser must decide: a line it would reject (it
     raises the error with the line number), or a token that Python's
@@ -363,7 +381,7 @@ def _parse_bulk(data: list[tuple[int, str]], dim: int | None) -> EmbeddingMatrix
     """
     # One tuple of words and one of the value strings; a word-only line
     # makes zip stop after the words.
-    columns = list(zip(*(line.split(None, 1) for _, line in data)))
+    columns = list(zip(*(line.split(None, 1) for _, line in lines)))
     if len(columns) != 2:
         return None
     words, rests = columns
@@ -379,12 +397,11 @@ def _parse_bulk(data: list[tuple[int, str]], dim: int | None) -> EmbeddingMatrix
         return None
 
 
-def _parse_per_line(
-    lines: list[tuple[int, str]], start: int, dim: int | None, path: Path
-) -> EmbeddingMatrix:
-    """Parse data lines one at a time; the source of every line-numbered error."""
+def _parse_per_line(lines: list[tuple[int, str]], dim: int | None, path: Path
+                    ) -> EmbeddingMatrix:
+    """Parse the data lines one at a time; the source of every line-numbered error."""
     rows: dict[str, list[float]] = {}
-    for lineno, line in lines[start:]:
+    for lineno, line in lines:
         word, *fields = line.split()
         if dim is not None and len(fields) != dim:
             raise ParseError(
@@ -406,40 +423,6 @@ def _parse_per_line(
     return EmbeddingMatrix._owned(tuple(rows), np.array(list(rows.values()), dtype=np.float64))
 
 
-def _cache_entry(data: bytes) -> Path | None:
-    """The parse cache entry of a file holding ``data``, without its suffix.
-
-    None when there is no private cache directory or this module's source
-    cannot be read.
-    """
-    directory = _cache_dir()
-    if directory is None:
-        return None
-    try:
-        key = hashlib.sha256(_parser_digest())
-    except OSError:
-        return None
-    key.update(data)
-    return directory / key.hexdigest()
-
-
-def _record(info: os.stat_result) -> Path | None:
-    """The stamp record of the file ``info`` describes; None when there is no cache.
-
-    Its name holds the parser digest and the file's identity, so an edited
-    parser reads no old record, and a file keeps one record however often it
-    changes.
-    """
-    directory = _cache_dir()
-    if directory is None:
-        return None
-    try:
-        digest = _parser_digest()
-    except OSError:
-        return None
-    return directory / f"{info.st_dev}-{info.st_ino}-{digest.hex()}.stamp"
-
-
 def _stamp(info: os.stat_result) -> bytes:
     """What a record trusts of a file: its size, mtime and ctime, a space after each."""
     return b"%d %d %d " % (info.st_size, info.st_mtime_ns, info.st_ctime_ns)
@@ -459,11 +442,12 @@ def _recorded_entry(record: Path, info: os.stat_result) -> Path | None:
     return record.with_name(key.decode())
 
 
-def _cache_dir() -> Path | None:
-    """``${XDG_CACHE_HOME:-~/.cache}/rpd``, made if missing.
+def _cache() -> tuple[Path, bytes] | None:
+    """The parse cache's directory and the parser digest; None when there is no cache.
 
-    None unless it is a directory of this user's that no other user may
-    enter, so no one else can plant an entry.
+    The directory is ``${XDG_CACHE_HOME:-~/.cache}/rpd``, made if missing. It
+    must be this user's, and no other user may enter it, so no one else can
+    plant an entry; the digest must be readable.
     """
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):
@@ -476,11 +460,12 @@ def _cache_dir() -> Path | None:
     try:
         directory.mkdir(mode=0o700, parents=True, exist_ok=True)
         info = directory.stat()
+        digest = _parser_digest()
     except OSError:
         return None
     if info.st_uid != os.getuid() or info.st_mode & 0o077:
         return None
-    return directory
+    return directory, digest
 
 
 @cache
@@ -489,15 +474,18 @@ def _parser_digest() -> bytes:
     return hashlib.sha256(Path(__file__).read_bytes() + np.__version__.encode()).digest()
 
 
-def _cache_get(entry: Path) -> EmbeddingMatrix | None:
-    """The cached embedding at ``entry``, fully checked; None when missing or malformed."""
+def _cache_get(entry: Path | None) -> EmbeddingMatrix | None:
+    """The cached embedding at ``entry``, fully checked; None when there is no
+    entry or it is missing or malformed."""
+    if entry is None:
+        return None
     npy, vocab_path = entry.with_suffix(".npy"), entry.with_suffix(".vocab")
     try:
         with open(npy, "rb") as fh:
             matrix = _read_matrix(fh)
         vocab = vocab_path.read_bytes().decode("utf-8").split("\n")
         emb = EmbeddingMatrix._owned(vocab, matrix)
-    except (OSError, ValueError, EOFError, RpdError):
+    except (OSError, ValueError, RpdError):
         return None
     with suppress(OSError):  # a read-only cache still serves its entries
         for used in (npy, vocab_path):
@@ -507,21 +495,21 @@ def _cache_get(entry: Path) -> EmbeddingMatrix | None:
 
 def _read_matrix(fh: IO[bytes]) -> np.ndarray:
     """The matrix of a ``.npy`` file as ``_cache_put`` writes it: version 1.0,
-    2-D, C-ordered float64.
+    2-D, C-ordered native float64, its header exactly as ``np.save`` writes one.
 
     Raises:
         ValueError: any other file. The header is checked against the file's
             size before any data is read, so a forged shape allocates nothing.
     """
-    if np.lib.format.read_magic(fh) != (1, 0):
-        raise ValueError("not a version 1.0 .npy file")
-    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-    if dtype != np.float64 or fortran_order or len(shape) != 2 or min(shape) < 1:
-        raise ValueError(f"not a C-ordered 2-D float64 array: {dtype} {shape}")
-    count = shape[0] * shape[1]
-    if os.fstat(fh.fileno()).st_size != fh.tell() + count * dtype.itemsize:
+    head = fh.read(10)  # the magic string, the version and the header's length
+    head += fh.read(int.from_bytes(head[8:], "little"))
+    match = _NPY_HEADER.fullmatch(head)
+    if match is None:
+        raise ValueError("not a version 1.0 .npy file of a C-ordered 2-D float64 array")
+    n, d = int(match[1]), int(match[2])
+    if os.fstat(fh.fileno()).st_size != len(head) + n * d * 8:
         raise ValueError("file size does not match the header")
-    return np.fromfile(fh, dtype=np.float64, count=count).reshape(shape)
+    return np.fromfile(fh, dtype=np.float64, count=n * d).reshape(n, d)
 
 
 def _cache_put(entry: Path, emb: EmbeddingMatrix) -> None:

@@ -675,25 +675,26 @@ class TestCountsPersistence:
             b"1 2 1\n1 3 0.33333333333333331\n2 3 0.5\n")
         assert (tmp_path / "counts.txt.vocab").read_bytes() == b"a\nb\nc\nd\n"
 
-    # Blocks of two lines, ending in a partial block, and the default block
-    # size, which the corpus counts (19,290 lines) overflow.
-    @pytest.mark.parametrize("block", [2, rpd.spectral._SAVE_BLOCK])
+    # Blocks of two lines, ending in a partial block, and of 4096 lines, which
+    # the corpus counts (19,290 lines) overflow; the other tests print in
+    # blocks of the default size. A block of lines holds three values each.
+    @pytest.mark.parametrize("block", [2, 4096])
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
     def test_corpus_bytes_match_per_line_writer(self, tmp_path, monkeypatch, block, weighting):
-        monkeypatch.setattr(rpd.spectral, "_SAVE_BLOCK", block)
+        monkeypatch.setattr(rpd.spectral, "_PRINT_BLOCK", 3 * block)
         docs = tokenize_corpus_text(synthetic_corpus_text(20000, vocab_size=300, seed=3))
         counts = count_cooccurrences(docs, window=5, min_count=1, weighting=weighting)
         path = tmp_path / "counts.txt"
         save_counts(counts, path)
         assert path.read_bytes() == per_line_counts_text(counts)
 
-    @pytest.mark.parametrize("block", [2, rpd.spectral._SAVE_BLOCK])
+    @pytest.mark.parametrize("block", [2, 4096])
     @pytest.mark.parametrize("value", [2.0**53 - 1, 2.0**53, 2.0**53 + 2, -0.0],
                              ids=["2**53-1", "2**53", "2**53+2", "negative-zero"])
     def test_edge_counts_match_per_line_writer(self, tmp_path, monkeypatch, block, value):
         # One count at the edge of the integer path (2**53 is past it) beside
         # small ones; a stored negative zero prints as "-0".
-        monkeypatch.setattr(rpd.spectral, "_SAVE_BLOCK", block)
+        monkeypatch.setattr(rpd.spectral, "_PRINT_BLOCK", 3 * block)
         data = np.array([3.0, value, 3.0, 1.0, 1.0, value, 5.0])
         counts = CooccurrenceCounts(
             vocab=("a", "b", "c"), window=2, min_count=1,
@@ -702,14 +703,14 @@ class TestCountsPersistence:
         save_counts(counts, path)
         assert path.read_bytes() == per_line_counts_text(counts)
 
-    @pytest.mark.parametrize("block", [2, rpd.spectral._SAVE_BLOCK])
+    @pytest.mark.parametrize("block", [2, 4096])
     @pytest.mark.parametrize("fraction", [False, True], ids=["integral", "harmonic"])
     def test_chunk_boundaries_match_per_line_writer(self, tmp_path, monkeypatch, block,
                                                     fraction):
         # Indices and counts on each side of a digit and of a five-digit chunk,
         # in a vocabulary of more than 100,000 words; one fractional count
         # sends the whole file through the "%.17g" path.
-        monkeypatch.setattr(rpd.spectral, "_SAVE_BLOCK", block)
+        monkeypatch.setattr(rpd.spectral, "_PRINT_BLOCK", 3 * block)
         n = 100_002
         ids = [0, 9, 10, 99_999, 100_000, n - 1]
         values = [9.0, 10.0, 99_999.0, 100_000.0, 1e10, 2.0**53 - 1, 1.0]

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import os
@@ -225,7 +226,9 @@ def cache_files():
 
 
 def cache_key(path):
-    return store._cache_entry(path.read_bytes()).name
+    """The name of the parse cache entry of the file at ``path``, without its suffix."""
+    _, digest = store._cache()
+    return hashlib.sha256(digest + path.read_bytes()).hexdigest()
 
 
 @pytest.fixture
@@ -327,6 +330,19 @@ class TestParseCache:
         assert len(parses) == 2  # the first load after the damage, not the second
         assert len(cache_files()) == 2
 
+    def test_hit_does_not_evaluate_the_npy_header(self, tmp_path, monkeypatch, parses):
+        # ast.literal_eval, which numpy's header reader calls, can raise
+        # SystemError while other threads run finalizers.
+        path = write(tmp_path / "e.txt", "ab 1 2\ncd 3 4\n")
+        parsed = load_embeddings(path)
+
+        def fail(text):
+            raise SystemError("AST constructor recursion depth mismatch")
+
+        monkeypatch.setattr(ast, "literal_eval", fail)
+        assert same_embedding(load_embeddings(path), parsed)
+        assert parses == [path]
+
     def test_cache_open_to_other_users_is_not_used(self, tmp_path, parses):
         path = write(tmp_path / "e.txt", "ab 1 2\n")
         root = Path(os.environ["XDG_CACHE_HOME"], "rpd")
@@ -351,19 +367,19 @@ class TestParseCache:
         else:
             monkeypatch.setenv("XDG_CACHE_HOME", xdg)
         monkeypatch.setenv("HOME", str(tmp_path / "home"))
-        assert store._cache_dir() == tmp_path / "home" / ".cache" / "rpd"
+        assert store._cache()[0] == tmp_path / "home" / ".cache" / "rpd"
         assert (tmp_path / "home" / ".cache" / "rpd").is_dir()
 
     def test_relative_home_means_no_cache(self, tmp_path, monkeypatch):
         monkeypatch.delenv("XDG_CACHE_HOME")
         monkeypatch.setenv("HOME", "relative-home")
         monkeypatch.chdir(tmp_path)
-        assert store._cache_dir() is None
+        assert store._cache() is None
         assert list(tmp_path.iterdir()) == []
 
     def test_no_posix_owner_means_no_cache(self, tmp_path, monkeypatch, parses):
         monkeypatch.delattr(os, "getuid")
-        assert store._cache_dir() is None
+        assert store._cache() is None
         path = write(tmp_path / "e.txt", "ab 1 2\n")
         for _ in range(2):
             assert load_embeddings(path).matrix.tolist() == [[1, 2]]
@@ -374,14 +390,14 @@ class TestParseCache:
         source = store.__file__
         store._parser_digest.cache_clear()
         monkeypatch.setattr(store, "__file__", str(tmp_path / "missing.py"))
-        assert store._cache_entry(b"ab 1 2\n") is None
+        assert store._cache() is None
         path = write(tmp_path / "e.txt", "ab 1 2\n")
         for _ in range(2):
             assert load_embeddings(path).matrix.tolist() == [[1, 2]]
         assert len(parses) == 2
         assert cache_files() == []
         monkeypatch.setattr(store, "__file__", source)
-        assert store._cache_entry(b"ab 1 2\n") is not None  # a failed digest is not kept
+        assert store._cache() is not None  # a failed digest is not kept
 
     def test_failed_write_leaves_no_temporary_file(self, tmp_path):
         def fail(fh):
@@ -452,9 +468,15 @@ class TestParseCache:
         assert all(same_embedding(emb, expected[i]) for i, emb in results)
         assert sum(f.stat().st_size for f in root.iterdir()) <= store._CACHE_CAP
 
-    def test_entry_larger_than_the_cap_is_not_written(self, tmp_path, monkeypatch):
+    def test_entry_larger_than_the_cap_is_not_written(self, tmp_path, monkeypatch,
+                                                     short_margin):
+        # Nor is a record, which would name no entry and send every later
+        # load through the hash and the parse, to be written again each time.
         monkeypatch.setattr(store, "_CACHE_CAP", 16)
-        assert load_embeddings(write(tmp_path / "e.txt", "ab 1 2\n")).n == 1
+        path = write(tmp_path / "e.txt", "ab 1 2\n")
+        settle(path)
+        for _ in range(2):
+            assert load_embeddings(path).n == 1
         assert cache_files() == []
 
 
@@ -550,7 +572,8 @@ class TestStampRecord:
         assert len(hashes) == 2
         assert parses == [path]
 
-    @pytest.mark.parametrize("move", [os.link, os.rename], ids=["hard_link", "rename"])
+    @pytest.mark.parametrize("move", [os.link, os.rename, os.symlink],
+                             ids=["hard_link", "rename", "symlink"])
     def test_moved_file_keeps_its_record(self, tmp_path, parses, hashes, move):
         path = write(tmp_path / "e.txt", "ab 1 2\ncd 3 4\n")
         settle(path)

@@ -30,19 +30,17 @@ def write_bytes(path, data):
 
 
 def per_line(path):
-    lines, start, dim = store._read_lines(path)
-    return store._parse_per_line(lines, start, dim, path)
+    return store._parse_per_line(*store._read_lines(path), path)
 
 
 def takes_bulk_path(path):
-    lines, start, dim = store._read_lines(path)
-    return store._parse_bulk(lines[start:], dim) is not None
+    return store._parse_bulk(*store._read_lines(path)) is not None
 
 
 def detected_format(path):
     """The format the loader reads from the file: a header line or none."""
-    _, start, _ = store._read_lines(path)
-    return "word2vec_text" if start else "glove_text"
+    _, dim = store._read_lines(path)
+    return "word2vec_text" if dim is not None else "glove_text"
 
 
 def assert_same_as_per_line(path):
