@@ -1,124 +1,19 @@
-"""Distances, dependence tests, and spectral trainers for word embedding spaces."""
+"""Distances, dependence tests, and spectral trainers for word embedding spaces.
 
-from .errors import (
-    AlignmentError,
-    CorpusError,
-    DegenerateInputError,
-    DimensionError,
-    DuplicateWordError,
-    FormatError,
-    ParseError,
-    PreconditionError,
-    RpdError,
-)
-from .evaluation import (
-    AnalogyDataset,
-    AnalogyQuestion,
-    EvalResult,
-    SimilarityDataset,
-    StudyEntry,
-    StudyResult,
-    eval_analogy_3cosadd,
-    eval_similarity,
-    evaluate,
-    load_analogy_dataset,
-    load_similarity_dataset,
-    perf_vs_rpd_study,
-    spearman,
-)
-from .layout import LayoutMap, layout_from_distances
-from .metric import (
-    PairwiseRpd,
-    PerWordDivergence,
-    RpdReport,
-    decompose_per_word,
-    rpd,
-    rpd_pairwise_matrix,
-)
-from .nullmodel import (
-    DependenceTestResult,
-    NullDistribution,
-    ZTestResult,
-    dependence_test,
-    monte_carlo_null,
-    z_test,
-)
-from .spectral import (
-    CooccurrenceCounts,
-    SvdFactors,
-    count_cooccurrences,
-    log_count_matrix,
-    pmi_matrix,
-    read_corpus,
-    save_counts,
-    svd_embedding,
-    tokenize_corpus_text,
-    train_spectral_embedding,
-    truncated_svd,
-)
-from .store import (
-    AlignedPair,
-    EmbeddingMatrix,
-    align_vocabularies,
-    load_embeddings,
-    random_gaussian_embedding,
-    save_embeddings,
-)
+Each module lists its own public names in ``__all__``; the package exports
+exactly those names, sorted.
+"""
+
+from . import errors, evaluation, layout, metric, nullmodel, spectral, store
+from .errors import *
+from .evaluation import *
+from .layout import *
+from .metric import *
+from .nullmodel import *
+from .spectral import *
+from .store import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignedPair",
-    "AlignmentError",
-    "AnalogyDataset",
-    "AnalogyQuestion",
-    "CooccurrenceCounts",
-    "CorpusError",
-    "DegenerateInputError",
-    "DependenceTestResult",
-    "DimensionError",
-    "DuplicateWordError",
-    "EmbeddingMatrix",
-    "EvalResult",
-    "FormatError",
-    "LayoutMap",
-    "NullDistribution",
-    "PairwiseRpd",
-    "ParseError",
-    "PerWordDivergence",
-    "PreconditionError",
-    "RpdError",
-    "RpdReport",
-    "SimilarityDataset",
-    "StudyEntry",
-    "StudyResult",
-    "SvdFactors",
-    "ZTestResult",
-    "align_vocabularies",
-    "count_cooccurrences",
-    "decompose_per_word",
-    "dependence_test",
-    "eval_analogy_3cosadd",
-    "eval_similarity",
-    "evaluate",
-    "layout_from_distances",
-    "load_analogy_dataset",
-    "load_embeddings",
-    "load_similarity_dataset",
-    "log_count_matrix",
-    "monte_carlo_null",
-    "perf_vs_rpd_study",
-    "pmi_matrix",
-    "random_gaussian_embedding",
-    "read_corpus",
-    "rpd",
-    "rpd_pairwise_matrix",
-    "save_counts",
-    "save_embeddings",
-    "spearman",
-    "svd_embedding",
-    "tokenize_corpus_text",
-    "train_spectral_embedding",
-    "truncated_svd",
-    "z_test",
-]
+__all__ = sorted([*errors.__all__, *evaluation.__all__, *layout.__all__, *metric.__all__,
+                  *nullmodel.__all__, *spectral.__all__, *store.__all__])

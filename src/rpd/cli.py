@@ -23,13 +23,13 @@ from .evaluation import (
     load_similarity_dataset,
     perf_vs_rpd_study,
 )
-from .layout import layout_from_distances
+from .layout import _check_anchors, layout_from_distances
 from .metric import decompose_per_word, rpd, rpd_pairwise_matrix
 from .nullmodel import dependence_test
 from .spectral import (SIGNALS, WEIGHTINGS, count_cooccurrences, read_corpus, save_counts,
                        train_spectral_embedding)
-from .store import (EmbeddingMatrix, _check_words, align_vocabularies, load_embeddings,
-                    save_embeddings)
+from .store import (EmbeddingMatrix, _check_names, _check_words, align_vocabularies,
+                    load_embeddings, save_embeddings)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -55,8 +55,8 @@ def _load_datasets(
             load_analogy_dataset(analogy) if analogy else None)
 
 
-def _parse_named(specs: tuple[str, ...]) -> list[tuple[str, EmbeddingMatrix]]:
-    """The ``--emb NAME=PATH`` embeddings, loaded once every spec is checked."""
+def _parse_named(specs: tuple[str, ...]) -> list[tuple[str, str]]:
+    """The ``--emb NAME=PATH`` specs as ``(name, path)``, every name checked, no file read."""
     named = [spec.partition("=") for spec in specs]
     for spec, (name, sep, path) in zip(specs, named):
         if not sep or not name or not path:
@@ -65,7 +65,12 @@ def _parse_named(specs: tuple[str, ...]) -> list[tuple[str, EmbeddingMatrix]]:
             _check_words([name], "--emb NAME")
         except PreconditionError as exc:
             raise click.UsageError(str(exc)) from None
-    return [(name, load_embeddings(path)) for name, _, path in named]
+    _check_names([name for name, _, _ in named], "embedding")
+    return [(name, path) for name, _, path in named]
+
+
+def _load_named(named: list[tuple[str, str]]) -> list[tuple[str, EmbeddingMatrix]]:
+    return [(name, load_embeddings(path)) for name, path in named]
 
 
 class _Commands(click.Group):
@@ -113,7 +118,7 @@ def cmd_pair(left, right, decompose, top_k, output):
 @click.option("--output", type=click.Path(), default=None)
 def cmd_matrix(embs, common_vocab, output):
     """Pairwise distance matrix over named embeddings, as TSV."""
-    result = rpd_pairwise_matrix(_parse_named(embs), common_vocab=common_vocab)
+    result = rpd_pairwise_matrix(_load_named(_parse_named(embs)), common_vocab=common_vocab)
     _emit(result.to_tsv(), output)
 
 
@@ -192,9 +197,10 @@ def cmd_eval(emb_path, similarity, analogy, output):
 @click.option("--output", type=click.Path(), default=None)
 def cmd_study(baseline, embs, similarity, analogy, output):
     """Distance-vs-performance study against a baseline embedding (TSV)."""
+    named = _parse_named(embs)
     sim_ds, ana_ds = _load_datasets(similarity, analogy)
     base = load_embeddings(baseline)
-    result = perf_vs_rpd_study(base, _parse_named(embs), sim_ds, ana_ds)
+    result = perf_vs_rpd_study(base, _load_named(named), sim_ds, ana_ds)
     _emit(result.to_tsv(), output)
 
 
@@ -209,7 +215,9 @@ def cmd_map(embs, anchors, common_vocab, output):
     parts = [p.strip() for p in anchors.split(",")]
     if len(parts) != 2 or not all(parts):
         raise click.UsageError(f"--anchors expects NAME,NAME, got {anchors!r}")
-    matrix = rpd_pairwise_matrix(_parse_named(embs), common_vocab=common_vocab)
+    named = _parse_named(embs)
+    _check_anchors(tuple(name for name, _ in named), *parts)
+    matrix = rpd_pairwise_matrix(_load_named(named), common_vocab=common_vocab)
     result = layout_from_distances(matrix.values, matrix.names, parts[0], parts[1])
     _emit(result.to_tsv(), output)
 

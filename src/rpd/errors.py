@@ -4,6 +4,18 @@ Everything raised on bad user input derives from :class:`RpdError`, so
 callers (including the CLI) can distinguish input problems from bugs.
 """
 
+__all__ = [
+    "AlignmentError",
+    "CorpusError",
+    "DegenerateInputError",
+    "DimensionError",
+    "DuplicateWordError",
+    "FormatError",
+    "ParseError",
+    "PreconditionError",
+    "RpdError",
+]
+
 
 class RpdError(Exception):
     """Base class for all errors raised by this package."""

@@ -22,6 +22,22 @@ from .metric import _unit_exponent, rpd as _rpd
 from .store import (EmbeddingMatrix, _check_names, _check_words, _text_lines, _tsv,
                     _word_order, align_vocabularies)
 
+__all__ = [
+    "AnalogyDataset",
+    "AnalogyQuestion",
+    "EvalResult",
+    "SimilarityDataset",
+    "StudyEntry",
+    "StudyResult",
+    "eval_analogy_3cosadd",
+    "eval_similarity",
+    "evaluate",
+    "load_analogy_dataset",
+    "load_similarity_dataset",
+    "perf_vs_rpd_study",
+    "spearman",
+]
+
 _BLOCK_SCORES = 1 << 20  # analogy scores per matrix product: 8 MB of float64
 
 
@@ -188,15 +204,9 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, ties sharing their mean rank; all NaN if any value is NaN."""
     if np.isnan(values).any():
         return np.full(values.shape, np.nan)
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    starts = np.flatnonzero(first)
-    ends = np.append(starts[1:], values.size)
-    # Sorted positions starts..ends-1 hold ranks starts+1..ends.
-    ranks = np.empty(values.size)
-    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(first) - 1]
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # A run of equal values ending at rank r holds ranks r - count + 1 .. r.
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:

@@ -23,6 +23,11 @@ import numpy as np
 from .errors import DimensionError, PreconditionError
 from .store import _check_names, _tsv
 
+__all__ = [
+    "LayoutMap",
+    "layout_from_distances",
+]
+
 REFINE_ITERATIONS = 500
 _BACKTRACK_LIMIT = 60
 _ARMIJO = 1e-4
@@ -129,6 +134,15 @@ def _validate_distances(dist: np.ndarray, n: int) -> np.ndarray:
     return (dist + dist.T) / 2.0
 
 
+def _check_anchors(names: tuple[str, ...], anchor_a: str, anchor_b: str) -> None:
+    """Require two distinct anchors among ``names``."""
+    for anchor in (anchor_a, anchor_b):
+        if anchor not in names:
+            raise PreconditionError(f"anchor {anchor!r} is not among the point names")
+    if anchor_a == anchor_b:
+        raise PreconditionError("anchors must be distinct")
+
+
 def _start(dist: np.ndarray, ia: int, ib: int) -> np.ndarray:
     """Classical-MDS coordinates, framed with ``ia`` at the origin and ``ib`` on +x.
 
@@ -172,11 +186,7 @@ def layout_from_distances(
     if n < 2:
         raise PreconditionError("need at least 2 points")
     _check_names(names, "point")
-    for anchor in (anchor_a, anchor_b):
-        if anchor not in names:
-            raise PreconditionError(f"anchor {anchor!r} is not among the point names")
-    if anchor_a == anchor_b:
-        raise PreconditionError("anchors must be distinct")
+    _check_anchors(names, anchor_a, anchor_b)
     dist = _validate_distances(dist, n)
 
     order = sorted(range(n), key=names.__getitem__)

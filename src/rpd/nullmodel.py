@@ -32,6 +32,15 @@ from .errors import DegenerateInputError, PreconditionError
 from .metric import gram_side, rpd, rpd_from_sides
 from .store import AlignedPair
 
+__all__ = [
+    "DependenceTestResult",
+    "NullDistribution",
+    "ZTestResult",
+    "dependence_test",
+    "monte_carlo_null",
+    "z_test",
+]
+
 ALPHA = 0.01  # significance level of ``reject_at_0_01`` and ``dependence_test``'s decision
 
 

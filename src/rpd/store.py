@@ -92,6 +92,15 @@ from .errors import (
     RpdError,
 )
 
+__all__ = [
+    "AlignedPair",
+    "EmbeddingMatrix",
+    "align_vocabularies",
+    "load_embeddings",
+    "random_gaussian_embedding",
+    "save_embeddings",
+]
+
 _FLOAT_FMT = "%.9e"  # ten significant digits; _float_lines prints it digit by digit
 # Every power of ten a double holds exactly: 10**0 to 10**22.
 _EXACT_POW10 = np.array([float(10**k) for k in range(23)])

@@ -242,6 +242,18 @@ class TestMatrix:
         assert "--emb expects NAME=PATH, got 'b='" in result.output
 
     @pytest.mark.parametrize("command", ["matrix", "study", "map"])
+    def test_repeated_name_checked_before_any_file_is_read(self, runner, tmp_path, command):
+        missing = str(tmp_path / "missing.txt")
+        args = [command, "--emb", f"a={missing}", "--emb", f"a={missing}"]
+        if command == "study":
+            args += ["--baseline", missing, "--similarity", missing]
+        if command == "map":
+            args += ["--anchors", "a,b"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output == "error: embedding names must be unique\n"
+
+    @pytest.mark.parametrize("command", ["matrix", "study", "map"])
     @pytest.mark.parametrize("name", ["a\tb", "a b", " a", "a\n"])
     def test_name_with_whitespace_exits_2(self, runner, tmp_path, rng, command, name):
         # A whitespace NAME would add a column to the TSV header.
@@ -749,6 +761,19 @@ class TestEvalStudyMap:
             "map", "--emb", f"a={path}", "--emb", f"b={path}", "--anchors", "a",
         ])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("anchors, message", [
+        ("a,zz", "anchor 'zz' is not among the point names"),
+        ("a,a", "anchors must be distinct"),
+    ])
+    def test_map_anchors_checked_before_any_file_is_read(self, runner, tmp_path, anchors,
+                                                         message):
+        missing = str(tmp_path / "missing.txt")
+        result = runner.invoke(main, [
+            "map", "--emb", f"a={missing}", "--emb", f"b={missing}", "--anchors", anchors,
+        ])
+        assert result.exit_code == 2
+        assert result.output == f"error: {message}\n"
 
 
 class TestMixedFormats:

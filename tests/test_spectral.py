@@ -52,6 +52,24 @@ def right_vectors(signal, factors):
     return (signal.T @ factors.U).T / factors.S[:, None]
 
 
+@pytest.fixture
+def dstein_blocks(monkeypatch):
+    """The tridiagonal blocks of each ``dstein`` call's eigenvalues, one set per call.
+
+    Bisection with inverse iteration calls ``dstein``; divide and conquer
+    does not, so an empty list names the divide-and-conquer branch.
+    """
+    blocks = []
+    dstein = scipy.linalg.lapack.dstein
+
+    def spy(diag, off, w, iblock, isplit):
+        blocks.append(set(iblock[:w.size].tolist()))
+        return dstein(diag, off, w, iblock, isplit)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstein", spy)
+    return blocks
+
+
 class TestCountCooccurrences:
     def test_window_one_hand_count(self):
         counts = count_cooccurrences([["a", "b", "a"]], window=1, min_count=1)
@@ -464,14 +482,15 @@ class TestTruncatedSvd:
         one = truncated_svd(signal_of([[-2.0]]), 1)
         assert one.S.tolist() == [2.0] and one.U.tolist() == [[1.0]]
 
-    @pytest.mark.parametrize("d", [25, 26], ids=["inverse-iteration", "divide-and-conquer"])
-    def test_dense_drivers_match_known_eigenpairs(self, rng, d):
-        # n = 200: inverse iteration up to d = n / 8, divide and conquer above.
-        # The spectrum mixes signs, and its magnitudes are 1/200 apart.
+    @pytest.mark.parametrize("d", [16, 17], ids=["inverse-iteration", "divide-and-conquer"])
+    def test_dense_drivers_match_known_eigenpairs(self, rng, dstein_blocks, d):
+        # n = 200: inverse iteration while 12·d ≤ n (up to d = 16), divide and
+        # conquer above. The spectrum mixes signs, and its magnitudes are 1/200 apart.
         n = 200
         lam = rng.permutation(np.linspace(1.0, 2.0, n)) * rng.choice([-1.0, 1.0], n)
         q = np.linalg.qr(rng.standard_normal((n, n)))[0]
         factors = truncated_svd(signal_of(symmetric((q * lam) @ q.T)), d)
+        assert bool(dstein_blocks) == (d == 16)
         top = np.argsort(-np.abs(lam))[:d]
         np.testing.assert_allclose(factors.S, np.abs(lam[top]), rtol=1e-13)
         expected = q[:, top] * np.sign(np.sum(q[:, top] * factors.U, axis=0))
@@ -481,7 +500,7 @@ class TestTruncatedSvd:
     # n = 64: inverse iteration up to d = 5, divide and conquer above.
     @pytest.mark.parametrize("d", [5, 6], ids=["inverse-iteration", "divide-and-conquer"])
     @pytest.mark.parametrize("case", ["blocks", "no-negative", "all-negative"])
-    def test_dense_edges_match_eigh(self, rng, monkeypatch, case, d):
+    def test_dense_edges_match_eigh(self, rng, dstein_blocks, case, d):
         # Magnitudes 1/64 apart, so every chosen eigenvector is defined up to sign.
         n = 64
         magnitude = np.linspace(3.0, 1.0, n)
@@ -502,17 +521,8 @@ class TestTruncatedSvd:
             q = np.linalg.qr(rng.standard_normal((n, n)))[0]
             m = (q * (magnitude * sign)) @ q.T
         m = symmetric(m)
-        blocks = []
-        dstein = scipy.linalg.lapack.dstein
-
-        def spy(diag, off, w, iblock, isplit):
-            blocks.append(set(iblock[:w.size].tolist()))
-            return dstein(diag, off, w, iblock, isplit)
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dstein", spy)
         factors = truncated_svd(signal_of(m), d)
-        # Divide and conquer calls no dstein.
-        found = set().union(*blocks)
+        found = set().union(*dstein_blocks)
         assert not found if d == 6 else (len(found) > 1) == (case == "blocks")
         w, v = np.linalg.eigh(m)
         top = np.argsort(-np.abs(w), kind="stable")[:d]
@@ -523,12 +533,14 @@ class TestTruncatedSvd:
         np.testing.assert_allclose(factors.U, expected, atol=1e-12)
 
     @pytest.mark.parametrize("n", [60, 59], ids=["inverse-iteration", "divide-and-conquer"])
-    def test_tie_at_the_cut_keeps_the_negative(self, rng, n):
+    def test_tie_at_the_cut_keeps_the_negative(self, rng, dstein_blocks, n):
         # d = 5 takes 10, 9, 8, 7 and one of ±5: the negative one, as a stable
         # sort of the ascending spectrum by −|λ| does. The rest are below 1.
+        # Inverse iteration while 12·d ≤ n (n = 60), divide and conquer at n = 59.
         lam = np.r_[10.0, 9.0, 8.0, 7.0, 5.0, -5.0, np.linspace(-0.9, 0.9, n - 6)]
         axes = rng.permutation(n)
         factors = truncated_svd(signal_of(np.diag(lam[np.argsort(axes)])), 5)
+        assert bool(dstein_blocks) == (n == 60)
         np.testing.assert_array_equal(factors.S, [10.0, 9.0, 8.0, 7.0, 5.0])
         np.testing.assert_array_equal(factors.U, np.eye(n)[:, axes[[0, 1, 2, 3, 5]]])
 
