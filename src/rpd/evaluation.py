@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParseError, PreconditionError, RpdError
 from .metric import _unit_exponent, rpd as _rpd
-from .store import (EmbeddingMatrix, _check_names, _check_words, _text_lines, _tsv,
+from .store import (EmbeddingMatrix, _check_names, _check_words, _real, _text_lines, _tsv,
                     _word_order, align_vocabularies)
 
 __all__ = [
@@ -48,13 +48,17 @@ class SimilarityDataset:
     pairs: tuple[tuple[str, str, float], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple((a, b, float(s)) for a, b, s in self.pairs)
+        pairs = tuple(self.pairs)
         if not pairs:
             raise PreconditionError("similarity dataset has no pairs")
+        scores = _real([s for _, _, s in pairs], "similarity scores").astype(np.float64)
+        if scores.ndim != 1:
+            raise PreconditionError("similarity scores must be numbers, one per pair")
         _check_words([word for pair in pairs for word in pair[:2]], "similarity word")
-        if not all(np.isfinite(s) for _, _, s in pairs):
+        if not np.all(np.isfinite(scores)):
             raise PreconditionError("similarity scores must be finite")
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs", tuple(
+            (a, b, s) for (a, b, _), s in zip(pairs, scores.tolist())))
 
     @classmethod
     def _checked(cls, pairs: tuple[tuple[str, str, float], ...]) -> SimilarityDataset:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
-from .store import _check_names, _tsv
+from .store import _check_names, _real, _tsv, _word_tuple
 
 __all__ = [
     "LayoutMap",
@@ -120,7 +120,7 @@ class LayoutMap:
 
 
 def _validate_distances(dist: np.ndarray, n: int) -> np.ndarray:
-    dist = np.asarray(dist, dtype=np.float64)
+    dist = np.asarray(_real(dist, "distance matrix"), dtype=np.float64)
     if dist.shape != (n, n):
         raise DimensionError(f"distance matrix must be {n}x{n}, got {dist.shape}")
     if not np.all(np.isfinite(dist)):
@@ -181,7 +181,7 @@ def layout_from_distances(
     Inconsistent distances never raise; the residual error is absorbed into
     the reported stress.
     """
-    names = tuple(names)
+    names = _word_tuple(names, "point names")
     n = len(names)
     if n < 2:
         raise PreconditionError("need at least 2 points")

@@ -25,6 +25,13 @@ multiplied in one orientation, so every distance is symmetric in its two
 arguments bit for bit, and an :func:`rpd_pairwise_matrix` cell equals
 :func:`rpd` of its pair.
 
+The closed form ratio − cosine is written once, as a function of the two Gram
+norms, their divisors and ||E₁ᵀE₂||_F². It broadcasts over numpy arrays of
+those inputs, element by element the same bits as on scalars, and every
+distance here, from :func:`rpd` to each null draw, reads it from there. The
+per-word arrays (the two quadratic forms and the cross form of each word's
+rows) come from one per-row pass as well.
+
 Every result is a function of the inputs, the BLAS build, its CPU kernel and
 its thread count: the Gram products are numpy's, whose OpenBLAS splits them by
 thread count. Results repeat bit for bit on one machine at one thread count;
@@ -157,6 +164,21 @@ def _cross(left: GramSide, right: GramSide) -> np.ndarray:
     return left.rows.T @ right.rows
 
 
+def _closed_form(norm_left, divisor_left, norm_right, divisor_right, cross_sq):
+    """``(rpd, ratio, cosine)`` from each side's ``norm`` and ``divisor`` and ``‖cross‖²``.
+
+    The one place the closed form is written. It uses numpy operations only, so
+    it broadcasts over arrays of these inputs, and each element equals the
+    call on that element's scalars bit for bit.
+    """
+    a, b = np.divide(norm_left, divisor_left), np.divide(norm_right, divisor_right)
+    ratio = 0.5 * (a / b + b / a)
+    # Scale-free, so it is taken on the prescaled blocks directly.
+    cosine = np.divide(cross_sq, np.multiply(norm_left, norm_right))
+    # Cauchy-Schwarz guarantees ratio >= cosine; clamp roundoff.
+    return np.maximum(ratio - cosine, 0.0), ratio, cosine
+
+
 def rpd_from_sides(
     left: GramSide, right: GramSide, cross: np.ndarray | None = None
 ) -> RpdReport:
@@ -164,22 +186,12 @@ def rpd_from_sides(
 
     Without ``cross`` the result is the same bit for bit with the sides swapped.
     """
-    a = left.norm / left.divisor
-    b = right.norm / right.divisor
     if cross is None:
         cross = _cross(left, right)
-    ratio = 0.5 * (a / b + b / a)
-    # Scale-free, so it is taken on the prescaled blocks directly.
-    cosine = float(np.sum(cross * cross)) / (left.norm * right.norm)
-    # Cauchy-Schwarz guarantees ratio >= cosine; clamp roundoff.
-    return RpdReport(
-        rpd=max(ratio - cosine, 0.0),
-        ratio_term=ratio,
-        cosine_term=cosine,
-        n=left.rows.shape[0],
-        d_left=left.rows.shape[1],
-        d_right=right.rows.shape[1],
-    )
+    value, ratio, cosine = map(float, _closed_form(
+        left.norm, left.divisor, right.norm, right.divisor, np.sum(cross * cross)))
+    return RpdReport(rpd=value, ratio_term=ratio, cosine_term=cosine, n=left.rows.shape[0],
+                     d_left=left.rows.shape[1], d_right=right.rows.shape[1])
 
 
 def rpd(pair: AlignedPair) -> RpdReport:
@@ -219,9 +231,8 @@ def decompose_per_word(pair: AlignedPair) -> RpdReport:
     cross = _cross(left, right)
     report = rpd_from_sides(left, right, cross)
     # Weights and cosines are scale-free, so the prescaled blocks serve.
-    a, b = left.rows, right.rows
-    dot = np.sum((a @ cross) * b, axis=1)
-    norm_prod = _row_norms(a, left.gram) * _row_norms(b, right.gram)
+    dot, form_left, form_right = _per_row(left, right, cross)
+    norm_prod = np.sqrt(form_left) * np.sqrt(form_right)
     weights = norm_prod / (left.norm * right.norm)
     defined = norm_prod != 0.0
     cosines = np.full(len(dot), np.inf)
@@ -239,10 +250,16 @@ def decompose_per_word(pair: AlignedPair) -> RpdReport:
     return replace(report, per_word=per_word)
 
 
-def _row_norms(rows: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Norms of the rows of rows·rowsᵀ, given ``gram = rowsᵀ·rows``."""
-    # Quadratic forms are >= 0 exactly; clamp roundoff before the sqrt.
-    return np.sqrt(np.maximum(np.sum((rows @ gram) * rows, axis=1), 0.0))
+def _per_row(left: GramSide, right: GramSide, cross: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per word, with rows u of ``left`` and w of ``right``: uᵀG₁₂w, uᵀG₁₁u and wᵀG₂₂w.
+
+    ``cross`` is G₁₂ = ``left.rowsᵀ·right.rows``. The two quadratic forms are
+    >= 0 exactly, so their roundoff is clamped at 0.
+    """
+    u, w = left.rows, right.rows
+    return (np.sum((u @ cross) * w, axis=1),
+            np.maximum(np.sum((u @ left.gram) * u, axis=1), 0.0),
+            np.maximum(np.sum((w @ right.gram) * w, axis=1), 0.0))
 
 
 @dataclass(frozen=True, eq=False)

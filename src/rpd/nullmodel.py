@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, PreconditionError
 from .metric import gram_side, rpd, rpd_from_sides
-from .store import AlignedPair
+from .store import AlignedPair, _real
 
 __all__ = [
     "DependenceTestResult",
@@ -85,7 +85,7 @@ class NullDistribution:
     samples: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.samples, dtype=np.float64)
+        arr = np.asarray(_real(self.samples, "samples"), dtype=np.float64)
         if arr.ndim != 1 or arr.size < 2:
             raise PreconditionError(
                 f"need a 1-D sequence of at least 2 samples, got shape {arr.shape}"

@@ -136,6 +136,29 @@ def _check_words(words: Sequence[object], kind: str) -> None:
         raise PreconditionError(f"{kind} must encode as UTF-8, got {word!r}") from None
 
 
+def _word_tuple(words: Sequence[str], kind: str) -> tuple[str, ...]:
+    """``words`` as a tuple; a ``str`` is refused, as it would split into its characters."""
+    if isinstance(words, str):
+        raise PreconditionError(f"{kind} must be a sequence of words, not a str")
+    return tuple(words)
+
+
+def _real(values: object, what: str) -> np.ndarray:
+    """``values`` as an array of booleans, integers or reals, for conversion to float64.
+
+    numpy's conversion would drop an imaginary part with only a warning, and
+    raise a bare ``ValueError`` on strings or ragged rows; here each is a
+    ``PreconditionError`` that names ``what``.
+    """
+    try:
+        array = np.asarray(values)
+    except ValueError:
+        raise PreconditionError(f"{what} must be rectangular, not ragged sequences") from None
+    if array.dtype.kind not in "biuf":
+        raise PreconditionError(f"{what} must hold real numbers, got dtype {array.dtype}")
+    return array
+
+
 def _check_names(names: Sequence[str], kind: str) -> None:
     """Require distinct ``names`` that are words, so each labels one TSV field."""
     if len(set(names)) != len(names):
@@ -167,7 +190,8 @@ def _word_order(words: Sequence[str]) -> np.ndarray:
 class EmbeddingMatrix:
     """A vocabulary-indexed dense embedding matrix.
 
-    Row ``i`` of ``matrix`` is the vector of ``vocab[i]``.
+    Row ``i`` of ``matrix`` is the vector of ``vocab[i]``. The matrix may hold
+    booleans, integers or reals, and is stored as float64.
 
     Instances are immutable; the matrix is stored read-only and may be shared
     across threads.
@@ -177,7 +201,8 @@ class EmbeddingMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        self._own(self.vocab, np.array(self.matrix, dtype=np.float64, order="C", copy=True))
+        matrix = _real(self.matrix, "matrix")
+        self._own(self.vocab, np.array(matrix, dtype=np.float64, order="C", copy=True))
 
     @classmethod
     def _owned(cls, vocab: Sequence[str], matrix: np.ndarray) -> EmbeddingMatrix:
@@ -192,7 +217,7 @@ class EmbeddingMatrix:
 
     def _own(self, vocab: Sequence[str], matrix: np.ndarray) -> None:
         """Check ``vocab`` and ``matrix``, then store both, ``matrix`` read-only."""
-        vocab = tuple(vocab)
+        vocab = _word_tuple(vocab, "vocabulary")
         if matrix.ndim != 2:
             raise DimensionError(f"matrix must be 2-D, got shape {matrix.shape}")
         n, d = matrix.shape
@@ -244,7 +269,7 @@ class AlignedPair:
     coverage_right: float = 1.0
 
     def __post_init__(self) -> None:
-        shared = tuple(self.shared_vocab)
+        shared = _word_tuple(self.shared_vocab, "shared_vocab")
         object.__setattr__(self, "shared_vocab", shared)
         if not shared:
             raise AlignmentError("shared vocabulary is empty")

@@ -30,9 +30,14 @@ NAIVE_GUARD_LIMIT = 2000
 
 @dataclass(frozen=True)
 class GramOracleResult:
+    """Gram norms and inner product, and per row i: <gᵃᵢ, gᵇᵢ>, ||gᵃᵢ||² and ||gᵇᵢ||²."""
+
     norm_a: float
     norm_b: float
     inner: float
+    row_inner: np.ndarray
+    row_sq_a: np.ndarray
+    row_sq_b: np.ndarray
 
 
 def naive_gram_oracle(a: EmbeddingMatrix, b: EmbeddingMatrix) -> GramOracleResult:
@@ -53,6 +58,9 @@ def naive_gram_oracle(a: EmbeddingMatrix, b: EmbeddingMatrix) -> GramOracleResul
         norm_a=float(np.linalg.norm(ga)),
         norm_b=float(np.linalg.norm(gb)),
         inner=float(np.sum(ga * gb)),
+        row_inner=np.sum(ga * gb, axis=1),
+        row_sq_a=np.sum(ga * ga, axis=1),
+        row_sq_b=np.sum(gb * gb, axis=1),
     )
 
 

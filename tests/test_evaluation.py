@@ -357,13 +357,30 @@ class TestAnalogy:
     (lambda: AnalogyQuestion("a", "b", "c\ud800", "d"),
      "analogy word must encode as UTF-8, got 'c\\ud800'"),
     (lambda: AnalogyDataset(()), "analogy dataset has no questions"),
+    (lambda: SimilarityDataset((("a", "b", 1.0), ("c", "d", "high"))),
+     f"similarity scores must hold real numbers, got dtype {np.dtype('U32')}"),
+    (lambda: SimilarityDataset((("a", "b", None),)),
+     "similarity scores must hold real numbers, got dtype object"),
+    (lambda: SimilarityDataset((("a", "b", 1 + 2j),)),
+     "similarity scores must hold real numbers, got dtype complex128"),
+    (lambda: SimilarityDataset((("a", "b", [1.0, 2.0]), ("c", "d", 3.0))),
+     "similarity scores must be rectangular, not ragged sequences"),
+    (lambda: SimilarityDataset((("a", "b", [1.0]),)),
+     "similarity scores must be numbers, one per pair"),
 ], ids=["no_pairs", "non_finite_score", "empty_word", "whitespace_word",
         "whitespace_similarity_word", "non_str_similarity_word", "non_str_word",
-        "surrogate_similarity_word", "surrogate_analogy_word", "no_questions"])
+        "surrogate_similarity_word", "surrogate_analogy_word", "no_questions",
+        "str_score", "none_score", "complex_score", "ragged_score", "sequence_score"])
 def test_dataset_validation(build, message):
     with pytest.raises(PreconditionError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_integer_and_boolean_scores_become_floats():
+    pairs = SimilarityDataset((("a", "b", 3), ("c", "d", True), ("e", "f", np.int64(-2)))).pairs
+    assert pairs == (("a", "b", 3.0), ("c", "d", 1.0), ("e", "f", -2.0))
+    assert all(type(score) is float for _, _, score in pairs)
 
 
 class TestDatasetFiles:

@@ -13,7 +13,7 @@ from rpd import (
     rpd,
     rpd_pairwise_matrix,
 )
-from rpd.metric import gram_side
+from rpd.metric import _closed_form, _cross, _per_row, gram_side, rpd_from_sides
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -139,3 +139,63 @@ def test_extreme_magnitudes_return_unscaled_rpd(factor):
     embs = [("a", base.left), ("b", EmbeddingMatrix(base.shared_vocab, factor * b))]
     cell = rpd_pairwise_matrix(embs, common_vocab=True).values[0, 1]
     assert cell == pytest.approx(expected.rpd, rel=1e-12)
+
+
+def inline_closed_form(left, right, cross):
+    """The closed form as ``rpd_from_sides`` wrote it inline, in Python floats:
+    the oracle of its one numpy version."""
+    a = left.norm / left.divisor
+    b = right.norm / right.divisor
+    ratio = 0.5 * (a / b + b / a)
+    cosine = float(np.sum(cross * cross)) / (left.norm * right.norm)
+    return max(ratio - cosine, 0.0), ratio, cosine
+
+
+def sides_of(seed, n, d1, d2, left_decade, right_decade, zero_fraction):
+    """Two summarized sides of a random pair at the given scales, with about
+    ``zero_fraction`` of each side's rows zero (never row 0)."""
+    rng, a, b = draw(seed, n, d1, d2)
+    for m in (a, b):
+        m[1:][rng.random(n - 1) < zero_fraction] = 0.0
+    left = gram_side(a * 10.0**left_decade, "left")
+    right = gram_side(b * 10.0**right_decade, "right")
+    return left, right, _cross(left, right)
+
+
+pair_specs = st.tuples(seeds, rows, dims, dims, decades, decades, st.floats(0.0, 0.5))
+
+
+@PROPERTY
+@given(st.lists(pair_specs, min_size=1, max_size=6))
+def test_closed_form_broadcasts_bit_for_bit(specs):
+    sides = [sides_of(*spec) for spec in specs]
+    inputs = [(left.norm, left.divisor, right.norm, right.divisor, np.sum(cross * cross))
+              for left, right, cross in sides]
+    broadcast = _closed_form(*(np.array(column) for column in zip(*inputs)))
+    for k, ((left, right, cross), scalars) in enumerate(zip(sides, inputs)):
+        expected = inline_closed_form(left, right, cross)
+        # Bit for bit: the old inline formula, one call on the scalars, the
+        # element of the broadcast call, and the report's fields.
+        assert tuple(map(float, _closed_form(*scalars))) == expected
+        assert tuple(float(term[k]) for term in broadcast) == expected
+        report = rpd_from_sides(left, right, cross)
+        assert (report.rpd, report.ratio_term, report.cosine_term) == expected
+        assert type(report.rpd) is float
+
+
+@PROPERTY
+@given(pair_specs)
+def test_per_row_forms_match_the_gram_oracle(spec):
+    left, right, cross = sides_of(*spec)
+    dot, form_left, form_right = _per_row(left, right, cross)
+    vocab = tuple(f"w{i}" for i in range(len(dot)))
+    o = naive_gram_oracle(EmbeddingMatrix(vocab, left.rows), EmbeddingMatrix(vocab, right.rows))
+    # Each entry is bounded by its Gram norms, so roundoff is measured against them;
+    # over 3000 such draws it stayed below 4.4e-16 of that bound.
+    np.testing.assert_allclose(dot, o.row_inner, rtol=0, atol=1e-14 * o.norm_a * o.norm_b)
+    np.testing.assert_allclose(form_left, o.row_sq_a, rtol=0, atol=1e-14 * o.norm_a**2)
+    np.testing.assert_allclose(form_right, o.row_sq_b, rtol=0, atol=1e-14 * o.norm_b**2)
+    assert np.all(form_left >= 0.0) and np.all(form_right >= 0.0)
+    zero_left, zero_right = ~np.any(left.rows, axis=1), ~np.any(right.rows, axis=1)
+    assert not np.any(form_left[zero_left]) and not np.any(form_right[zero_right])
+    assert not np.any(dot[zero_left | zero_right])

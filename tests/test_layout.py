@@ -231,6 +231,29 @@ class TestValidation:
         with pytest.raises(DimensionError):
             layout_from_distances(np.zeros((2, 3)), ["a", "b"], "a", "b")
 
+    @pytest.mark.parametrize("dist, message", [
+        # numpy's float64 cast keeps 1.0 of 1+1j, with only a ComplexWarning.
+        (np.array([[0, 1 + 1j], [1 + 1j, 0]]),
+         "distance matrix must hold real numbers, got dtype complex128"),
+        ([["0", "1"], ["1", "0"]],
+         f"distance matrix must hold real numbers, got dtype {np.dtype('U1')}"),
+        ([[0.0, 1.0], [1.0]], "distance matrix must be rectangular, not ragged sequences"),
+    ], ids=["complex", "str", "ragged"])
+    def test_non_real_distances_rejected(self, dist, message):
+        with pytest.raises(PreconditionError) as exc:
+            layout_from_distances(dist, ["a", "b"], "a", "b")
+        assert str(exc.value) == message
+
+    def test_integer_distances_accepted(self):
+        result = layout_from_distances([[0, 2], [2, 0]], ["a", "b"], "a", "b")
+        assert result.position("b") == (2.0, 0.0)
+
+    def test_str_names_rejected(self):
+        # A str would be taken as the sequence of its characters.
+        with pytest.raises(PreconditionError) as exc:
+            layout_from_distances(np.array([[0.0, 1.0], [1.0, 0.0]]), "ab", "a", "b")
+        assert str(exc.value) == "point names must be a sequence of words, not a str"
+
     def test_tsv_format(self):
         dist = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
         result = layout_from_distances(dist, ["a", "b", "c"], "a", "b")

@@ -194,6 +194,17 @@ class TestMonteCarloError:
             expected = (1 + result.z * null.skewness + result.z**2 * (kurtosis - 1) / 4) / r
             assert result.z_se == pytest.approx(math.sqrt(expected), rel=1e-12)
 
+    @pytest.mark.parametrize("samples, message", [
+        # numpy's float64 cast keeps 0.5 of 0.5+1j, with only a ComplexWarning.
+        (np.array([0.5 + 1j, 0.25]), "samples must hold real numbers, got dtype complex128"),
+        (["0.5", "0.25"], f"samples must hold real numbers, got dtype {np.dtype('U4')}"),
+        ([0.5, [0.25, 0.5]], "samples must be rectangular, not ragged sequences"),
+    ], ids=["complex", "str", "ragged"])
+    def test_non_real_samples_rejected(self, samples, message):
+        with pytest.raises(PreconditionError) as exc:
+            NullDistribution(100, 10, 10, 0, samples)
+        assert str(exc.value) == message
+
     def test_standard_errors_of_identical_samples(self):
         null = NullDistribution(100, 10, 10, 0, [0.5] * 10)
         assert null.mu_se == 0.0

@@ -98,6 +98,40 @@ class TestEmbeddingMatrix:
         with pytest.raises(PreconditionError):
             EmbeddingMatrix(("a",), [[np.nan]])
 
+    @pytest.mark.parametrize("matrix, message", [
+        # numpy's float64 cast keeps 1.0 of 1+5j, with only a ComplexWarning.
+        (np.array([[1 + 5j, 0], [0, 1]]), "matrix must hold real numbers, got dtype complex128"),
+        ([[1 + 5j, 0], [0, 1]], "matrix must hold real numbers, got dtype complex128"),
+        ([["1", "0"], ["0", "1"]], f"matrix must hold real numbers, got dtype {np.dtype('U1')}"),
+        ([[1.0, None], [0.0, 1.0]], "matrix must hold real numbers, got dtype object"),
+        ([[1.0, 0.0], [1.0]], "matrix must be rectangular, not ragged sequences"),
+    ], ids=["complex_array", "complex_list", "str", "none", "ragged"])
+    def test_non_real_matrix_rejected(self, matrix, message):
+        with pytest.raises(PreconditionError) as exc:
+            EmbeddingMatrix(("a", "b"), matrix)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("matrix", [[[1, 0], [0, 1]], np.eye(2, dtype=np.int8),
+                                        np.eye(2, dtype=np.uint64), np.eye(2, dtype=bool),
+                                        np.eye(2, dtype=np.float32)],
+                             ids=["int_list", "int8", "uint64", "bool", "float32"])
+    def test_integer_and_boolean_matrix_accepted(self, matrix):
+        emb = EmbeddingMatrix(("a", "b"), matrix)
+        assert emb.matrix.dtype == np.float64
+        np.testing.assert_array_equal(emb.matrix, np.eye(2))
+
+    def test_str_vocabulary_rejected(self):
+        # A str would be taken as the sequence of its characters.
+        with pytest.raises(PreconditionError) as exc:
+            EmbeddingMatrix("ab", np.eye(2))
+        assert str(exc.value) == "vocabulary must be a sequence of words, not a str"
+
+    def test_str_shared_vocab_rejected(self):
+        emb = EmbeddingMatrix(("a", "b"), np.eye(2))
+        with pytest.raises(PreconditionError) as exc:
+            AlignedPair(emb, emb, "ab")
+        assert str(exc.value) == "shared_vocab must be a sequence of words, not a str"
+
 
 class TestLoadSave:
     def test_glove_three_lines(self, tmp_path):
